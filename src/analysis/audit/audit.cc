@@ -15,6 +15,7 @@
 #include "src/ir/canonical.h"
 #include "src/ir/expansion.h"
 #include "src/ivm/delta.h"
+#include "src/rewriting/answer.h"
 #include "src/rewriting/bucket.h"
 #include "src/rewriting/er_search.h"
 #include "src/rewriting/rewrite_lsi.h"
@@ -613,42 +614,46 @@ Database EveryOtherTuple(const Database& db) {
 
 }  // namespace
 
+void RecordObligation(EngineContext& ctx, AuditReport* report,
+                      ObligationKind kind, std::string label,
+                      FunctionRef<Status()> fn) {
+  const auto t0 = std::chrono::steady_clock::now();
+  Status s = fn();
+  ctx.stats().audit_wall_ns +=
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count();
+  ++ctx.stats().audit_obligations;
+  Obligation o;
+  o.kind = kind;
+  o.label = std::move(label);
+  o.status = std::move(s);
+  if (o.failed()) ++ctx.stats().audit_failures;
+  report->obligations.push_back(std::move(o));
+}
+
 Status AuditAll(EngineContext& ctx, const AuditInputs& inputs,
                 const AuditOptions& options, AuditReport* report) {
   const Query& q = inputs.query;
   const std::string& name = q.head().predicate;
-
-  auto run = [&](ObligationKind kind, std::string label, auto&& fn) {
-    const auto t0 = std::chrono::steady_clock::now();
-    Status s = fn();
-    ctx.stats().audit_wall_ns +=
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count();
-    ++ctx.stats().audit_obligations;
-    Obligation o;
-    o.kind = kind;
-    o.label = std::move(label);
-    o.status = std::move(s);
-    if (o.failed()) ++ctx.stats().audit_failures;
-    report->obligations.push_back(std::move(o));
+  auto run = [&](ObligationKind kind, std::string label,
+                 FunctionRef<Status()> fn) {
+    RecordObligation(ctx, report, kind, std::move(label), fn);
   };
 
   run(ObligationKind::kClassification, name, [&] {
     return CheckClassification(q, ClassifyQueryWithEvidence(q));
   });
 
-  const AcClass cls = q.Classify();
   std::optional<SiMcr> mcr;
   UnionQuery rewriting;
   bool have_union = false;
   if (inputs.views.size() > 0) {
-    // The same dispatch the serve layer uses (src/serve/service.cc), so the
-    // audited path is the shipped path.
-    const bool si_path = q.IsCqacSi() && !q.IsConjunctiveOnly() &&
-                         cls != AcClass::kNone && cls != AcClass::kLsi &&
-                         cls != AcClass::kRsi && inputs.views.AllSiOnly();
-    if (si_path) {
+    // The same dispatch the serve layer uses (ChooseRewriteAlgorithm), so
+    // the audited path is the shipped path.
+    const RewriteAlgorithm algorithm =
+        ChooseRewriteAlgorithm(q, inputs.views);
+    if (algorithm == RewriteAlgorithm::kSiDatalog) {
       Result<SiMcr> r = RewriteSiQueryDatalog(ctx, q, inputs.views);
       if (!r.ok()) {
         run(ObligationKind::kSiMcrRules, name, [&] { return r.status(); });
@@ -663,11 +668,10 @@ Status AuditAll(EngineContext& ctx, const AuditInputs& inputs,
       }
     } else {
       RewritingWitness w;
-      const bool lsi_path = cls == AcClass::kNone || cls == AcClass::kLsi ||
-                            cls == AcClass::kRsi;
       Result<UnionQuery> r =
-          lsi_path ? RewriteLsiQuery(ctx, q, inputs.views, {}, nullptr, &w)
-                   : BucketRewrite(ctx, q, inputs.views, {}, nullptr, &w);
+          algorithm == RewriteAlgorithm::kLsiMcr
+              ? RewriteLsiQuery(ctx, q, inputs.views, {}, nullptr, &w)
+              : BucketRewrite(ctx, q, inputs.views, {}, nullptr, &w);
       if (!r.ok()) {
         run(ObligationKind::kRewrite, name, [&] { return r.status(); });
       } else {

@@ -35,6 +35,7 @@
 
 #include "src/analysis/classify.h"
 #include "src/analysis/audit/unfold_mcr.h"
+#include "src/base/function_ref.h"
 #include "src/base/status.h"
 #include "src/containment/containment.h"
 #include "src/containment/minimize.h"
@@ -142,6 +143,14 @@ Status CheckProgramMaintenance(EngineContext& ctx,
                                const Database& post_idb);
 
 // ---- The whole-program pass -----------------------------------------------
+
+/// Runs the check `fn` as one obligation of `kind` and appends its verdict
+/// to `report`: the wall time goes to audit_wall_ns, and audit_obligations
+/// (plus audit_failures on a failed verdict) is bumped. AuditAll records
+/// every obligation through this; so does the serve layer's `certify`.
+void RecordObligation(EngineContext& ctx, AuditReport* report,
+                      ObligationKind kind, std::string label,
+                      FunctionRef<Status()> fn);
 
 struct AuditOptions {
   UnfoldOptions unfold;

@@ -44,6 +44,12 @@ class Database {
   /// bookkeeping and iteration order stay stable.
   bool Remove(const std::string& predicate, const Tuple& tuple);
 
+  /// Drops relation `predicate`, entry included. The planner sketches keep
+  /// its observations (they are insert-monotone).
+  void EraseRelation(const std::string& predicate) {
+    relations_.erase(predicate);
+  }
+
   /// True iff `tuple` is present in relation `predicate`.
   bool Contains(const std::string& predicate, const Tuple& tuple) const {
     return Get(predicate).count(tuple) > 0;

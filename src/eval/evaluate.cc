@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <optional>
 #include <unordered_map>
 
 #include "src/base/strings.h"
@@ -482,43 +483,6 @@ void BatchHeadProjector::ForEachHead(const Batch& b,
     }
     fn(buf_);
   }
-}
-
-namespace {
-
-/// Row-callback compatibility layer over the batch engine: one reused
-/// binding buffer, bound variables overwritten per row (unbound ones never
-/// touched — the var->column map is fixed for the whole join).
-bool RowShim(const Query& q, const std::vector<const Relation*>& relations,
-             FunctionRef<void(const std::vector<std::optional<Value>>&)> cb,
-             FunctionRef<bool()> checkpoint, const JoinIndexSource* ext) {
-  std::vector<std::optional<Value>> binding(q.num_vars(), std::nullopt);
-  return JoinBodyBatches(
-      q, relations,
-      [&](const Batch& b, const std::vector<int>& var_col) {
-        for (size_t row = 0; row < b.rows; ++row) {
-          for (size_t v = 0; v < var_col.size(); ++v)
-            if (var_col[v] >= 0) binding[v] = b.cols[var_col[v]].At(row);
-          cb(binding);
-        }
-        return true;
-      },
-      checkpoint, ext);
-}
-
-}  // namespace
-
-void JoinBody(
-    const Query& q, const std::vector<const Relation*>& relations,
-    FunctionRef<void(const std::vector<std::optional<Value>>&)> cb) {
-  RowShim(q, relations, cb, [] { return true; }, nullptr);
-}
-
-bool JoinBodyAbortable(
-    const Query& q, const std::vector<const Relation*>& relations,
-    FunctionRef<void(const std::vector<std::optional<Value>>&)> cb,
-    FunctionRef<bool()> checkpoint, const JoinIndexSource* indexes) {
-  return RowShim(q, relations, cb, checkpoint, indexes);
 }
 
 namespace {

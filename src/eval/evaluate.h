@@ -6,13 +6,10 @@
 // vectorized selection-vector filters, and each body atom extends the batch
 // through a hash probe — the caller's persistent JoinIndexSource when it
 // covers the atom, an internal lazy per-call index otherwise. The
-// row-callback JoinBody API is kept as a thin shim over the batch engine,
-// and the pre-columnar tuple-at-a-time evaluator survives as
+// pre-columnar tuple-at-a-time evaluator survives as
 // EvaluateQueryReference for differential testing.
 #ifndef CQAC_EVAL_EVALUATE_H_
 #define CQAC_EVAL_EVALUATE_H_
-
-#include <optional>
 
 #include "src/base/function_ref.h"
 #include "src/base/status.h"
@@ -142,28 +139,6 @@ class BatchHeadProjector {
   const Query& q_;
   Tuple buf_;
 };
-
-/// Row-callback shim over the batch engine, used by the Datalog engine:
-/// evaluates `q`'s body where body atom i reads tuples from *relations[i]
-/// (so callers can point different atoms at full/delta relations).
-/// Comparisons of `q` filter eagerly. Invokes `cb` once per satisfying
-/// assignment with the per-variable binding (index = variable id; unbound
-/// variables stay nullopt). The binding buffer is reused across
-/// invocations; callers must copy what they keep. Callback order is
-/// unspecified.
-void JoinBody(
-    const Query& q, const std::vector<const Relation*>& relations,
-    FunctionRef<void(const std::vector<std::optional<Value>>&)> cb);
-
-/// JoinBody with an abort checkpoint polled every few thousand candidate
-/// tuples. Returns false iff the checkpoint aborted the search (in which
-/// case `cb` may have seen only a prefix of the satisfying assignments).
-/// `indexes`, when non-null, serves column probes for the atoms it covers.
-bool JoinBodyAbortable(
-    const Query& q, const std::vector<const Relation*>& relations,
-    FunctionRef<void(const std::vector<std::optional<Value>>&)> cb,
-    FunctionRef<bool()> checkpoint,
-    const JoinIndexSource* indexes = nullptr);
 
 }  // namespace cqac
 

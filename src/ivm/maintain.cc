@@ -365,11 +365,31 @@ Result<ApplySummary> MaterializedViewSet::Apply(EngineContext& ctx,
     // The wholesale commit bypasses the index-patching path; drop the
     // persistent indexes and let the next incremental batch rebuild them.
     base_index_.clear();
+    // All-or-nothing: a rebuild that runs out of budget puts the base back
+    // (tuples, relation entries, sketches) and restores the old views and
+    // counts — O(delta) undo plus the small sketch table.
+    const plan::RelationStats stats_before = base_.stats();
+    std::vector<std::string> created;
+    for (const auto& [pred, rel] : delta.plus().relations())
+      if (!base_.Has(pred)) created.push_back(pred);
     CQAC_RETURN_IF_ERROR(delta.CommitTo(&base_));
     Database old_views = std::move(views_);
+    std::vector<CountMap> old_counts = std::move(counts_);
     views_ = Database();
-    for (size_t i = 0; i < view_queries_.size(); ++i)
-      CQAC_RETURN_IF_ERROR(RebuildView(ctx, i));
+    counts_.assign(view_queries_.size(), CountMap{});
+    for (size_t i = 0; i < view_queries_.size(); ++i) {
+      Status st = RebuildView(ctx, i);
+      if (st.ok()) continue;
+      for (const auto& [pred, rel] : delta.plus().relations())
+        for (const Tuple& t : rel) base_.Remove(pred, t);
+      for (const auto& [pred, rel] : delta.minus().relations())
+        for (const Tuple& t : rel) (void)base_.Insert(pred, t);  // was there
+      for (const std::string& pred : created) base_.EraseRelation(pred);
+      base_.RestoreStats(stats_before);
+      views_ = std::move(old_views);
+      counts_ = std::move(old_counts);
+      return st;
+    }
     DiffTuples(old_views, views_, &summary.view_tuples_added,
                &summary.view_tuples_removed);
     ctx.stats().ivm_view_delta_tuples +=

@@ -142,9 +142,10 @@ class MaterializedViewSet {
   Status ResetViews(EngineContext& ctx, const ViewSet& views);
 
   /// Applies one staged batch. The delta must have been staged against
-  /// base(). On kResourceExhausted the batch may be partially applied (the
-  /// retract half may have landed while the insert half did not; an aborted
-  /// half is rolled back), but base and views always agree.
+  /// base(). On kResourceExhausted a rebuild, and any batch with one side
+  /// only (ApplyInsert, ApplyRetract), is rolled back completely; a mixed
+  /// batch may keep its retract half when the insert half aborts (the
+  /// aborted half is rolled back). Base and views always agree.
   /// When `cert` is non-null, a successful Apply fills it with the exact
   /// per-tuple count transitions of this batch (O(state) snapshotting).
   Result<ApplySummary> Apply(EngineContext& ctx, const DeltaDatabase& delta,

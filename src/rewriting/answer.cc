@@ -103,38 +103,52 @@ std::string ViewPlan::ToString() const {
   return "?";
 }
 
+const char* RewriteAlgorithmName(RewriteAlgorithm a) {
+  switch (a) {
+    case RewriteAlgorithm::kLsiMcr:
+      return "lsi-mcr";
+    case RewriteAlgorithm::kSiDatalog:
+      return "si-datalog";
+    case RewriteAlgorithm::kBucket:
+      return "bucket";
+  }
+  return "?";
+}
+
+RewriteAlgorithm ChooseRewriteAlgorithm(const Query& q, const ViewSet& views) {
+  const AcClass cls = q.Classify();
+  if (cls == AcClass::kNone || cls == AcClass::kLsi || cls == AcClass::kRsi)
+    return RewriteAlgorithm::kLsiMcr;
+  if (q.IsCqacSi() && views.AllSiOnly()) return RewriteAlgorithm::kSiDatalog;
+  // General fallback: verified bucket candidates (sound, possibly
+  // incomplete — documented in DESIGN.md).
+  return RewriteAlgorithm::kBucket;
+}
+
 Result<ViewPlan> PlanForQuery(EngineContext& ctx, const Query& q,
                               const ViewSet& views) {
   ViewPlan plan;
   ++ctx.stats().plan_decisions;
-  AcClass cls = q.Classify();
-  if (cls == AcClass::kNone || cls == AcClass::kLsi || cls == AcClass::kRsi) {
-    CQAC_ASSIGN_OR_RETURN(UnionQuery u, RewriteLsiQuery(ctx, q, views));
+  plan.algorithm = ChooseRewriteAlgorithm(q, views);
+  size_t plan_size = 0;
+  if (plan.algorithm == RewriteAlgorithm::kSiDatalog) {
+    CQAC_ASSIGN_OR_RETURN(SiMcr mcr, RewriteSiQueryDatalog(ctx, q, views));
+    plan.kind = PlanKind::kDatalog;
+    plan.datalog = std::move(mcr);
+    plan_size = plan.datalog->rules.size();
+  } else {
+    CQAC_ASSIGN_OR_RETURN(UnionQuery u,
+                          plan.algorithm == RewriteAlgorithm::kLsiMcr
+                              ? RewriteLsiQuery(ctx, q, views)
+                              : BucketRewrite(ctx, q, views));
     if (!u.empty()) {
       plan.kind = PlanKind::kFiniteUnion;
       plan.union_plan = std::move(u);
     }
-    plan.plan.decisions.push_back(AlgorithmDecision(
-        "lsi-mcr", cls, plan.union_plan.disjuncts.size()));
-    return plan;
+    plan_size = plan.union_plan.disjuncts.size();
   }
-  if (q.IsCqacSi() && views.AllSiOnly()) {
-    CQAC_ASSIGN_OR_RETURN(SiMcr mcr, RewriteSiQueryDatalog(ctx, q, views));
-    plan.kind = PlanKind::kDatalog;
-    plan.datalog = std::move(mcr);
-    plan.plan.decisions.push_back(
-        AlgorithmDecision("si-datalog", cls, plan.datalog->rules.size()));
-    return plan;
-  }
-  // General fallback: verified bucket candidates (sound, possibly
-  // incomplete — documented in DESIGN.md).
-  CQAC_ASSIGN_OR_RETURN(UnionQuery u, BucketRewrite(ctx, q, views));
-  if (!u.empty()) {
-    plan.kind = PlanKind::kFiniteUnion;
-    plan.union_plan = std::move(u);
-  }
-  plan.plan.decisions.push_back(
-      AlgorithmDecision("bucket", cls, plan.union_plan.disjuncts.size()));
+  plan.plan.decisions.push_back(AlgorithmDecision(
+      RewriteAlgorithmName(plan.algorithm), q.Classify(), plan_size));
   return plan;
 }
 

@@ -29,6 +29,22 @@ enum class PlanKind {
   kDatalog,      // recursive Datalog program (Section 5)
 };
 
+/// The rewriting algorithm a query's comparison class dictates over a view
+/// set. Soundness, not cost, forces the choice.
+enum class RewriteAlgorithm {
+  kLsiMcr,     // RewriteLsiQuery (Figure 2): CQ, LSI and RSI queries
+  kSiDatalog,  // RewriteSiQueryDatalog (Figure 4): CQAC-SI query, SI views
+  kBucket,     // verified bucket candidates: everything else
+};
+
+/// "lsi-mcr", "si-datalog" or "bucket" (the plan record's choice text).
+const char* RewriteAlgorithmName(RewriteAlgorithm a);
+
+/// The one class-to-algorithm dispatch every front end uses (PlanForQuery,
+/// serve `rewrite`/`answers`, the shell's `rewrite`/`verify`, AuditAll).
+/// Pure: it bumps no counter.
+RewriteAlgorithm ChooseRewriteAlgorithm(const Query& q, const ViewSet& views);
+
 /// Options for the context-aware ViewPlan::Answer.
 struct AnswerOptions {
   plan::UnionEvalPin union_eval = plan::UnionEvalPin::kAuto;
@@ -37,6 +53,7 @@ struct AnswerOptions {
 /// A compiled view-based plan for one query.
 struct ViewPlan {
   PlanKind kind = PlanKind::kEmpty;
+  RewriteAlgorithm algorithm = RewriteAlgorithm::kLsiMcr;  // the engine used
   UnionQuery union_plan;          // set iff kind == kFiniteUnion
   std::optional<SiMcr> datalog;   // set iff kind == kDatalog
 

@@ -115,14 +115,8 @@ Status Server::OpenStore(RecoverySummary* summary) {
                    " but pins to shard ",
                    ShardForSession(s->name, shards_.size()),
                    "; was the data dir rearranged by hand?"));
-      auto session = std::make_unique<Session>(s->name);
-      for (const ParsedQuery& pq : s->view_sources)
-        CQAC_RETURN_IF_ERROR(session->views.Add(pq.query));
-      session->view_sources = std::move(s->view_sources);
-      session->view_texts = std::move(s->view_texts);
-      session->store = std::move(s->store);
-      CQAC_RETURN_IF_ERROR(
-          shards_[i]->service->sessions().Adopt(std::move(session)));
+      CQAC_RETURN_IF_ERROR(shards_[i]->service->sessions().Adopt(
+          std::make_unique<Session>(std::move(*s))));
     }
     Result<std::unique_ptr<store::ShardStore>> st = store::ShardStore::Open(
         options_.data_dir, static_cast<uint32_t>(i),
@@ -185,13 +179,6 @@ Status Server::Start() {
   }
   accept_thread_ = std::thread([this] { AcceptLoop(); });
   return Status::OK();
-}
-
-Result<WarmupSummary> Server::Warmup(const std::string& script) {
-  // The warm-up session is "default"; it lives on — and primes — exactly
-  // the shard that will serve it.
-  return shards_[ShardForSession("default", shards_.size())]
-      ->service->Warmup(script);
 }
 
 void Server::RequestDrain() {

@@ -141,8 +141,7 @@ class Server {
   /// parallel — newest snapshot plus O(delta) WAL-tail replay, sessions
   /// re-adopted on the shard the same FNV-1a pinning assigns them — and
   /// attaches each shard's store to its service. Idempotent; Start() calls
-  /// it when the caller did not. Call before Warmup so a warm-up script
-  /// layers on top of recovered state. No-op without a data_dir.
+  /// it when the caller did not. No-op without a data_dir.
   Status OpenStore(RecoverySummary* summary = nullptr);
 
   /// Binds, listens, and spawns the accept, shard engine, and shard
@@ -169,11 +168,6 @@ class Server {
   /// RequestDrain + Wait + join all threads and close every socket. Called
   /// by the destructor if needed.
   void Stop();
-
-  /// Preloads the default session and primes the owning shard's cache
-  /// from a shell-style script. Call before Start (it runs on the
-  /// caller's thread, against the shard that owns session "default").
-  Result<WarmupSummary> Warmup(const std::string& script);
 
   /// Shard 0's engine context / service (the whole server's when
   /// shards == 1). Benches and tests use these; multi-shard callers want

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -31,26 +30,6 @@ namespace {
 bool CertifyRequested(const Request& req) {
   const JsonValue* v = req.body.Find("certify");
   return v != nullptr && v->is_bool() && v->bool_value();
-}
-
-// Appends one obligation to `report` with AuditAll's counter convention
-// (src/analysis/audit/audit.cc): wall time, obligation and failure counts.
-template <typename Fn>
-void RecordObligation(EngineContext& ctx, audit::AuditReport* report,
-                      audit::ObligationKind kind, std::string label, Fn&& fn) {
-  const auto t0 = std::chrono::steady_clock::now();
-  Status s = fn();
-  ctx.stats().audit_wall_ns +=
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - t0)
-          .count();
-  ++ctx.stats().audit_obligations;
-  audit::Obligation o;
-  o.kind = kind;
-  o.label = std::move(label);
-  o.status = std::move(s);
-  if (o.failed()) ++ctx.stats().audit_failures;
-  report->obligations.push_back(std::move(o));
 }
 
 // Renders a relation as a JSON array of tuples, each tuple an array of
@@ -88,11 +67,6 @@ bool IsErrorResponseLine(const std::string& response) {
 }
 
 }  // namespace
-
-std::string WarmupSummary::ToString() const {
-  return StrCat(views, " views, ", facts, " facts, ", rewrites,
-                " rewrites primed, ", ignored, " lines ignored");
-}
 
 Service::Service(EngineContext& ctx, ServiceOptions options)
     : ctx_(ctx), options_(options), sessions_(options.max_sessions) {}
@@ -181,9 +155,10 @@ std::string ShardSummary::ToJson() const {
 
 std::string Service::Dispatch(const Request& req, bool* shutdown_requested) {
   if (req.op == "ping") return HandlePing(req);
-  if (req.op == "view") return HandleView(req);
-  if (req.op == "fact") return HandleFact(req);
-  if (req.op == "retract") return HandleRetract(req);
+  if (req.op == "view") return HandleApply(req, store::RecordType::kView);
+  if (req.op == "fact") return HandleApply(req, store::RecordType::kFact);
+  if (req.op == "retract")
+    return HandleApply(req, store::RecordType::kRetract);
   if (req.op == "classify") return HandleClassify(req);
   if (req.op == "rewrite") return HandleRewrite(req);
   if (req.op == "contain") return HandleContain(req);
@@ -207,11 +182,6 @@ std::string Service::HandlePing(const Request& req) {
   std::string out = BeginResponse(req);
   JsonClose(&out);
   return out;
-}
-
-Status Service::LogSessionCreate(bool created, const std::string& session) {
-  if (!created || store_ == nullptr) return Status::OK();
-  return store_->Append(store::RecordType::kSessionCreate, session, "");
 }
 
 Status Service::LogRecordOp(store::RecordType type, const std::string& session,
@@ -238,106 +208,58 @@ void Service::MaybeSnapshot() {
                  shard_index_, st.ToString().c_str());
 }
 
-std::string Service::HandleView(const Request& req) {
-  Result<std::string> rule = req.GetString("rule");
-  if (!rule.ok()) return ErrorResponse(req, rule.status());
+Result<Session*> Service::OpenSession(const Request& req) {
   bool created = false;
   Result<Session*> session = sessions_.GetOrCreate(req.session, &created);
-  if (!session.ok()) return ErrorResponse(req, session.status());
-  Status logged = LogSessionCreate(created, req.session);
-  if (!logged.ok()) return ErrorResponse(req, logged);
-
-  Result<ParsedQuery> v = ParseQueryWithInfo(rule.value());
-  if (!v.ok()) return ErrorResponse(req, v.status());
-  Status st = session.value()->views.Add(v.value().query);
-  if (!st.ok()) return ErrorResponse(req, st);
-  // Materialize the new view over the session's base now, so later fact /
-  // retract ops maintain it incrementally (src/ivm).
-  st = session.value()->store.AddView(ctx_, v.value().query);
-  if (!st.ok()) return ErrorResponse(req, st);
-  session.value()->view_sources.push_back(std::move(v).value());
-  session.value()->view_texts.push_back(rule.value());
-  // Log the commit before the response is released: acked means logged.
-  logged = LogRecordOp(store::RecordType::kView, req.session, rule.value());
-  if (!logged.ok()) return ErrorResponse(req, logged);
-
-  const ViewSet& views = session.value()->views;
-  std::string out = BeginResponse(req);
-  JsonField(&out, "view", JsonQuote(views[views.size() - 1].ToString()));
-  JsonField(&out, "views", StrCat(views.size()));
-  JsonClose(&out);
-  return out;
+  if (!session.ok() || !created) return session;
+  // Creation is the one effect that outlives a failed request, so it is
+  // logged on its own and replay reproduces it.
+  Status logged =
+      LogRecordOp(store::RecordType::kSessionCreate, req.session, "");
+  if (!logged.ok()) return logged;
+  return session;
 }
 
-std::string Service::HandleFact(const Request& req) {
-  Result<std::string> facts = req.GetString("facts");
-  if (!facts.ok()) return ErrorResponse(req, facts.status());
-  bool created = false;
-  Result<Session*> session = sessions_.GetOrCreate(req.session, &created);
-  if (!session.ok()) return ErrorResponse(req, session.status());
-  Status logged = LogSessionCreate(created, req.session);
-  if (!logged.ok()) return ErrorResponse(req, logged);
+std::string Service::HandleApply(const Request& req, store::RecordType type) {
+  const bool is_view = type == store::RecordType::kView;
+  Result<std::string> text = req.GetString(is_view ? "rule" : "facts");
+  if (!text.ok()) return ErrorResponse(req, text.status());
+  Result<Session*> opened = OpenSession(req);
+  if (!opened.ok()) return ErrorResponse(req, opened.status());
+  Session& session = *opened.value();
 
-  Result<Database> parsed = Database::FromFacts(facts.value());
-  if (!parsed.ok()) return ErrorResponse(req, parsed.status());
-  const bool certify = CertifyRequested(req);
-  ivm::MaterializedViewSet& store = session.value()->store;
+  // All-or-nothing: a failed Apply leaves the session as it found it and
+  // logs nothing. An applied record is logged before the response is
+  // released: acked means logged.
+  const bool certify = !is_view && CertifyRequested(req);
   ivm::MaintenanceCertificate cert;
   Result<ivm::ApplySummary> summary =
-      store.ApplyInsert(ctx_, parsed.value(), {}, certify ? &cert : nullptr);
+      session.Apply(ctx_, type, text.value(), certify ? &cert : nullptr);
   if (!summary.ok()) return ErrorResponse(req, summary.status());
-  logged = LogRecordOp(store::RecordType::kFact, req.session, facts.value());
+  Status logged = LogRecordOp(type, req.session, text.value());
   if (!logged.ok()) return ErrorResponse(req, logged);
 
   std::string out = BeginResponse(req);
-  JsonField(&out, "tuples_added", StrCat(summary.value().inserted));
-  JsonField(&out, "total_tuples", StrCat(store.base().TotalTuples()));
-  if (certify) {
-    audit::AuditReport report;
-    RecordObligation(ctx_, &report, audit::ObligationKind::kIvmCommit,
-                     "fact", [&] {
-                       return audit::CheckMaintenance(
-                           ctx_, store.view_queries(), cert, store.base(),
-                           store.views());
-                     });
-    JsonField(&out, "audit", report.ToJson());
+  if (is_view) {
+    const ViewSet& views = session.views;
+    JsonField(&out, "view", JsonQuote(views[views.size() - 1].ToString()));
+    JsonField(&out, "views", StrCat(views.size()));
+    JsonClose(&out);
+    return out;
   }
-  JsonClose(&out);
-  return out;
-}
-
-std::string Service::HandleRetract(const Request& req) {
-  Result<std::string> facts = req.GetString("facts");
-  if (!facts.ok()) return ErrorResponse(req, facts.status());
-  bool created = false;
-  Result<Session*> session = sessions_.GetOrCreate(req.session, &created);
-  if (!session.ok()) return ErrorResponse(req, session.status());
-  Status logged = LogSessionCreate(created, req.session);
-  if (!logged.ok()) return ErrorResponse(req, logged);
-
-  Result<Database> parsed = Database::FromFacts(facts.value());
-  if (!parsed.ok()) return ErrorResponse(req, parsed.status());
-  const bool certify = CertifyRequested(req);
-  ivm::MaterializedViewSet& store = session.value()->store;
-  ivm::MaintenanceCertificate cert;
-  Result<ivm::ApplySummary> summary =
-      store.ApplyRetract(ctx_, parsed.value(), {}, certify ? &cert : nullptr);
-  if (!summary.ok()) return ErrorResponse(req, summary.status());
-  logged =
-      LogRecordOp(store::RecordType::kRetract, req.session, facts.value());
-  if (!logged.ok()) return ErrorResponse(req, logged);
-
-  std::string out = BeginResponse(req);
-  JsonField(&out, "tuples_removed", StrCat(summary.value().retracted));
-  JsonField(&out, "total_tuples", StrCat(store.base().TotalTuples()));
+  if (type == store::RecordType::kFact)
+    JsonField(&out, "tuples_added", StrCat(summary.value().inserted));
+  else
+    JsonField(&out, "tuples_removed", StrCat(summary.value().retracted));
+  const ivm::MaterializedViewSet& mvs = session.store;
+  JsonField(&out, "total_tuples", StrCat(mvs.base().TotalTuples()));
   if (certify) {
     audit::AuditReport report;
-    RecordObligation(ctx_, &report, audit::ObligationKind::kIvmCommit,
-                     "retract", [&] {
-                       return audit::CheckMaintenance(
-                           ctx_, store.view_queries(), cert, store.base(),
-                           store.views());
-                     });
+    audit::RecordObligation(
+        ctx_, &report, audit::ObligationKind::kIvmCommit, req.op, [&] {
+          return audit::CheckMaintenance(ctx_, mvs.view_queries(), cert,
+                                         mvs.base(), mvs.views());
+        });
     JsonField(&out, "audit", report.ToJson());
   }
   JsonClose(&out);
@@ -366,11 +288,8 @@ std::string Service::HandleClassify(const Request& req) {
 std::string Service::HandleRewrite(const Request& req) {
   Result<std::string> text = req.GetString("query");
   if (!text.ok()) return ErrorResponse(req, text.status());
-  bool created = false;
-  Result<Session*> session = sessions_.GetOrCreate(req.session, &created);
+  Result<Session*> session = OpenSession(req);
   if (!session.ok()) return ErrorResponse(req, session.status());
-  Status logged = LogSessionCreate(created, req.session);
-  if (!logged.ok()) return ErrorResponse(req, logged);
   Result<Query> q = ParseQuery(text.value());
   if (!q.ok()) return ErrorResponse(req, q.status());
   Status valid = q.value().Validate();
@@ -403,24 +322,19 @@ std::string Service::HandleRewrite(const Request& req) {
   Result<ViewPlan> vp = PlanForQuery(ctx_, query, views);
   if (!vp.ok()) return ErrorResponse(req, vp.status());
   const ViewPlan& plan = vp.value();
+  std::string out = BeginResponse(req);
   if (plan.kind == PlanKind::kDatalog) {
-    std::string out = BeginResponse(req);
     JsonField(&out, "kind", "\"datalog\"");
     JsonField(&out, "count", StrCat(plan.datalog->rules.size()));
     JsonField(&out, "text", JsonQuote(plan.datalog->ToString()));
-    JsonField(&out, "plan", plan.plan.ToJson());
-    if (!audit_json.empty()) JsonField(&out, "audit", audit_json);
-    JsonClose(&out);
-    return out;
+  } else {
+    JsonField(&out, "kind",
+              plan.algorithm == RewriteAlgorithm::kLsiMcr ? "\"mcr\""
+                                                          : "\"bucket\"");
+    JsonField(&out, "count", StrCat(plan.union_plan.disjuncts.size()));
+    JsonField(&out, "text", JsonQuote(plan.union_plan.ToString()));
+    JsonField(&out, "json", UnionQueryToJson(plan.union_plan));
   }
-  AcClass cls = query.Classify();
-  bool lsi_path =
-      cls == AcClass::kNone || cls == AcClass::kLsi || cls == AcClass::kRsi;
-  std::string out = BeginResponse(req);
-  JsonField(&out, "kind", lsi_path ? "\"mcr\"" : "\"bucket\"");
-  JsonField(&out, "count", StrCat(plan.union_plan.disjuncts.size()));
-  JsonField(&out, "text", JsonQuote(plan.union_plan.ToString()));
-  JsonField(&out, "json", UnionQueryToJson(plan.union_plan));
   JsonField(&out, "plan", plan.plan.ToJson());
   if (!audit_json.empty()) JsonField(&out, "audit", audit_json);
   JsonClose(&out);
@@ -432,11 +346,8 @@ std::string Service::HandleContain(const Request& req) {
   if (!qtext.ok()) return ErrorResponse(req, qtext.status());
   Result<std::string> ctext = req.GetString("candidate");
   if (!ctext.ok()) return ErrorResponse(req, ctext.status());
-  bool created = false;
-  Result<Session*> session = sessions_.GetOrCreate(req.session, &created);
+  Result<Session*> session = OpenSession(req);
   if (!session.ok()) return ErrorResponse(req, session.status());
-  Status logged = LogSessionCreate(created, req.session);
-  if (!logged.ok()) return ErrorResponse(req, logged);
 
   Result<Query> q = ParseQuery(qtext.value());
   if (!q.ok()) return ErrorResponse(req, q.status());
@@ -469,11 +380,8 @@ std::string Service::HandleContain(const Request& req) {
 std::string Service::HandleEval(const Request& req) {
   Result<std::string> text = req.GetString("query");
   if (!text.ok()) return ErrorResponse(req, text.status());
-  bool created = false;
-  Result<Session*> session = sessions_.GetOrCreate(req.session, &created);
+  Result<Session*> session = OpenSession(req);
   if (!session.ok()) return ErrorResponse(req, session.status());
-  Status logged = LogSessionCreate(created, req.session);
-  if (!logged.ok()) return ErrorResponse(req, logged);
   Result<Query> q = ParseQuery(text.value());
   if (!q.ok()) return ErrorResponse(req, q.status());
   Status valid = q.value().Validate();
@@ -504,7 +412,7 @@ std::string Service::HandleEval(const Request& req) {
   if (CertifyRequested(req)) {
     // The engine result is certified against the naive reference evaluator.
     audit::AuditReport report;
-    RecordObligation(
+    audit::RecordObligation(
         ctx_, &report, audit::ObligationKind::kEval, text.value(),
         [&]() -> Status {
           Result<Relation> ref = EvaluateQueryReference(
@@ -526,11 +434,8 @@ std::string Service::HandleEval(const Request& req) {
 std::string Service::HandleAnswers(const Request& req) {
   Result<std::string> text = req.GetString("query");
   if (!text.ok()) return ErrorResponse(req, text.status());
-  bool created = false;
-  Result<Session*> session = sessions_.GetOrCreate(req.session, &created);
+  Result<Session*> session = OpenSession(req);
   if (!session.ok()) return ErrorResponse(req, session.status());
-  Status logged = LogSessionCreate(created, req.session);
-  if (!logged.ok()) return ErrorResponse(req, logged);
   Result<Query> q = ParseQuery(text.value());
   if (!q.ok()) return ErrorResponse(req, q.status());
   Status valid = q.value().Validate();
@@ -538,19 +443,16 @@ std::string Service::HandleAnswers(const Request& req) {
 
   const Query& query = q.value();
   const ViewSet& views = session.value()->views;
-  AcClass cls = query.Classify();
-  if (query.IsCqacSi() && !query.IsConjunctiveOnly() &&
-      cls != AcClass::kNone && cls != AcClass::kLsi && cls != AcClass::kRsi &&
-      views.AllSiOnly())
+  const RewriteAlgorithm algorithm = ChooseRewriteAlgorithm(query, views);
+  if (algorithm == RewriteAlgorithm::kSiDatalog)
     return ErrorResponse(&req, ServeErrorCode::kUnsupported,
                          "certain answers for a recursive Datalog MCR are "
                          "not served over the wire; use rewrite + a local "
                          "datalog::Engine");
 
-  bool lsi_path =
-      cls == AcClass::kNone || cls == AcClass::kLsi || cls == AcClass::kRsi;
-  Result<UnionQuery> mcr = lsi_path ? RewriteLsiQuery(ctx_, query, views)
-                                    : BucketRewrite(ctx_, query, views);
+  Result<UnionQuery> mcr = algorithm == RewriteAlgorithm::kLsiMcr
+                               ? RewriteLsiQuery(ctx_, query, views)
+                               : BucketRewrite(ctx_, query, views);
   if (!mcr.ok()) return ErrorResponse(req, mcr.status());
   if (mcr.value().empty())
     return ErrorResponse(&req, ServeErrorCode::kNotFound,
@@ -696,57 +598,6 @@ std::string Service::HandleReset(const Request& req) {
   JsonField(&out, "existed", existed ? "true" : "false");
   JsonClose(&out);
   return out;
-}
-
-Result<WarmupSummary> Service::Warmup(const std::string& script) {
-  WarmupSummary summary;
-  std::istringstream in(script);
-  std::string line;
-  std::string current_query;
-  int line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    line = Strip(line);
-    if (line.empty() || line[0] == '%') continue;
-    std::string cmd = line.substr(0, line.find(' '));
-    std::string rest =
-        Strip(line.size() > cmd.size() ? line.substr(cmd.size()) : "");
-
-    std::string request_line;
-    if (cmd == "view") {
-      request_line = StrCat("{\"op\":\"view\",\"rule\":", JsonQuote(rest), "}");
-      ++summary.views;
-    } else if (cmd == "fact") {
-      request_line =
-          StrCat("{\"op\":\"fact\",\"facts\":", JsonQuote(rest), "}");
-      ++summary.facts;
-    } else if (cmd == "retract") {
-      request_line =
-          StrCat("{\"op\":\"retract\",\"facts\":", JsonQuote(rest), "}");
-      ++summary.facts;
-    } else if (cmd == "query") {
-      current_query = rest;
-      continue;
-    } else if (cmd == "rewrite") {
-      const std::string& q = rest.empty() ? current_query : rest;
-      if (q.empty())
-        return Status::InvalidArgument(StrCat(
-            "warmup line ", line_no, ": rewrite before any query"));
-      request_line =
-          StrCat("{\"op\":\"rewrite\",\"query\":", JsonQuote(q), "}");
-      ++summary.rewrites;
-    } else {
-      ++summary.ignored;
-      continue;
-    }
-
-    bool shutdown = false;
-    std::string response = Execute(request_line, &shutdown);
-    if (IsErrorResponseLine(response))
-      return Status::InvalidArgument(
-          StrCat("warmup line ", line_no, " failed: ", response));
-  }
-  return summary;
 }
 
 }  // namespace serve

@@ -2,7 +2,7 @@
 // EngineContext and session table, producing the response line. This is
 // the transport-free core of cqac_serve — the sharded TCP server
 // (server.h) feeds it already-parsed requests from its per-shard queue;
-// tests and the warm-up loader feed it raw lines directly.
+// tests feed it raw lines directly.
 //
 // Threading: Execute/ExecuteParsed are NOT thread-safe; the server calls
 // them from the owning shard's single engine thread only (see session.h
@@ -19,10 +19,14 @@
 //     "resource_exhausted" error;
 //   * per-session accounting: engine-stat deltas of each request are added
 //     to the owning session's running totals;
-//   * `rewrite` dispatches exactly like cqac_shell (LSI/RSI/CQ ->
-//     RewriteLsiQuery, CQAC-SI + SI-only views -> recursive Datalog,
-//     otherwise bucket), so serve-mode output is byte-identical to shell
-//     output for the same inputs.
+//   * `view`, `fact` and `retract` are store::SessionState::Apply followed
+//     by the WAL append of the same (type, text) — the code path WAL replay
+//     and cqac_shell run too. A failed one leaves the session and the log
+//     unchanged; only automatic session creation persists, and it is
+//     logged;
+//   * `rewrite` and `answers` dispatch through ChooseRewriteAlgorithm
+//     (src/rewriting/answer.h), exactly like cqac_shell, so serve-mode
+//     output is byte-identical to shell output for the same inputs.
 #ifndef CQAC_SERVE_SERVICE_H_
 #define CQAC_SERVE_SERVICE_H_
 
@@ -49,16 +53,6 @@ struct ServiceOptions {
   /// Per-shard session cap (sessions are pinned, so each shard enforces
   /// its own bound).
   size_t max_sessions = 256;
-};
-
-/// Result of preloading a warm-up script (see Service::Warmup).
-struct WarmupSummary {
-  size_t views = 0;
-  size_t facts = 0;
-  size_t rewrites = 0;
-  size_t ignored = 0;  // shell commands warm-up does not replay
-
-  std::string ToString() const;
 };
 
 /// A point-in-time summary of one shard, safe to take from any thread.
@@ -132,14 +126,6 @@ class Service {
   /// op; the transport reacts after writing the response.
   std::string ExecuteParsed(const Request& req, bool* shutdown_requested);
 
-  /// Preloads the "default" session from a shell-style script: `view`,
-  /// `fact`, and `retract` lines are replayed, `query <rule>` sets the
-  /// current query, and
-  /// `rewrite` (bare, or with an inline query) runs a rewrite to prime the
-  /// interner and the decision cache. Other shell commands are counted as
-  /// ignored. Fails fast on the first failing line.
-  Result<WarmupSummary> Warmup(const std::string& script);
-
   /// This shard's summary (queue fields left zero; the transport owns
   /// them). Safe from any thread.
   ShardSummary Summary() const;
@@ -165,9 +151,9 @@ class Service {
   /// Dispatches a validated request. Returns the response line.
   std::string Dispatch(const Request& req, bool* shutdown_requested);
 
-  /// Logs a kSessionCreate record when `created` is true and a store is
-  /// attached. OK when no store is attached.
-  Status LogSessionCreate(bool created, const std::string& session);
+  /// The request's session, created (and the creation logged) on first
+  /// use.
+  Result<Session*> OpenSession(const Request& req);
   /// Logs one state-changing record. OK when no store is attached.
   Status LogRecordOp(store::RecordType type, const std::string& session,
                      const std::string& text);
@@ -177,9 +163,8 @@ class Service {
   void MaybeSnapshot();
 
   std::string HandlePing(const Request& req);
-  std::string HandleView(const Request& req);
-  std::string HandleFact(const Request& req);
-  std::string HandleRetract(const Request& req);
+  /// `view`, `fact` and `retract`: SessionState::Apply, then the log.
+  std::string HandleApply(const Request& req, store::RecordType type);
   std::string HandleClassify(const Request& req);
   std::string HandleRewrite(const Request& req);
   std::string HandleContain(const Request& req);

@@ -1,8 +1,9 @@
 // Sessions: the per-client state a long-lived server keeps between
-// requests. A session owns what the shell keeps as mutable state — the view
-// registry (with source spans, for lint) and the fact database — plus
-// accounting: request counts and the engine-stat deltas attributable to the
-// session's requests against the owning shard's EngineContext.
+// requests. A session owns what the shell keeps as mutable state — the
+// store::SessionState of view registry, rule texts and maintained fact
+// database — plus accounting: request counts and the engine-stat deltas
+// attributable to the session's requests against the owning shard's
+// EngineContext.
 //
 // Ownership under sharding: every session is pinned to exactly one shard
 // (server.h ShardForSession), and a session's *state* (views, store,
@@ -26,10 +27,7 @@
 
 #include "src/base/status.h"
 #include "src/engine/stats.h"
-#include "src/eval/database.h"
-#include "src/ir/parser.h"
-#include "src/ir/view.h"
-#include "src/ivm/maintain.h"
+#include "src/store/snapshot.h"
 
 namespace cqac {
 namespace serve {
@@ -43,20 +41,13 @@ struct SessionStats {
   StatsSnapshot engine;  // summed engine-stat deltas of this session
 };
 
-/// One client-visible session.
-struct Session {
-  explicit Session(std::string name_in) : name(std::move(name_in)) {}
-
-  std::string name;
-  ViewSet views;
-  std::vector<ParsedQuery> view_sources;  // parallel to views, with spans
-  std::vector<std::string> view_texts;    // original rule texts, for the
-                                          // durability snapshots (src/store)
-
-  /// Base facts plus incrementally maintained materializations of `views`
-  /// (src/ivm): `fact`/`retract` ops pay O(delta), and `answers` reads the
-  /// warm state instead of rematerializing per request.
-  ivm::MaterializedViewSet store;
+/// One client-visible session: the state every front end shares
+/// (store::SessionState, changed only through its Apply) plus accounting.
+struct Session : store::SessionState {
+  explicit Session(std::string name_in) { name = std::move(name_in); }
+  /// Adopts a recovered session's state wholesale.
+  explicit Session(store::SessionState&& state)
+      : store::SessionState(std::move(state)) {}
 
   SessionStats stats;
 };

@@ -130,7 +130,7 @@ Result<std::unique_ptr<SessionState>> DeserializeSession(
       return Status::Inconsistent(
           StrCat("snapshot ", path, ": view rule of session '", state->name,
                  "' no longer parses: ", parsed.status().message()));
-    CQAC_RETURN_IF_ERROR(parsed.value().query.Validate());
+    CQAC_RETURN_IF_ERROR(state->views.Add(parsed.value().query));
     queries.push_back(parsed.value().query);
     state->view_sources.push_back(std::move(parsed).value());
     state->view_texts.push_back(std::move(text));
@@ -162,6 +162,41 @@ Result<std::unique_ptr<SessionState>> DeserializeSession(
 }
 
 }  // namespace
+
+Result<ivm::ApplySummary> SessionState::Apply(
+    EngineContext& ctx, RecordType type, const std::string& text,
+    ivm::MaintenanceCertificate* cert) {
+  switch (type) {
+    case RecordType::kView: {
+      // Every check runs before anything is mutated; AddView rolls its own
+      // half back on an exhausted budget, and the registry is appended only
+      // once the store has accepted the view.
+      CQAC_ASSIGN_OR_RETURN(ParsedQuery parsed, ParseQueryWithInfo(text));
+      const Query& view = parsed.query;
+      if (views.Find(view.head().predicate) != nullptr)
+        return Status::InvalidArgument(
+            StrCat("duplicate view name '", view.head().predicate, "'"));
+      CQAC_RETURN_IF_ERROR(view.Validate());
+      CQAC_RETURN_IF_ERROR(store.AddView(ctx, view));
+      CQAC_RETURN_IF_ERROR(views.Add(view));
+      view_sources.push_back(std::move(parsed));
+      view_texts.push_back(text);
+      return ivm::ApplySummary{};
+    }
+    case RecordType::kFact:
+    case RecordType::kRetract: {
+      // The maintainers undo their own work when the budget runs out.
+      CQAC_ASSIGN_OR_RETURN(Database facts, Database::FromFacts(text));
+      return type == RecordType::kFact
+                 ? store.ApplyInsert(ctx, facts, {}, cert)
+                 : store.ApplyRetract(ctx, facts, {}, cert);
+    }
+    default:
+      return Status::InvalidArgument(
+          StrCat("a ", RecordTypeName(type),
+                 " record does not change a session's state"));
+  }
+}
 
 Status WriteSnapshotFile(const std::string& path, uint64_t lsn,
                          const AdaptiveState& adaptive,

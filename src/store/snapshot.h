@@ -24,6 +24,10 @@
 //
 // Crash safety: WriteSnapshotFile writes to `path + ".tmp"`, fsyncs, then
 // renames — a crash mid-write leaves the previous snapshot untouched.
+//
+// The state a snapshot holds per session is SessionState, the one session
+// type the shell, the server and recovery share; its Apply is the one
+// all-or-nothing state transition they all run.
 #ifndef CQAC_STORE_SNAPSHOT_H_
 #define CQAC_STORE_SNAPSHOT_H_
 
@@ -33,8 +37,11 @@
 
 #include "src/base/status.h"
 #include "src/engine/adaptive.h"
+#include "src/engine/context.h"
 #include "src/ir/parser.h"
+#include "src/ir/view.h"
 #include "src/ivm/maintain.h"
+#include "src/store/record.h"
 
 namespace cqac {
 namespace store {
@@ -50,14 +57,29 @@ struct SessionSnapshotRef {
   const ivm::MaterializedViewSet* store = nullptr;
 };
 
-/// One recovered session, owning its state. The serve layer moves these
-/// into serve::Session objects at startup; the shell's `load` adopts the
-/// single "shell" session directly.
+/// One session's state: what the shell, a serve::Session and recovery all
+/// hold, changed only through Apply. Invariant: `views`, `view_sources` and
+/// `view_texts` are parallel, and `views` equals store.view_queries() in the
+/// same order.
 struct SessionState {
   std::string name;
-  std::vector<std::string> view_texts;
-  std::vector<ParsedQuery> view_sources;  // parsed from view_texts
+  ViewSet views;
+  std::vector<ParsedQuery> view_sources;  // with spans, for lint
+  std::vector<std::string> view_texts;    // verbatim rule texts (snapshots)
+  /// Base facts plus the incrementally maintained materializations of
+  /// `views` (src/ivm).
   ivm::MaterializedViewSet store;
+
+  /// Applies one kView, kFact or kRetract record, all-or-nothing: on any
+  /// error — bad text, a duplicate view name, an invalid rule, an exhausted
+  /// budget — the state is exactly as before the call. The live server,
+  /// WAL replay and the shell all change session state through this, so a
+  /// replayed record lands exactly as the live one did. `cert` (fact and
+  /// retract only) receives the maintenance certificate. A view record
+  /// returns an empty summary.
+  Result<ivm::ApplySummary> Apply(EngineContext& ctx, RecordType type,
+                                  const std::string& text,
+                                  ivm::MaintenanceCertificate* cert = nullptr);
 };
 
 struct SnapshotData {

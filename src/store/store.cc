@@ -13,7 +13,6 @@
 #include <sstream>
 
 #include "src/base/strings.h"
-#include "src/ir/parser.h"
 
 namespace cqac {
 namespace store {
@@ -50,61 +49,28 @@ std::string SnapshotPath(const std::string& shard_dir, uint64_t lsn) {
 }
 
 /// Applies one replayed WAL record to the in-recovery session map, using the
-/// same lenient get-or-create semantics the serve layer logs under.
+/// same lenient get-or-create semantics the serve layer logs under, and the
+/// live SessionState::Apply for every state change.
 Status ReplayRecord(EngineContext& ctx, const LogRecord& r,
                     std::map<std::string, std::unique_ptr<SessionState>>* by_name) {
-  auto get_or_create = [&]() -> SessionState* {
-    auto it = by_name->find(r.session);
-    if (it == by_name->end()) {
-      auto state = std::make_unique<SessionState>();
-      state->name = r.session;
-      it = by_name->emplace(r.session, std::move(state)).first;
-    }
-    return it->second.get();
-  };
-  switch (r.type) {
-    case RecordType::kSessionCreate:
-      get_or_create();
-      return Status::OK();
-    case RecordType::kSessionDrop:
-      by_name->erase(r.session);
-      return Status::OK();
-    case RecordType::kView: {
-      SessionState* s = get_or_create();
-      Result<ParsedQuery> parsed = ParseQueryWithInfo(r.text);
-      if (!parsed.ok())
-        return Status::Inconsistent(
-            StrCat("wal replay: view record lsn ", r.lsn,
-                   " no longer parses: ", parsed.status().message()));
-      CQAC_RETURN_IF_ERROR(parsed.value().query.Validate());
-      CQAC_RETURN_IF_ERROR(s->store.AddView(ctx, parsed.value().query));
-      s->view_texts.push_back(r.text);
-      s->view_sources.push_back(std::move(parsed).value());
-      return Status::OK();
-    }
-    case RecordType::kFact:
-    case RecordType::kRetract: {
-      SessionState* s = get_or_create();
-      Result<Database> facts = Database::FromFacts(r.text);
-      if (!facts.ok())
-        return Status::Inconsistent(
-            StrCat("wal replay: facts record lsn ", r.lsn,
-                   " no longer parses: ", facts.status().message()));
-      Result<ivm::ApplySummary> applied =
-          r.type == RecordType::kFact
-              ? s->store.ApplyInsert(ctx, facts.value())
-              : s->store.ApplyRetract(ctx, facts.value());
-      if (!applied.ok())
-        return Status::Inconsistent(
-            StrCat("wal replay: apply of record lsn ", r.lsn,
-                   " failed: ", applied.status().message()));
-      return Status::OK();
-    }
-    case RecordType::kSnapshotBarrier:
-      return Status::OK();  // validated by the caller against the snapshot
+  if (r.type == RecordType::kSnapshotBarrier)
+    return Status::OK();  // validated by the caller against the snapshot
+  if (r.type == RecordType::kSessionDrop) {
+    by_name->erase(r.session);
+    return Status::OK();
   }
-  return Status::Internal(StrCat("wal replay: unknown record type ",
-                                 static_cast<int>(r.type)));
+  std::unique_ptr<SessionState>& s = (*by_name)[r.session];
+  if (s == nullptr) {
+    s = std::make_unique<SessionState>();
+    s->name = r.session;
+  }
+  if (r.type == RecordType::kSessionCreate) return Status::OK();
+  Result<ivm::ApplySummary> applied = s->Apply(ctx, r.type, r.text);
+  if (!applied.ok())
+    return Status::Inconsistent(StrCat("wal replay: ", RecordTypeName(r.type),
+                                       " record lsn ", r.lsn, " failed: ",
+                                       applied.status().message()));
+  return Status::OK();
 }
 
 }  // namespace

@@ -17,8 +17,9 @@
 // inside the request handler, BEFORE the response enters the respond queue —
 // so under `--fsync always` an acknowledged commit is on disk. Snapshot
 // writes compact the WAL down to a single kSnapshotBarrier record, so
-// recovery replays only the tail since the last snapshot through the same
-// O(delta) IVM maintainers the live path uses — never a rematerialization.
+// recovery replays only the tail since the last snapshot through the live
+// path's own SessionState::Apply (O(delta) IVM maintenance) — never a
+// rematerialization.
 //
 // Fail-stop: the first append error latches failed() and every later append
 // refuses. The shard keeps serving reads from memory but stops
@@ -84,8 +85,9 @@ struct RecoveredShard {
 /// the adaptive calibration into `ctx` BEFORE replay (so every replayed
 /// apply makes the same incremental-vs-rebuild decision the crashed process
 /// made), then replays the WAL tail (records with lsn > snapshot lsn)
-/// through the ordinary O(delta) maintainers. A missing shard directory or
-/// an empty one recovers to the empty state. Bumps
+/// through SessionState::Apply, the transition the live server ran before
+/// it logged each record. A missing shard directory or an empty one
+/// recovers to the empty state. Bumps
 /// store_recovery_replayed_records per applied record and
 /// store_recovery_sessions once per rebuilt session.
 Result<RecoveredShard> RecoverShard(EngineContext& ctx,

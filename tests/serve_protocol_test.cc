@@ -1,10 +1,18 @@
 // Transport-free serve tests: the JSON reader, the request envelope, and the
-// Service op layer (src/serve/service.cc) driven by direct Execute calls.
-// Socket-level behavior (framing, drain, cancellation, concurrency) lives in
-// serve_test.cc.
+// Service op layer (src/serve/service.cc) driven by direct Execute calls —
+// including, with a durable store attached, the all-or-nothing contract of
+// `view`, `fact` and `retract`. Socket-level behavior (framing, drain,
+// cancellation, concurrency) lives in serve_test.cc.
 #include <gtest/gtest.h>
 
+#include <stdlib.h>
+
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "src/base/strings.h"
 #include "src/engine/context.h"
@@ -12,6 +20,8 @@
 #include "src/serve/json_value.h"
 #include "src/serve/protocol.h"
 #include "src/serve/service.h"
+#include "src/store/snapshot.h"
+#include "src/store/store.h"
 
 namespace cqac {
 namespace serve {
@@ -216,6 +226,15 @@ TEST_F(ServiceTest, ViewRewriteEvalRoundTrip) {
   std::string rewrite =
       Ok("{\"op\":\"rewrite\",\"query\":\"q1(A) :- r(A), A < 4.\"}");
   EXPECT_NE(rewrite.find("\"kind\":\"mcr\""), std::string::npos) << rewrite;
+  // The shard's context outlives the request: the same rewrite again
+  // answers from the memoized containment decisions.
+  StatsSnapshot before = ctx_.stats().Snapshot();
+  EXPECT_EQ(
+      Ok("{\"op\":\"rewrite\",\"query\":\"q1(A) :- r(A), A < 4.\"}"),
+      rewrite);
+  StatsSnapshot delta = ctx_.stats().Snapshot() - before;
+  EXPECT_GT(delta.containment_cache_hits, 0u);
+  EXPECT_EQ(delta.containment_cache_misses, 0u);
   Ok("{\"op\":\"fact\",\"facts\":\"r(2). s(2, 2). s(9, 9).\"}");
   std::string answers =
       Ok("{\"op\":\"answers\",\"query\":\"q1(A) :- r(A), A < 4.\"}");
@@ -313,34 +332,208 @@ TEST_F(ServiceTest, MaxSessionsIsEnforced) {
       << full;
 }
 
-TEST_F(ServiceTest, WarmupReplaysShellScripts) {
-  // The demo.cqac shape: views + facts + a rewrite against the current
-  // query; shell-only commands are counted but ignored.
-  Result<WarmupSummary> warm = service_.Warmup(
-      "% comment\n"
-      "view v1(Y, Z) :- r(X), s(Y, Z), Y <= X, X <= Z.\n"
-      "view v2(Y, Z) :- r(X), s(Y, Z), Y <= X, X < Z.\n"
-      "query q1(A) :- r(A), A < 4.\n"
-      "classify\n"
-      "rewrite\n"
-      "fact r(2).\n"
-      "help\n");
-  ASSERT_TRUE(warm.ok()) << warm.status();
-  EXPECT_EQ(warm.value().views, 2u);
-  EXPECT_EQ(warm.value().facts, 1u);
-  EXPECT_EQ(warm.value().rewrites, 1u);
-  EXPECT_EQ(warm.value().ignored, 2u);  // classify, help
+// ---- All-or-nothing state changes over a durable store --------------------
 
-  // The warm-up populated the default session and primed the cache: the
-  // same rewrite now hits the memoized containment decisions.
-  StatsSnapshot before = ctx_.stats().Snapshot();
-  Ok("{\"op\":\"rewrite\",\"query\":\"q1(A) :- r(A), A < 4.\"}");
-  StatsSnapshot delta = ctx_.stats().Snapshot() - before;
-  EXPECT_GT(delta.containment_cache_hits, 0u);
-  EXPECT_EQ(delta.containment_cache_misses, 0u);
+// The three-way chain join the tests load: r(i, i), s(i, i), t(i, i).
+constexpr char kChainQuery[] = "q(X, Y) :- r(X, Z), s(Z, W), t(W, Y).";
+constexpr char kChainView[] = "v(X, Y) :- r(X, Z), s(Z, W), t(W, Y).";
 
-  EXPECT_FALSE(service_.Warmup("view broken( :- r(X).\n").ok());
-  EXPECT_FALSE(service_.Warmup("rewrite\n").ok());  // no current query
+// One fact per line, `pred(i + offset, i)` for i < n, for each predicate.
+std::string Facts(const std::vector<std::string>& preds, int n,
+                  int offset = 0) {
+  std::string out;
+  for (int i = 0; i < n; ++i)
+    for (const std::string& p : preds)
+      out += StrCat(p, "(", i + offset, ", ", i, ").\n");
+  return out;
+}
+
+class DurableServiceTest : public ::testing::Test {
+ protected:
+  DurableServiceTest() : service_(ctx_, ServiceOptions{}) {}
+
+  void SetUp() override {
+    std::string tmpl =
+        (std::filesystem::temp_directory_path() / "cqac_serve_proto_XXXXXX")
+            .string();
+    ASSERT_NE(::mkdtemp(tmpl.data()), nullptr);
+    dir_ = tmpl;
+    store::StoreOptions options;
+    options.fsync = store::FsyncPolicy::kNever;
+    Result<std::unique_ptr<store::ShardStore>> opened =
+        store::ShardStore::Open(dir_, 0, 1, options, &ctx_);
+    ASSERT_TRUE(opened.ok()) << opened.status();
+    store_ = std::move(opened).value();
+    service_.set_store(store_.get());
+  }
+
+  void TearDown() override {
+    std::error_code ec;
+    std::filesystem::remove_all(dir_, ec);
+  }
+
+  std::string Run(const std::string& op, const std::string& field,
+                  const std::string& text, const std::string& extra = "") {
+    return service_.Execute(StrCat("{\"op\":\"", op, "\",\"session\":\"s\",",
+                                   extra, JsonQuote(field), ":",
+                                   JsonQuote(text), "}"),
+                            &shutdown_);
+  }
+  std::string Ok(const std::string& op, const std::string& field,
+                 const std::string& text) {
+    std::string response = Run(op, field, text);
+    EXPECT_EQ(response.rfind("{\"ok\":true", 0), 0u) << response;
+    return response;
+  }
+
+  // The session's bytes as WriteSnapshotFile writes them (one session,
+  // lsn 0, with the given calibration state).
+  std::string SessionBytes(const store::SessionState& s,
+                           const AdaptiveState& adaptive) {
+    const std::string path = dir_ + "/session.cqs";
+    store::SessionSnapshotRef ref{&s.name, &s.view_texts, &s.store};
+    Status st = store::WriteSnapshotFile(path, 0, adaptive, {ref});
+    EXPECT_TRUE(st.ok()) << st;
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  }
+  std::string LiveBytes() {
+    Session* s = service_.sessions().Find("s");
+    EXPECT_NE(s, nullptr);
+    return s == nullptr ? "" : SessionBytes(*s, ctx_.adaptive());
+  }
+
+  // Replays the shard's log into a fresh context and expects session "s"
+  // back with exactly the live session's bytes — calibration included,
+  // since only applied records feed it.
+  void ExpectRecoveredEqualsLive() {
+    EngineContext ctx;
+    Result<store::RecoveredShard> rec =
+        store::RecoverShard(ctx, store::ShardDirPath(dir_, 0));
+    ASSERT_TRUE(rec.ok()) << rec.status();
+    ASSERT_EQ(rec.value().sessions.size(), 1u);
+    const store::SessionState& recovered = *rec.value().sessions[0];
+    Session* live = service_.sessions().Find("s");
+    ASSERT_NE(live, nullptr);
+    EXPECT_EQ(recovered.views.size(), live->views.size());
+    // EXPECT_TRUE, not EXPECT_EQ: the snapshots are megabytes.
+    EXPECT_TRUE(SessionBytes(recovered, ctx.adaptive()) ==
+                SessionBytes(*live, ctx_.adaptive()))
+        << "the recovered session's snapshot differs from the live one";
+  }
+
+  std::string dir_;
+  EngineContext ctx_;
+  std::unique_ptr<store::ShardStore> store_;
+  Service service_;
+  bool shutdown_ = false;
+};
+
+std::vector<std::vector<std::string>> Tuples(const std::string& response) {
+  std::vector<std::vector<std::string>> out;
+  Result<JsonValue> json = ParseJson(response);
+  EXPECT_TRUE(json.ok()) << json.status();
+  if (!json.ok() || json.value().Find("tuples") == nullptr) return out;
+  for (const JsonValue& t : json.value().Find("tuples")->array_items()) {
+    out.emplace_back();
+    for (const JsonValue& v : t.array_items())
+      out.back().push_back(v.string_value());
+  }
+  return out;
+}
+
+// Regression: a `view` that ran out of budget used to stay in the session's
+// registry with no extension, so the retry was refused as a duplicate,
+// `answers` ran over an instance that was not V(D), and recovery (which
+// never saw the view in the log) disagreed with the live session.
+TEST_F(DurableServiceTest, ViewThatRunsOutOfBudgetLeavesNoTrace) {
+  Ok("fact", "facts", Facts({"r", "s", "t"}, 3000));
+  std::string exhausted = Run("view", "rule", kChainView, "\"timeout_ms\":0,");
+  EXPECT_NE(exhausted.find("\"code\":\"resource_exhausted\""),
+            std::string::npos)
+      << exhausted;
+
+  std::string retried = Ok("view", "rule", kChainView);
+  EXPECT_NE(retried.find("\"views\":1"), std::string::npos) << retried;
+  std::string eval = Ok("eval", "query", kChainQuery);
+  std::string answers = Ok("answers", "query", kChainQuery);
+  EXPECT_NE(answers.find("\"count\":3000,"), std::string::npos) << answers;
+  EXPECT_NE(answers.find("\"rewriting_count\":1,"), std::string::npos);
+  EXPECT_EQ(Tuples(answers).size(), 3000u);
+  EXPECT_EQ(Tuples(answers), Tuples(eval));
+  ExpectRecoveredEqualsLive();
+}
+
+// Every failure a `view`, `fact` or `retract` can meet before its log write
+// leaves the session's snapshot bytes and the log exactly as they were.
+TEST_F(DurableServiceTest, FailedStateChangesLeaveSessionAndLogUnchanged) {
+  auto expect_unchanged = [&](const std::string& op, const std::string& text,
+                              bool timeout, const std::string& code) {
+    SCOPED_TRACE(StrCat(op, " ", text.substr(0, 40)));
+    const std::string before = LiveBytes();
+    const uint64_t lsn = store_->last_lsn();
+    std::string response = Run(op, op == "view" ? "rule" : "facts", text,
+                                timeout ? "\"timeout_ms\":0," : "");
+    EXPECT_EQ(response.rfind("{\"ok\":false", 0), 0u) << response;
+    EXPECT_NE(response.find(StrCat("\"code\":\"", code, "\"")),
+              std::string::npos)
+        << response;
+    EXPECT_TRUE(LiveBytes() == before) << "the session's snapshot changed";
+    EXPECT_EQ(store_->last_lsn(), lsn);
+  };
+
+  Ok("fact", "facts", Facts({"r", "s", "t"}, 3000));
+  // While p is empty, a batch into it is priced as a rebuild: the rebuild
+  // commits the batch first, so its rollback is covered here.
+  Ok("view", "rule", "w(X, Y) :- p(X, Y), p(Y, X).");
+  const uint64_t rebuilds = ctx_.stats().ivm_rebuild_fallbacks;
+  expect_unchanged("fact", Facts({"p"}, 3000), true, "resource_exhausted");
+  EXPECT_GT(uint64_t{ctx_.stats().ivm_rebuild_fallbacks}, rebuilds);
+
+  Ok("view", "rule", "u(X, Y) :- r(X, Z), s(Z, W), t(W, Y).");
+  expect_unchanged("view", "v(X :- r(X).", false, "invalid_argument");
+  expect_unchanged("view", "v(X, W) :- r(X, Y).", false,  // unsafe head
+                   "invalid_argument");
+  expect_unchanged("view", "u(X) :- r(X, X).", false, "invalid_argument");
+  expect_unchanged("view", kChainView, true, "resource_exhausted");
+
+  // Batches large enough for the incremental maintainer to reach a
+  // deadline checkpoint: 3000 new r tuples that each join on through s and
+  // t, and all of r.
+  const std::string big_insert = Facts({"r"}, 3000, 3000);
+  const std::string big_retract = Facts({"r"}, 3000);
+  for (const std::string op : {"fact", "retract"}) {
+    expect_unchanged(op, "r(1", false, "invalid_argument");
+    expect_unchanged(op, "s(1, 2, 3).", false, "invalid_argument");  // arity
+    expect_unchanged(op, op == "fact" ? big_insert : big_retract, true,
+                     "resource_exhausted");
+  }
+
+  // The same through SessionState::Apply with a cancel requested first.
+  Session* session = service_.sessions().Find("s");
+  ASSERT_NE(session, nullptr);
+  const std::vector<std::pair<store::RecordType, std::string>> records = {
+      {store::RecordType::kView, kChainView},
+      {store::RecordType::kFact, big_insert},
+      {store::RecordType::kRetract, big_retract},
+  };
+  for (const auto& [type, text] : records) {
+    SCOPED_TRACE(store::RecordTypeName(type));
+    const std::string before = LiveBytes();
+    ctx_.RequestCancel();
+    Result<ivm::ApplySummary> applied = session->Apply(ctx_, type, text);
+    ctx_.ClearCancel();
+    ASSERT_FALSE(applied.ok());
+    EXPECT_EQ(applied.status().code(), StatusCode::kResourceExhausted);
+    EXPECT_TRUE(LiveBytes() == before) << "the session's snapshot changed";
+  }
+
+  // The session still takes every kind of change, and recovery agrees.
+  Ok("view", "rule", kChainView);
+  Ok("fact", "facts", big_insert);
+  Ok("fact", "facts", Facts({"p"}, 3000));
+  Ok("retract", "facts", big_retract);
+  ExpectRecoveredEqualsLive();
 }
 
 }  // namespace

@@ -451,27 +451,6 @@ TEST(ServeTest, ShutdownOpDrainsGracefully) {
   ::close(fd);
 }
 
-TEST(ServeTest, WarmupPrimesTheSharedCache) {
-  Server server(ServerOptions{});
-  Result<WarmupSummary> warm = server.Warmup(
-      "view v1(Y, Z) :- r(X), s(Y, Z), Y <= X, X <= Z.\n"
-      "view v2(Y, Z) :- r(X), s(Y, Z), Y <= X, X < Z.\n"
-      "query q1(A) :- r(A), A < 4.\n"
-      "rewrite\n");
-  ASSERT_TRUE(warm.ok()) << warm.status();
-  EXPECT_EQ(warm.value().views, 2u);
-  ASSERT_TRUE(server.Start().ok());
-
-  TestClient client(server.port());
-  StatsSnapshot before = server.context().stats().Snapshot();
-  std::string response = client.RoundTrip(
-      "{\"op\":\"rewrite\",\"query\":\"q1(A) :- r(A), A < 4.\"}");
-  EXPECT_EQ(response.rfind("{\"ok\":true", 0), 0u) << response;
-  StatsSnapshot delta = server.context().stats().Snapshot() - before;
-  EXPECT_GT(delta.containment_cache_hits, 0u);
-  EXPECT_EQ(delta.containment_cache_misses, 0u);
-}
-
 TEST(ServeTest, CertifyFlagAttachesAuditReports) {
   Server server(ServerOptions{});
   ASSERT_TRUE(server.Start().ok());

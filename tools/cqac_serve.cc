@@ -17,7 +17,7 @@
 // (always | interval | never) and --snapshot-every the compaction cadence.
 //
 // Usage:
-//   cqac_serve [--port N] [--shards N] [--threads N] [--warmup FILE]
+//   cqac_serve [--port N] [--shards N] [--threads N]
 //              [--data-dir DIR] [--fsync POLICY] [--snapshot-every N]
 //              [--default-timeout-ms N] [--max-timeout-ms N]
 //              [--max-queue N] [--max-request-bytes N] [--max-sessions N]
@@ -33,8 +33,6 @@
 #include <unistd.h>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 
@@ -47,7 +45,7 @@ int Usage() {
   std::fprintf(
       stderr,
       "usage: cqac_serve [--port N] [--shards N] [--threads N]\n"
-      "                  [--warmup FILE] [--data-dir DIR]\n"
+      "                  [--data-dir DIR]\n"
       "                  [--fsync always|interval|never]\n"
       "                  [--snapshot-every N]\n"
       "                  [--default-timeout-ms N] [--max-timeout-ms N]\n"
@@ -76,7 +74,6 @@ bool ParseSize(const char* text, size_t* out) {
 int Run(int argc, char** argv) {
   serve::ServerOptions options;
   size_t threads = 0;
-  std::string warmup_file;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     auto next = [&]() -> const char* {
@@ -98,10 +95,6 @@ int Run(int argc, char** argv) {
       const char* v = next();
       if (!v || !ParseSize(v, &n)) return Usage();
       threads = n;
-    } else if (arg == "--warmup") {
-      const char* v = next();
-      if (!v) return Usage();
-      warmup_file = v;
     } else if (arg == "--data-dir") {
       const char* v = next();
       if (!v || *v == '\0') return Usage();
@@ -160,8 +153,7 @@ int Run(int argc, char** argv) {
   std::string data_dir = options.data_dir;  // survives the move below
   serve::Server server(std::move(options));
 
-  // Recover durable state before any warm-up replay: a warm-up script
-  // layers on top of what the data dir already holds.
+  // Recover durable state before the socket opens.
   if (!data_dir.empty()) {
     serve::RecoverySummary recovery;
     Status opened = server.OpenStore(&recovery);
@@ -172,30 +164,6 @@ int Run(int argc, char** argv) {
     }
     std::fprintf(stderr, "cqac_serve: recovered %s: %s\n", data_dir.c_str(),
                  recovery.ToString().c_str());
-  }
-
-  if (!warmup_file.empty()) {
-    // Deprecated: --data-dir restarts warm from durable state with no
-    // replay script; --warmup remains for in-memory servers.
-    std::fprintf(stderr,
-                 "cqac_serve: note: --warmup is deprecated; use --data-dir "
-                 "to restart warm from durable state\n");
-    std::ifstream in(warmup_file);
-    if (!in) {
-      std::fprintf(stderr, "cqac_serve: cannot open warmup file %s\n",
-                   warmup_file.c_str());
-      return 3;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    Result<serve::WarmupSummary> warm = server.Warmup(buf.str());
-    if (!warm.ok()) {
-      std::fprintf(stderr, "cqac_serve: warmup failed: %s\n",
-                   warm.status().ToString().c_str());
-      return 3;
-    }
-    std::fprintf(stderr, "cqac_serve: warmup %s\n",
-                 warm.value().ToString().c_str());
   }
 
   Status started = server.Start();

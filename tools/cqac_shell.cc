@@ -79,6 +79,7 @@ class Shell {
   // `pool` (optional, not owned) fans engine loops out across its workers.
   explicit Shell(TaskPool* pool = nullptr) : pool_(pool) {
     ctx_->set_task_pool(pool_);
+    state_.name = "shell";
   }
 
   // Returns false when any command failed.
@@ -109,10 +110,10 @@ class Shell {
       std::printf("ok: state cleared\n");
       return true;
     }
-    if (cmd == "view") return AddView(rest);
+    if (cmd == "view") return Apply(store::RecordType::kView, rest);
     if (cmd == "query") return SetQuery(rest);
-    if (cmd == "fact") return AddFact(rest);
-    if (cmd == "retract") return RetractFact(rest);
+    if (cmd == "fact") return Apply(store::RecordType::kFact, rest);
+    if (cmd == "retract") return Apply(store::RecordType::kRetract, rest);
     if (cmd == "classify") return Classify();
     if (cmd == "rewrite") return Rewrite();
     if (cmd == "er") return FindEr();
@@ -147,19 +148,16 @@ class Shell {
     return true;
   }
 
-  bool AddView(const std::string& text) {
-    Result<ParsedQuery> v = ParseQueryWithInfo(text);
-    if (!v.ok()) return Fail(v.status().ToString());
-    Status st = views_.Add(v.value().query);
-    if (!st.ok()) return Fail(st.ToString());
-    // Materialize the new view over the current base so later facts only
-    // pay for their deltas.
-    st = store_.AddView(*ctx_, v.value().query);
-    if (!st.ok()) return Fail(st.ToString());
-    view_sources_.push_back(std::move(v).value());
-    view_texts_.push_back(text);
-    std::printf("ok: view %s\n",
-                views_[views_.size() - 1].ToString().c_str());
+  // `view`, `fact` and `retract`: the session state change the server and
+  // WAL replay run too (store::SessionState::Apply), all-or-nothing. A new
+  // view is materialized over the current base, so later facts only pay
+  // for their deltas.
+  bool Apply(store::RecordType type, const std::string& text) {
+    Result<ivm::ApplySummary> s = state_.Apply(*ctx_, type, text);
+    if (!s.ok()) return Fail(s.status().ToString());
+    if (type == store::RecordType::kView)
+      std::printf("ok: view %s\n",
+                  state_.views[state_.views.size() - 1].ToString().c_str());
     return true;
   }
 
@@ -172,22 +170,6 @@ class Shell {
     query_ = query_source_.query;
     have_query_ = true;
     std::printf("ok: query %s\n", query_.ToString().c_str());
-    return true;
-  }
-
-  bool AddFact(const std::string& text) {
-    Result<Database> one = Database::FromFacts(text);
-    if (!one.ok()) return Fail(one.status().ToString());
-    Result<ivm::ApplySummary> s = store_.ApplyInsert(*ctx_, one.value());
-    if (!s.ok()) return Fail(s.status().ToString());
-    return true;
-  }
-
-  bool RetractFact(const std::string& text) {
-    Result<Database> one = Database::FromFacts(text);
-    if (!one.ok()) return Fail(one.status().ToString());
-    Result<ivm::ApplySummary> s = store_.ApplyRetract(*ctx_, one.value());
-    if (!s.ok()) return Fail(s.status().ToString());
     return true;
   }
 
@@ -210,36 +192,31 @@ class Shell {
 
   bool Rewrite() {
     if (!NeedQuery()) return false;
-    AcClass cls = query_.Classify();
-    if (cls == AcClass::kNone || cls == AcClass::kLsi ||
-        cls == AcClass::kRsi) {
-      Result<UnionQuery> mcr = RewriteLsiQuery(*ctx_, query_, views_);
-      if (!mcr.ok()) return Fail(mcr.status().ToString());
-      last_mcr_ = std::move(mcr).value();
-      have_mcr_ = !last_mcr_.empty();
-      std::printf("mcr (%zu contained rewritings):\n%s\n",
-                  last_mcr_.disjuncts.size(), last_mcr_.ToString().c_str());
-      return true;
-    }
-    if (query_.IsCqacSi() && views_.AllSiOnly()) {
-      Result<SiMcr> mcr = RewriteSiQueryDatalog(*ctx_, query_, views_);
+    const ViewSet& views = state_.views;
+    const RewriteAlgorithm algorithm = ChooseRewriteAlgorithm(query_, views);
+    if (algorithm == RewriteAlgorithm::kSiDatalog) {
+      Result<SiMcr> mcr = RewriteSiQueryDatalog(*ctx_, query_, views);
       if (!mcr.ok()) return Fail(mcr.status().ToString());
       std::printf("recursive datalog mcr (%zu rules):\n%s\n",
                   mcr.value().rules.size(), mcr.value().ToString().c_str());
       return true;
     }
-    Result<UnionQuery> mcr = BucketRewrite(*ctx_, query_, views_);
+    const bool lsi = algorithm == RewriteAlgorithm::kLsiMcr;
+    Result<UnionQuery> mcr = lsi ? RewriteLsiQuery(*ctx_, query_, views)
+                                 : BucketRewrite(*ctx_, query_, views);
     if (!mcr.ok()) return Fail(mcr.status().ToString());
     last_mcr_ = std::move(mcr).value();
     have_mcr_ = !last_mcr_.empty();
-    std::printf("contained rewritings (bucket, %zu):\n%s\n",
+    std::printf(lsi ? "mcr (%zu contained rewritings):\n%s\n"
+                    : "contained rewritings (bucket, %zu):\n%s\n",
                 last_mcr_.disjuncts.size(), last_mcr_.ToString().c_str());
     return true;
   }
 
   bool FindEr() {
     if (!NeedQuery()) return false;
-    Result<ErResult> er = FindEquivalentRewriting(*ctx_, query_, views_);
+    Result<ErResult> er =
+        FindEquivalentRewriting(*ctx_, query_, state_.views);
     if (!er.ok()) return Fail(er.status().ToString());
     if (er.value().single.has_value()) {
       std::printf("er: %s\n", er.value().single->ToString().c_str());
@@ -264,7 +241,7 @@ class Shell {
 
   bool Evaluate() {
     if (!NeedQuery()) return false;
-    Result<Relation> r = EvaluateQuery(*ctx_, query_, store_.base());
+    Result<Relation> r = EvaluateQuery(*ctx_, query_, state_.store.base());
     if (!r.ok()) return Fail(r.status().ToString());
     PrintRelation(r.value());
     return true;
@@ -277,9 +254,9 @@ class Shell {
       if (!have_mcr_) return Fail("no rewriting available");
     }
     // The store's maintained view database is exactly
-    // MaterializeViews(views_, base) — kept current by fact/retract, so no
+    // MaterializeViews(views, base) — kept current by fact/retract, so no
     // per-command rematerialization.
-    Result<Relation> r = EvaluateUnion(*ctx_, last_mcr_, store_.views());
+    Result<Relation> r = EvaluateUnion(*ctx_, last_mcr_, state_.store.views());
     if (!r.ok()) return Fail(r.status().ToString());
     PrintRelation(r.value());
     return true;
@@ -294,9 +271,9 @@ class Shell {
     Query candidate = std::move(p).value();
     bool uses_views = !candidate.body().empty();
     for (const Atom& a : candidate.body())
-      if (views_.Find(a.predicate) == nullptr) uses_views = false;
+      if (state_.views.Find(a.predicate) == nullptr) uses_views = false;
     if (uses_views) {
-      Result<Query> exp = ExpandRewriting(candidate, views_);
+      Result<Query> exp = ExpandRewriting(candidate, state_.views);
       if (!exp.ok()) return Fail(exp.status().ToString());
       candidate = std::move(exp).value();
     }
@@ -310,13 +287,13 @@ class Shell {
   // Lints every declared view plus the current query. Positions refer to
   // the rule text after the command word of the declaring line.
   bool Lint() {
-    std::vector<ParsedQuery> rules = view_sources_;
+    std::vector<ParsedQuery> rules = state_.view_sources;
     if (have_query_) rules.push_back(query_source_);
     if (rules.empty()) return Fail("nothing to lint (declare views/query)");
     std::vector<LintDiagnostic> diags = LintProgram(rules);
     for (const LintDiagnostic& d : diags) {
       std::string label =
-          d.rule_index < static_cast<int>(view_sources_.size())
+          d.rule_index < static_cast<int>(state_.view_sources.size())
               ? StrCat("view #", d.rule_index + 1)
               : std::string("query");
       std::printf("%s: %s\n", label.c_str(), d.ToString().c_str());
@@ -332,12 +309,12 @@ class Shell {
   // the independent certificate checker.
   bool Verify() {
     if (!NeedQuery()) return false;
-    AcClass cls = query_.Classify();
-    if (query_.IsCqacSi() && !query_.IsConjunctiveOnly() &&
-        cls != AcClass::kLsi && cls != AcClass::kRsi && views_.AllSiOnly()) {
-      Result<SiMcr> mcr = RewriteSiQueryDatalog(*ctx_, query_, views_);
+    const ViewSet& views = state_.views;
+    const RewriteAlgorithm algorithm = ChooseRewriteAlgorithm(query_, views);
+    if (algorithm == RewriteAlgorithm::kSiDatalog) {
+      Result<SiMcr> mcr = RewriteSiQueryDatalog(*ctx_, query_, views);
       if (!mcr.ok()) return Fail(mcr.status().ToString());
-      Status st = CheckSiMcr(query_, views_, mcr.value());
+      Status st = CheckSiMcr(query_, views, mcr.value());
       if (!st.ok()) return Fail(StrCat("certificate: ", st.ToString()));
       std::printf("certificate: valid (datalog mcr, %zu rules checked)\n",
                   mcr.value().rules.size());
@@ -345,11 +322,11 @@ class Shell {
     }
     RewritingWitness w;
     Result<UnionQuery> mcr =
-        (cls == AcClass::kNone || cls == AcClass::kLsi || cls == AcClass::kRsi)
-            ? RewriteLsiQuery(*ctx_, query_, views_, {}, nullptr, &w)
-            : BucketRewrite(*ctx_, query_, views_, {}, nullptr, &w);
+        algorithm == RewriteAlgorithm::kLsiMcr
+            ? RewriteLsiQuery(*ctx_, query_, views, {}, nullptr, &w)
+            : BucketRewrite(*ctx_, query_, views, {}, nullptr, &w);
     if (!mcr.ok()) return Fail(mcr.status().ToString());
-    Status st = CheckRewritingWitness(query_, views_, mcr.value(), w);
+    Status st = CheckRewritingWitness(query_, views, mcr.value(), w);
     if (!st.ok()) return Fail(StrCat("certificate: ", st.ToString()));
     std::printf("certificate: valid (%zu disjunct%s checked)\n",
                 mcr.value().disjuncts.size(),
@@ -364,8 +341,8 @@ class Shell {
     if (!NeedQuery()) return false;
     audit::AuditInputs in;
     in.query = query_;
-    in.views = views_;
-    in.facts = store_.base();
+    in.views = state_.views;
+    in.facts = state_.store.base();
     audit::AuditReport report;
     Status st = audit::AuditAll(*ctx_, in, {}, &report);
     if (!st.ok()) return Fail(st.ToString());
@@ -382,15 +359,15 @@ class Shell {
   // (tools/determinism.cqac exercises that).
   bool PlanCmd() {
     if (!NeedQuery()) return false;
-    Result<ViewPlan> vp = PlanForQuery(*ctx_, query_, views_);
+    Result<ViewPlan> vp = PlanForQuery(*ctx_, query_, state_.views);
     if (!vp.ok()) return Fail(vp.status().ToString());
     std::printf("plan:\n%s", vp.value().plan.ToString().c_str());
 
     auto rows = [this](const std::string& p) {
-      return store_.base().Get(p).size();
+      return state_.store.base().Get(p).size();
     };
     auto distinct = [this](const std::string& p, size_t c) {
-      return store_.base().stats().DistinctEstimate(p, c);
+      return state_.store.base().stats().DistinctEstimate(p, c);
     };
     plan::JoinOrderPlan jp =
         plan::PlanJoinOrder(query_, plan::Cardinalities{rows, distinct});
@@ -400,10 +377,10 @@ class Shell {
 
     if (vp.value().kind == PlanKind::kFiniteUnion) {
       auto vrows = [this](const std::string& p) {
-        return store_.views().Get(p).size();
+        return state_.store.views().Get(p).size();
       };
       auto vdistinct = [this](const std::string& p, size_t c) {
-        return store_.views().stats().DistinctEstimate(p, c);
+        return state_.store.views().stats().DistinctEstimate(p, c);
       };
       const plan::Cardinalities vcards{vrows, vdistinct};
       double est = 0;
@@ -442,16 +419,16 @@ class Shell {
     if (dir.empty()) return Fail("usage: save <dir>");
     if (::mkdir(dir.c_str(), 0755) != 0 && errno != EEXIST)
       return Fail(StrCat("mkdir ", dir, ": ", std::strerror(errno)));
-    const std::string name = "shell";
     store::SessionSnapshotRef ref;
-    ref.name = &name;
-    ref.view_texts = &view_texts_;
-    ref.store = &store_;
+    ref.name = &state_.name;
+    ref.view_texts = &state_.view_texts;
+    ref.store = &state_.store;
     Status st = store::WriteSnapshotFile(dir + "/shell.cqs", 0,
                                          ctx_->adaptive(), {ref});
     if (!st.ok()) return Fail(st.ToString());
     std::printf("ok: saved %zu views, %zu base tuples to %s/shell.cqs\n",
-                views_.size(), store_.base().TotalTuples(), dir.c_str());
+                state_.views.size(), state_.store.base().TotalTuples(),
+                dir.c_str());
     return true;
   }
 
@@ -464,20 +441,12 @@ class Shell {
       return Fail(StrCat("expected one session in ", dir,
                          "/shell.cqs, found ",
                          snap.value().sessions.size()));
-    store::SessionState& s = *snap.value().sessions[0];
-    ViewSet views;
-    for (const ParsedQuery& pq : s.view_sources) {
-      Status st = views.Add(pq.query);
-      if (!st.ok()) return Fail(st.ToString());
-    }
-    views_ = std::move(views);
-    view_sources_ = std::move(s.view_sources);
-    view_texts_ = std::move(s.view_texts);
-    store_ = std::move(s.store);
+    state_ = std::move(*snap.value().sessions[0]);
     if (snap.value().has_adaptive)
       ctx_->adaptive() = snap.value().adaptive;
     std::printf("ok: loaded %zu views, %zu base tuples from %s/shell.cqs\n",
-                views_.size(), store_.base().TotalTuples(), dir.c_str());
+                state_.views.size(), state_.store.base().TotalTuples(),
+                dir.c_str());
     return true;
   }
 
@@ -493,13 +462,12 @@ class Shell {
   // pinned in memory for the pool's sake and is not assignable).
   std::unique_ptr<EngineContext> ctx_ = std::make_unique<EngineContext>();
   TaskPool* pool_ = nullptr;
-  ViewSet views_;
-  std::vector<ParsedQuery> view_sources_;  // parallel to views_, with spans
-  std::vector<std::string> view_texts_;    // original rule texts (save/load)
+  // Views, their texts and the maintained base: one session, named "shell"
+  // in `save` snapshots.
+  store::SessionState state_;
   Query query_;
   ParsedQuery query_source_;
   bool have_query_ = false;
-  ivm::MaterializedViewSet store_;  // base facts + maintained views
   UnionQuery last_mcr_;
   bool have_mcr_ = false;
 };
