@@ -69,9 +69,9 @@ Database OneFact(const char* pred, int64_t a, int64_t b) {
 }
 
 // One throwaway incremental round so the timed loop measures steady state:
-// the first incremental apply after a (re)build pays the one-time
-// persistent-index construction, which is part of materialization cost, not
-// per-fact maintenance cost.
+// the first incremental apply pays for building any base index the
+// materialization did not probe, which is one-time setup, not per-fact
+// maintenance cost.
 void WarmIncremental(EngineContext& ctx, ivm::MaterializedViewSet& store) {
   ivm::MaintainOptions incremental;
   incremental.force_incremental = true;

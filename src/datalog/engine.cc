@@ -101,10 +101,13 @@ Status Engine::FireRule(
   if (relations.size() != er.rule.body().size())
     return Status::InvalidArgument(
         "FireRule: one relation required per body atom");
+  std::vector<JoinInput> inputs;
+  inputs.reserve(relations.size());
+  for (const Relation* rel : relations) inputs.push_back(JoinInput::Bare(*rel));
   Status fire_status = Status::OK();
   Tuple head;
   JoinBodyBatches(
-      er.rule, relations,
+      er.rule, inputs,
       [&](const Batch& b, const std::vector<int>& var_col) {
         for (size_t row = 0; row < b.rows; ++row) {
           fire_status = InstantiateHead(er, b, var_col, row, &head);
@@ -159,14 +162,14 @@ Result<Database> Engine::Evaluate(const Database& edb,
   // head into `out` unless it is already known in `full`.
   Tuple head_buf;
   auto fire_rule = [&](const EngineRule& er,
-                       const std::vector<const Relation*>& rels,
+                       const std::vector<JoinInput>& inputs,
                        std::map<std::string, Relation>* out) -> Status {
     Status st = Status::OK();
     const std::string& pred = er.rule.head().predicate;
     const Relation& known = full[pred];
     Relation& sink = (*out)[pred];
     JoinBodyBatches(
-        er.rule, rels,
+        er.rule, inputs,
         [&](const Batch& b, const std::vector<int>& var_col) {
           for (size_t row = 0; row < b.rows; ++row) {
             st = InstantiateHead(er, b, var_col, row, &head_buf);
@@ -180,13 +183,14 @@ Result<Database> Engine::Evaluate(const Database& edb,
     return st;
   };
 
-  // Relation selector: IDB reads `full` (or delta when flagged), EDB reads
-  // the input database.
-  auto relation_for = [&](const Atom& a,
-                          const Relation* delta_override) -> const Relation* {
-    if (delta_override != nullptr) return delta_override;
-    if (idb.count(a.predicate)) return &full[a.predicate];
-    return &edb.Get(a.predicate);
+  // Input selector: IDB reads `full` (or delta when flagged), both bare
+  // relations of this evaluation; EDB reads the input database through its
+  // own indexes.
+  auto input_for = [&](const Atom& a,
+                       const Relation* delta_override) -> JoinInput {
+    if (delta_override != nullptr) return JoinInput::Bare(*delta_override);
+    if (idb.count(a.predicate)) return JoinInput::Bare(full[a.predicate]);
+    return JoinInput::Owned(edb, a.predicate);
   };
 
   // Round 0: every rule evaluated with IDB relations empty contributes only
@@ -196,9 +200,9 @@ Result<Database> Engine::Evaluate(const Database& edb,
     for (const Atom& a : er.rule.body())
       if (idb.count(a.predicate)) has_idb = true;
     if (has_idb) continue;
-    std::vector<const Relation*> rels;
-    for (const Atom& a : er.rule.body()) rels.push_back(relation_for(a, nullptr));
-    CQAC_RETURN_IF_ERROR(fire_rule(er, rels, &delta));
+    std::vector<JoinInput> inputs;
+    for (const Atom& a : er.rule.body()) inputs.push_back(input_for(a, nullptr));
+    CQAC_RETURN_IF_ERROR(fire_rule(er, inputs, &delta));
   }
   for (const std::string& p : idb)
     full[p].insert(delta[p].begin(), delta[p].end());
@@ -223,12 +227,12 @@ Result<Database> Engine::Evaluate(const Database& edb,
         const Atom& pivot = er.rule.body()[i];
         if (!idb.count(pivot.predicate)) continue;
         if (delta[pivot.predicate].empty()) continue;
-        std::vector<const Relation*> rels;
+        std::vector<JoinInput> inputs;
         for (size_t j = 0; j < er.rule.body().size(); ++j)
-          rels.push_back(relation_for(
+          inputs.push_back(input_for(
               er.rule.body()[j],
               j == i ? &delta[er.rule.body()[j].predicate] : nullptr));
-        CQAC_RETURN_IF_ERROR(fire_rule(er, rels, &next));
+        CQAC_RETURN_IF_ERROR(fire_rule(er, inputs, &next));
       }
     }
     for (const std::string& p : idb)

@@ -26,6 +26,7 @@ namespace cqac {
   X(budget_exhaustions)                                                     \
   X(eval_batches)                                                           \
   X(eval_smallint_fallbacks)                                                \
+  X(eval_index_builds)                                                      \
   X(plan_decisions)                                                         \
   X(plan_join_reorders)                                                     \
   X(plan_unions_pruned)                                                     \
@@ -131,7 +132,8 @@ std::string EngineStats::ToString() const {
       uint64_t{cache_flushes}, " flushes\n",
       "budget: ", uint64_t{budget_exhaustions}, " exhaustions\n",
       "eval: ", uint64_t{eval_batches}, " batches, ",
-      uint64_t{eval_smallint_fallbacks}, " small-int fallbacks\n",
+      uint64_t{eval_smallint_fallbacks}, " small-int fallbacks, ",
+      uint64_t{eval_index_builds}, " index builds\n",
       "plan: ", uint64_t{plan_decisions}, " decisions, ",
       uint64_t{plan_join_reorders}, " join reorders, ",
       uint64_t{plan_unions_pruned}, " union disjuncts pruned, ",

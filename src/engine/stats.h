@@ -76,6 +76,7 @@ struct StatsSnapshot {
   uint64_t budget_exhaustions = 0;
   uint64_t eval_batches = 0;
   uint64_t eval_smallint_fallbacks = 0;
+  uint64_t eval_index_builds = 0;
   uint64_t plan_decisions = 0;
   uint64_t plan_join_reorders = 0;
   uint64_t plan_unions_pruned = 0;
@@ -153,6 +154,7 @@ struct EngineStats {
   // Columnar join evaluation (src/eval/batch.h).
   StatCounter eval_batches;              // non-empty batches emitted
   StatCounter eval_smallint_fallbacks;   // column promotions off the i64 path
+  StatCounter eval_index_builds;         // Database-owned column indexes built
 
   // Cost-based planner (src/plan).
   StatCounter plan_decisions;      // cost comparisons made

@@ -1,11 +1,58 @@
 #include "src/eval/database.h"
 
 #include "src/base/strings.h"
+#include "src/eval/column_index.h"
 #include "src/ir/parser.h"
 
 namespace cqac {
 
 const Relation Database::kEmpty;
+
+Database::IndexTable::IndexTable() = default;
+Database::IndexTable::~IndexTable() = default;
+Database::IndexTable::IndexTable(const IndexTable&) {}
+Database::IndexTable& Database::IndexTable::operator=(const IndexTable&) {
+  by_pred.clear();
+  return *this;
+}
+Database::IndexTable::IndexTable(IndexTable&& o) noexcept
+    : by_pred(std::move(o.by_pred)) {
+  o.by_pred.clear();
+}
+Database::IndexTable& Database::IndexTable::operator=(IndexTable&& o) noexcept {
+  by_pred = std::move(o.by_pred);
+  o.by_pred.clear();
+  return *this;
+}
+
+void Database::IndexTable::OnInsert(const std::string& predicate,
+                                    const Tuple* t) {
+  if (by_pred.empty()) return;
+  auto it = by_pred.find(predicate);
+  if (it == by_pred.end()) return;
+  for (const auto& index : it->second)
+    if (index != nullptr) index->Insert(t);
+}
+
+void Database::IndexTable::OnRemove(const std::string& predicate,
+                                    const Tuple* t) {
+  if (by_pred.empty()) return;
+  auto it = by_pred.find(predicate);
+  if (it == by_pred.end()) return;
+  for (const auto& index : it->second)
+    if (index != nullptr) index->Remove(t);
+}
+
+const ColumnIndex& Database::Index(const std::string& predicate, size_t col,
+                                   bool* built) const {
+  std::lock_guard<std::mutex> lock(indexes_.mu);
+  auto& cols = indexes_.by_pred[predicate];
+  if (cols.size() <= col) cols.resize(col + 1);
+  if (built != nullptr) *built = cols[col] == nullptr;
+  if (cols[col] == nullptr)
+    cols[col] = std::make_unique<ColumnIndex>(Get(predicate), col);
+  return *cols[col];
+}
 
 Status Database::Insert(const std::string& predicate, Tuple tuple) {
   auto it = relations_.find(predicate);
@@ -15,7 +62,8 @@ Status Database::Insert(const std::string& predicate, Tuple tuple) {
         StrCat("arity mismatch inserting into '", predicate, "': got ",
                tuple.size(), ", relation has ", it->second.begin()->size()));
   stats_.OnInsert(predicate, tuple);
-  relations_[predicate].insert(std::move(tuple));
+  auto [pos, inserted] = relations_[predicate].insert(std::move(tuple));
+  if (inserted) indexes_.OnInsert(predicate, &*pos);
   return Status::OK();
 }
 
@@ -36,12 +84,19 @@ Status Database::InsertRelation(const std::string& predicate, Relation rel) {
   // Observe before the set is moved in wholesale; re-observing tuples the
   // merge later discards as duplicates is a no-op on the sketches.
   for (const Tuple& t : rel) stats_.OnInsert(predicate, t);
-  if (it == relations_.end()) {
-    relations_.emplace(predicate, std::move(rel));
-  } else if (it->second.empty()) {
-    it->second = std::move(rel);
-  } else {
-    it->second.merge(std::move(rel));
+  Relation& dest =
+      it == relations_.end() ? relations_[predicate] : it->second;
+  if (dest.empty()) {
+    // Moving a set keeps its nodes, so the moved-in tuples index in place.
+    dest = std::move(rel);
+    for (const Tuple& t : dest) indexes_.OnInsert(predicate, &t);
+    return Status::OK();
+  }
+  // Splice node by node (what set::merge does) to learn which tuples were
+  // new; duplicates stay behind in `rel`.
+  while (!rel.empty()) {
+    auto spliced = dest.insert(rel.extract(rel.begin()));
+    if (spliced.inserted) indexes_.OnInsert(predicate, &*spliced.position);
   }
   return Status::OK();
 }
@@ -49,7 +104,16 @@ Status Database::InsertRelation(const std::string& predicate, Relation rel) {
 bool Database::Remove(const std::string& predicate, const Tuple& tuple) {
   auto it = relations_.find(predicate);
   if (it == relations_.end()) return false;
-  return it->second.erase(tuple) > 0;
+  auto pos = it->second.find(tuple);
+  if (pos == it->second.end()) return false;
+  indexes_.OnRemove(predicate, &*pos);
+  it->second.erase(pos);
+  return true;
+}
+
+void Database::EraseRelation(const std::string& predicate) {
+  indexes_.by_pred.erase(predicate);
+  relations_.erase(predicate);
 }
 
 const Relation& Database::Get(const std::string& predicate) const {

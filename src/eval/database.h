@@ -8,6 +8,8 @@
 #define CQAC_EVAL_DATABASE_H_
 
 #include <map>
+#include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <vector>
@@ -25,7 +27,17 @@ using Tuple = std::vector<Value>;
 /// paper).
 using Relation = std::set<Tuple>;
 
+class ColumnIndex;  // src/eval/column_index.h
+
 /// A database instance: predicate name -> relation.
+///
+/// A Database also owns the equality indexes joins probe over it
+/// (docs/eval.md#indexes): one ColumnIndex per probed (relation, column),
+/// built on the first probe and patched by every mutating member, so an
+/// index is exact whenever it is read. A copy starts with no indexes (its
+/// tuples live in new set nodes); a move keeps them (set nodes survive the
+/// move). Reads, index builds included, may run concurrently; mutation
+/// must not overlap any read.
 class Database {
  public:
   Database() = default;
@@ -44,11 +56,9 @@ class Database {
   /// bookkeeping and iteration order stay stable.
   bool Remove(const std::string& predicate, const Tuple& tuple);
 
-  /// Drops relation `predicate`, entry included. The planner sketches keep
-  /// its observations (they are insert-monotone).
-  void EraseRelation(const std::string& predicate) {
-    relations_.erase(predicate);
-  }
+  /// Drops relation `predicate`, entry and indexes included. The planner
+  /// sketches keep its observations (they are insert-monotone).
+  void EraseRelation(const std::string& predicate);
 
   /// True iff `tuple` is present in relation `predicate`.
   bool Contains(const std::string& predicate, const Tuple& tuple) const {
@@ -86,14 +96,43 @@ class Database {
   /// Merges all tuples of `other` into this database.
   Status Merge(const Database& other);
 
+  /// The equality index over column `col` of relation `predicate` (absent
+  /// relations included: the index fills as tuples arrive). Built on the
+  /// first request, under a lock so concurrent first probes build it once;
+  /// *built, when non-null, is set to whether this call built it. The
+  /// reference stays valid until the relation is erased or this database
+  /// is destroyed or assigned.
+  const ColumnIndex& Index(const std::string& predicate, size_t col,
+                           bool* built = nullptr) const;
+
   /// Parses newline/period-separated facts like `r(1, 2). s(2, red).`
   static Result<Database> FromFacts(const std::string& text);
 
   std::string ToString() const;
 
  private:
+  /// Per predicate, the index of each probed column (null: not probed).
+  /// Copying yields an empty table, moving keeps it; see the class comment.
+  struct IndexTable {
+    IndexTable();
+    ~IndexTable();
+    IndexTable(const IndexTable&);
+    IndexTable& operator=(const IndexTable&);
+    IndexTable(IndexTable&& o) noexcept;
+    IndexTable& operator=(IndexTable&& o) noexcept;
+
+    /// Patches every index of `predicate` for one stored tuple.
+    void OnInsert(const std::string& predicate, const Tuple* t);
+    void OnRemove(const std::string& predicate, const Tuple* t);
+
+    std::mutex mu;  // serializes lookups and builds; reads of a built index
+                    // take no lock
+    std::map<std::string, std::vector<std::unique_ptr<ColumnIndex>>> by_pred;
+  };
+
   std::map<std::string, Relation> relations_;
   plan::RelationStats stats_;
+  mutable IndexTable indexes_;
   static const Relation kEmpty;
 };
 

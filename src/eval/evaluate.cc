@@ -1,12 +1,15 @@
 #include "src/eval/evaluate.h"
 
 #include <algorithm>
+#include <map>
+#include <memory>
 #include <numeric>
 #include <optional>
 #include <unordered_map>
 
 #include "src/base/strings.h"
 #include "src/engine/parallel.h"
+#include "src/eval/column_index.h"
 #include "src/plan/planner.h"
 
 namespace cqac {
@@ -19,127 +22,6 @@ bool EvaluateGroundComparison(const Value& lhs, CompOp op, const Value& rhs) {
 }
 
 namespace {
-
-/// Packed single-column index over integral keys: tuple pointers grouped by
-/// key in one contiguous array, located through an open-addressing table.
-/// Building is two contiguous passes (collect + sort) with zero per-key
-/// allocations — an order of magnitude fewer heap hits than a
-/// map-of-vectors — and probing is one multiplicative hash plus a short
-/// linear scan. Tuples whose key column is a symbol or a non-integral
-/// rational can never equal an integral probe, so the index omits them.
-class FlatIntIndex {
- public:
-  void Build(const Relation& rel, size_t col) {
-    std::vector<std::pair<int64_t, const Tuple*>> entries;
-    entries.reserve(rel.size());
-    for (const Tuple& t : rel)
-      if (col < t.size() && t[col].is_number() && t[col].number().is_integer())
-        entries.emplace_back(t[col].number().num(), &t);
-    std::sort(entries.begin(), entries.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-
-    slots_.reserve(entries.size());
-    for (const auto& [k, t] : entries) slots_.push_back(t);
-    for (size_t i = 0; i < entries.size();) {
-      size_t j = i;
-      while (j < entries.size() && entries[j].first == entries[i].first) ++j;
-      groups_.push_back(Group{entries[i].first, static_cast<uint32_t>(i),
-                              static_cast<uint32_t>(j - i)});
-      i = j;
-    }
-
-    size_t cap = 2;
-    while (cap < groups_.size() * 2) cap <<= 1;  // load factor <= 0.5
-    mask_ = cap - 1;
-    table_.assign(cap, -1);
-    for (size_t g = 0; g < groups_.size(); ++g) {
-      size_t i = Hash(groups_[g].key) & mask_;
-      while (table_[i] != -1) i = (i + 1) & mask_;
-      table_[i] = static_cast<int32_t>(g);
-    }
-  }
-
-  /// Points *data at the tuples keyed `k` (*len of them; 0 on miss).
-  void Probe(int64_t k, const Tuple* const** data, size_t* len) const {
-    size_t i = Hash(k) & mask_;
-    while (table_[i] != -1) {
-      const Group& g = groups_[table_[i]];
-      if (g.key == k) {
-        *data = slots_.data() + g.start;
-        *len = g.len;
-        return;
-      }
-      i = (i + 1) & mask_;
-    }
-    *len = 0;
-  }
-
- private:
-  struct Group {
-    int64_t key;
-    uint32_t start;
-    uint32_t len;
-  };
-
-  static uint64_t Hash(int64_t k) {
-    uint64_t x = static_cast<uint64_t>(k) * 0x9E3779B97F4A7C15ull;
-    return x ^ (x >> 29);
-  }
-
-  std::vector<Group> groups_;
-  std::vector<int32_t> table_;
-  std::vector<const Tuple*> slots_;
-  size_t mask_ = 1;
-};
-
-/// Lazy single-column hash indexes over the relations of one join. Built on
-/// first probe of a (atom, column) pair, amortized across the whole join —
-/// this is what turns chain joins from quadratic scans into hash lookups.
-class JoinIndexes {
- public:
-  explicit JoinIndexes(const std::vector<const Relation*>& relations)
-      : relations_(relations),
-        per_atom_(relations.size()),
-        int_per_atom_(relations.size()) {}
-
-  const std::vector<const Tuple*>& Probe(size_t atom, size_t col,
-                                         const Value& v) {
-    auto& cols = per_atom_[atom];
-    auto it = cols.find(col);
-    if (it == cols.end()) {
-      ColumnIndex index;
-      for (const Tuple& t : *relations_[atom])
-        if (col < t.size()) index[t[col]].push_back(&t);
-      it = cols.emplace(col, std::move(index)).first;
-    }
-    auto hit = it->second.find(v);
-    return hit == it->second.end() ? kEmpty : hit->second;
-  }
-
-  /// Probe for an integral key from a small-int batch column: no Value is
-  /// materialized and the lookup goes through the packed FlatIntIndex.
-  void ProbeInt(size_t atom, size_t col, int64_t v, const Tuple* const** data,
-                size_t* len) {
-    auto& cols = int_per_atom_[atom];
-    auto it = cols.find(col);
-    if (it == cols.end()) {
-      it = cols.emplace(col, FlatIntIndex()).first;
-      it->second.Build(*relations_[atom], col);
-    }
-    it->second.Probe(v, data, len);
-  }
-
- private:
-  using ColumnIndex =
-      std::unordered_map<Value, std::vector<const Tuple*>>;
-  static const std::vector<const Tuple*> kEmpty;
-
-  const std::vector<const Relation*>& relations_;
-  std::vector<std::unordered_map<size_t, ColumnIndex>> per_atom_;
-  std::vector<std::unordered_map<size_t, FlatIntIndex>> int_per_atom_;
-};
-
-const std::vector<const Tuple*> JoinIndexes::kEmpty;
 
 /// Rows per output batch before it flushes into the next atom. Large enough
 /// to amortize per-batch planning and keep filter loops vectorizable, small
@@ -158,17 +40,15 @@ constexpr size_t kBatchRows = 1024;
 /// through this atom's comparisons, and recurses.
 class BatchJoiner {
  public:
-  BatchJoiner(const Query& q, const std::vector<const Relation*>& relations,
+  BatchJoiner(const Query& q, const std::vector<JoinInput>& inputs,
               FunctionRef<bool(const Batch&, const std::vector<int>&)> sink,
-              FunctionRef<bool()> checkpoint, const JoinIndexSource* ext,
-              EngineStats* stats)
+              FunctionRef<bool()> checkpoint, EngineStats* stats)
       : q_(q),
-        relations_(relations),
+        inputs_(inputs),
         sink_(sink),
         checkpoint_(checkpoint),
-        ext_(ext),
         stats_(stats),
-        indexes_(relations) {}
+        indexes_(inputs.size(), nullptr) {}
 
   /// Returns false iff the checkpoint aborted the join.
   bool Run() {
@@ -197,6 +77,16 @@ class BatchJoiner {
     const Value* rhs_const = nullptr;
   };
 
+  /// A comparison checked on a scanned tuple: each side is a constant or a
+  /// position of the tuple.
+  struct ScanComp {
+    CompOp op;
+    int lhs_pos = -1;  // -1: lhs is the constant *lhs_const
+    int rhs_pos = -1;
+    const Value* lhs_const = nullptr;
+    const Value* rhs_const = nullptr;
+  };
+
   struct AtomPlan {
     size_t arity = 0;
     int probe_pos = -1;  // -1: full scan of the relation
@@ -207,7 +97,8 @@ class BatchJoiner {
     std::vector<std::pair<size_t, size_t>> dup_checks;  // (first pos, pos)
     std::vector<std::pair<size_t, int>> new_positions;  // (pos, var)
     size_t in_cols = 0;  // batch width entering this atom
-    std::vector<CompPlan> comps;
+    std::vector<ScanComp> scan_comps;  // full scans only
+    std::vector<CompPlan> comps;       // vectorized, after the gather
   };
 
   /// Compiles the per-atom plans. Returns false when a constant-constant
@@ -283,8 +174,51 @@ class BatchJoiner {
           cp.rhs_col = var_col_[c.rhs.var()];
         p.comps.push_back(cp);
       }
+      if (p.probe_pos < 0) PlanScanComps(&p);
     }
     return true;
+  }
+
+  /// Moves the comparisons a fully scanned atom binds on its own (every
+  /// side a constant or a column this atom introduces) into scan_comps,
+  /// checked on the stored tuple before it is gathered.
+  static void PlanScanComps(AtomPlan* p) {
+    auto tuple_pos = [p](int col) {
+      return col < static_cast<int>(p->in_cols)
+                 ? -1
+                 : static_cast<int>(p->new_positions[col - p->in_cols].first);
+    };
+    std::vector<CompPlan> rest;
+    for (const CompPlan& cp : p->comps) {
+      const int lhs = cp.lhs_col < 0 ? -1 : tuple_pos(cp.lhs_col);
+      const int rhs = cp.rhs_col < 0 ? -1 : tuple_pos(cp.rhs_col);
+      if ((cp.lhs_col >= 0 && lhs < 0) || (cp.rhs_col >= 0 && rhs < 0)) {
+        rest.push_back(cp);
+        continue;
+      }
+      p->scan_comps.push_back(
+          ScanComp{cp.op, lhs, rhs, cp.lhs_const, cp.rhs_const});
+    }
+    p->comps = std::move(rest);
+  }
+
+  /// The index atom `atom` probes on its probe position, resolved once per
+  /// call: the owning Database's, or one built for this call over a bare
+  /// relation.
+  const ColumnIndex& IndexFor(size_t atom) {
+    if (indexes_[atom] == nullptr) {
+      const size_t col = static_cast<size_t>(plans_[atom].probe_pos);
+      const JoinInput& in = inputs_[atom];
+      if (in.owner != nullptr) {
+        bool built = false;
+        indexes_[atom] = &in.owner->Index(q_.body()[atom].predicate, col, &built);
+        if (built && stats_ != nullptr) ++stats_->eval_index_builds;
+      } else {
+        call_indexes_.push_back(std::make_unique<ColumnIndex>(*in.rel, col));
+        indexes_[atom] = call_indexes_.back().get();
+      }
+    }
+    return *indexes_[atom];
   }
 
   void Process(size_t atom_idx, const Batch& in) {
@@ -306,6 +240,11 @@ class BatchJoiner {
         if (!in.cols[col].EqualsAt(row, t[pos])) return;
       for (const auto& [p1, p2] : p.dup_checks)
         if (!(t[p1] == t[p2])) return;
+      for (const ScanComp& sc : p.scan_comps)
+        if (!EvaluateGroundComparison(
+                sc.lhs_pos < 0 ? *sc.lhs_const : t[sc.lhs_pos], sc.op,
+                sc.rhs_pos < 0 ? *sc.rhs_const : t[sc.rhs_pos]))
+          return;
       src_rows.push_back(row);
       matches.push_back(&t);
       if (src_rows.size() == kBatchRows) {
@@ -315,66 +254,30 @@ class BatchJoiner {
       }
     };
 
-    // A constant probe hits the same tuple list for every input row.
-    const std::vector<const Tuple*>* const_hits = nullptr;
-    if (p.probe_pos >= 0 && p.probe_col < 0) {
-      const size_t pos = static_cast<size_t>(p.probe_pos);
-      const_hits =
-          ext_ == nullptr ? nullptr : ext_->Probe(atom_idx, pos, *p.probe_const);
-      if (const_hits == nullptr)
-        const_hits = &indexes_.Probe(atom_idx, pos, *p.probe_const);
-    }
-
-    // `ext_maybe` clears as soon as one probe shows the source does not
-    // cover this (atom, col) — coverage is per column, not per value, so
-    // later rows go straight to the internal index (the int64-keyed one
-    // when the probe column is on the small-int path).
-    bool ext_maybe = ext_ != nullptr;
-    for (uint32_t row = 0; row < in.rows; ++row) {
-      if (stop_ || aborted_) return;
-      if (p.probe_pos >= 0) {
-        const Tuple* const* hit_data = nullptr;
-        size_t hit_len = 0;
-        if (const_hits != nullptr) {
-          hit_data = const_hits->data();
-          hit_len = const_hits->size();
-        } else {
-          const size_t pos = static_cast<size_t>(p.probe_pos);
-          const Column& pcol = in.cols[p.probe_col];
-          if (ext_maybe) {
-            const Value v = pcol.At(row);
-            const std::vector<const Tuple*>* hits =
-                ext_->Probe(atom_idx, pos, v);
-            if (hits != nullptr) {
-              hit_data = hits->data();
-              hit_len = hits->size();
-            } else {
-              ext_maybe = false;
-              const std::vector<const Tuple*>& h =
-                  indexes_.Probe(atom_idx, pos, v);
-              hit_data = h.data();
-              hit_len = h.size();
-            }
-          } else if (pcol.small_int()) {
-            indexes_.ProbeInt(atom_idx, pos, pcol.SmallIntAt(row), &hit_data,
-                              &hit_len);
-          } else {
-            const std::vector<const Tuple*>& h =
-                indexes_.Probe(atom_idx, pos, pcol.At(row));
-            hit_data = h.data();
-            hit_len = h.size();
-          }
-        }
-        // The index (caller-provided or internal) returns exact matches on
-        // the probe position, so no equality recheck is planned for it.
-        for (size_t h = 0; h < hit_len; ++h) {
-          if (stop_ || aborted_) return;
-          consider(row, *hit_data[h]);
-        }
-      } else {
-        for (const Tuple& t : *relations_[atom_idx]) {
+    if (p.probe_pos < 0) {
+      for (uint32_t row = 0; row < in.rows; ++row) {
+        for (const Tuple& t : *inputs_[atom_idx].rel) {
           if (stop_ || aborted_) return;
           consider(row, t);
+        }
+      }
+    } else {
+      const ColumnIndex& index = IndexFor(atom_idx);
+      // A constant probe hits the same tuples for every input row.
+      ColumnIndex::Hits const_hits;
+      if (p.probe_col < 0) const_hits = index.Probe(*p.probe_const);
+      const Column* pcol = p.probe_col < 0 ? nullptr : &in.cols[p.probe_col];
+      for (uint32_t row = 0; row < in.rows; ++row) {
+        if (stop_ || aborted_) return;
+        // The index returns exact matches on the probe position, so no
+        // equality recheck is planned for it.
+        const ColumnIndex::Hits hits =
+            pcol == nullptr     ? const_hits
+            : pcol->small_int() ? index.ProbeInt(pcol->SmallIntAt(row))
+                                : index.Probe(pcol->At(row));
+        for (const Tuple* t : hits) {
+          if (stop_ || aborted_) return;
+          consider(row, *t);
         }
       }
     }
@@ -434,12 +337,12 @@ class BatchJoiner {
   }
 
   const Query& q_;
-  const std::vector<const Relation*>& relations_;
+  const std::vector<JoinInput>& inputs_;
   FunctionRef<bool(const Batch&, const std::vector<int>&)> sink_;
   FunctionRef<bool()> checkpoint_;
-  const JoinIndexSource* ext_;
   EngineStats* stats_;
-  JoinIndexes indexes_;
+  std::vector<const ColumnIndex*> indexes_;  // per atom, resolved lazily
+  std::vector<std::unique_ptr<ColumnIndex>> call_indexes_;  // bare inputs
 
   std::vector<AtomPlan> plans_;
   std::vector<int> var_col_;
@@ -452,12 +355,18 @@ class BatchJoiner {
 
 }  // namespace
 
-bool JoinBodyBatches(const Query& q,
-                     const std::vector<const Relation*>& relations,
+std::vector<JoinInput> OwnedInputs(const Query& q, const Database& db) {
+  std::vector<JoinInput> inputs;
+  inputs.reserve(q.body().size());
+  for (const Atom& a : q.body())
+    inputs.push_back(JoinInput::Owned(db, a.predicate));
+  return inputs;
+}
+
+bool JoinBodyBatches(const Query& q, const std::vector<JoinInput>& inputs,
                      FunctionRef<bool(const Batch&, const std::vector<int>&)> sink,
-                     FunctionRef<bool()> checkpoint,
-                     const JoinIndexSource* indexes, EngineStats* stats) {
-  return BatchJoiner(q, relations, sink, checkpoint, indexes, stats).Run();
+                     FunctionRef<bool()> checkpoint, EngineStats* stats) {
+  return BatchJoiner(q, inputs, sink, checkpoint, stats).Run();
 }
 
 void BatchHeadProjector::ForEachHead(const Batch& b,
@@ -524,21 +433,21 @@ class RelationBuilder {
   size_t watermark_ = kMinWatermark;
 };
 
-/// Joins q over `relations` into *results batch-at-a-time; returns false
+/// Joins q over `inputs` into *results batch-at-a-time; returns false
 /// when the checkpoint aborted the search.
-bool JoinInto(const Query& q, const std::vector<const Relation*>& relations,
+bool JoinInto(const Query& q, const std::vector<JoinInput>& inputs,
               FunctionRef<bool()> checkpoint, Relation* results,
               EngineStats* stats = nullptr) {
   BatchHeadProjector proj(q);
   RelationBuilder builder;
   const bool ok = JoinBodyBatches(
-      q, relations,
+      q, inputs,
       [&](const Batch& b, const std::vector<int>& var_col) {
         proj.ForEachHead(b, var_col,
                          [&](const Tuple& head) { builder.Add(head); });
         return true;
       },
-      checkpoint, nullptr, stats);
+      checkpoint, stats);
   if (ok) builder.MoveInto(results);
   return ok;
 }
@@ -547,12 +456,8 @@ bool JoinInto(const Query& q, const std::vector<const Relation*>& relations,
 
 Result<Relation> EvaluateQuery(const Query& q, const Database& db) {
   CQAC_RETURN_IF_ERROR(q.Validate());
-  std::vector<const Relation*> relations;
-  relations.reserve(q.body().size());
-  for (const Atom& a : q.body()) relations.push_back(&db.Get(a.predicate));
-
   Relation results;
-  JoinInto(q, relations, [] { return true; }, &results);
+  JoinInto(q, OwnedInputs(q, db), [] { return true; }, &results);
   return results;
 }
 
@@ -590,33 +495,44 @@ Result<Relation> EvaluateQuery(EngineContext& ctx, const Query& qin,
     }
   }
   const Query& q = *pq;
-
-  std::vector<const Relation*> relations;
-  relations.reserve(q.body().size());
-  for (const Atom& a : q.body()) relations.push_back(&db.Get(a.predicate));
-
+  std::vector<JoinInput> inputs = OwnedInputs(q, db);
   auto checkpoint = [&ctx] { return !ctx.ShouldStop(); };
-
-  // Fan out only when atom 0 has enough tuples to split; results are a
-  // set, so the chunk merge is order-independent and output is identical
-  // at every thread count.
-  const bool fan_out = ctx.parallelism() > 0 && !TaskPool::InPoolTask() &&
-                       !q.body().empty() &&
-                       relations[0]->size() >= 2 * (ctx.parallelism() + 1);
-  if (!fan_out) {
+  auto serial = [&]() -> Result<Relation> {
     Relation results;
-    if (!JoinInto(q, relations, checkpoint, &results, &ctx.stats())) {
+    if (!JoinInto(q, inputs, checkpoint, &results, &ctx.stats())) {
       ++ctx.stats().budget_exhaustions;
       return Status::ResourceExhausted("join evaluation exceeded the budget");
     }
     return results;
-  }
+  };
+  if (ctx.parallelism() == 0 || TaskPool::InPoolTask() || q.body().empty())
+    return serial();
 
-  // Deal atom 0's tuples round-robin into one sub-relation per chunk; each
-  // chunk joins independently with its own lazy indexes.
+  // Atom 0's candidate tuples: the whole relation, or, when the atom has a
+  // constant, the hits of db's index for it — the probe the serial join
+  // makes, so the index is built (and counted) alike at every thread count.
   std::vector<const Tuple*> first;
-  first.reserve(relations[0]->size());
-  for (const Tuple& t : *relations[0]) first.push_back(&t);
+  const Atom& lead = q.body()[0];
+  auto lead_const = std::find_if(lead.args.begin(), lead.args.end(),
+                                 [](const Term& t) { return t.is_const(); });
+  if (lead_const == lead.args.end()) {
+    first.reserve(inputs[0].rel->size());
+    for (const Tuple& t : *inputs[0].rel) first.push_back(&t);
+  } else {
+    bool built = false;
+    const ColumnIndex& index = db.Index(
+        lead.predicate,
+        static_cast<size_t>(lead_const - lead.args.begin()), &built);
+    if (built) ++ctx.stats().eval_index_builds;
+    for (const Tuple* t : index.Probe(lead_const->value())) first.push_back(t);
+  }
+  // Fan out only when there are enough candidates to split; results are a
+  // set, so the chunk merge is order-independent and output is identical
+  // at every thread count.
+  if (first.size() < 2 * (ctx.parallelism() + 1)) return serial();
+
+  // Deal the candidates round-robin into one bare sub-relation per chunk;
+  // the other atoms keep probing db's indexes.
   const size_t max_chunks = 4 * (ctx.parallelism() + 1);
   const size_t num_chunks = first.size() < max_chunks ? first.size()
                                                       : max_chunks;
@@ -626,9 +542,10 @@ Result<Relation> EvaluateQuery(EngineContext& ctx, const Query& qin,
     Relation sub;
     for (size_t i = c; i < first.size(); i += num_chunks)
       sub.insert(*first[i]);
-    std::vector<const Relation*> rels = relations;
-    rels[0] = &sub;
-    if (!JoinInto(q, rels, checkpoint, &chunk_results[c], &ctx.stats()))
+    std::vector<JoinInput> chunk_inputs = inputs;
+    chunk_inputs[0] = JoinInput::Bare(sub);
+    if (!JoinInto(q, chunk_inputs, checkpoint, &chunk_results[c],
+                  &ctx.stats()))
       chunk_aborted[c] = 1;
   });
 
@@ -674,7 +591,24 @@ void RowJoinReference(
     const Query& q, const std::vector<const Relation*>& relations,
     FunctionRef<void(const std::vector<std::optional<Value>>&)> cb) {
   std::vector<std::optional<Value>> binding(q.num_vars(), std::nullopt);
-  JoinIndexes indexes(relations);
+
+  // Per-call Value-keyed indexes, private to the oracle so that it shares
+  // no index code with the engine it checks.
+  using ValueIndex = std::unordered_map<Value, std::vector<const Tuple*>>;
+  static const std::vector<const Tuple*> kNoHits;
+  std::vector<std::map<size_t, ValueIndex>> indexes(relations.size());
+  auto probe = [&](size_t atom, size_t col,
+                   const Value& v) -> const std::vector<const Tuple*>& {
+    auto it = indexes[atom].find(col);
+    if (it == indexes[atom].end()) {
+      ValueIndex index;
+      for (const Tuple& t : *relations[atom])
+        if (col < t.size()) index[t[col]].push_back(&t);
+      it = indexes[atom].emplace(col, std::move(index)).first;
+    }
+    auto hit = it->second.find(v);
+    return hit == it->second.end() ? kNoHits : hit->second;
+  };
 
   auto term_value = [&binding](const Term& t, Value* out) {
     if (t.is_const()) {
@@ -727,11 +661,10 @@ void RowJoinReference(
 
     // Prefer an index probe on the first argument whose value is already
     // determined; fall back to a full scan.
-    Value probe{0};
+    Value value{0};
     for (size_t i = 0; i < atom.args.size(); ++i) {
-      if (term_value(atom.args[i], &probe)) {
-        for (const Tuple* t : indexes.Probe(atom_idx, i, probe))
-          try_tuple(*t);
+      if (term_value(atom.args[i], &value)) {
+        for (const Tuple* t : probe(atom_idx, i, value)) try_tuple(*t);
         return;
       }
     }
@@ -761,21 +694,17 @@ Result<bool> QueryYieldsTuple(const Query& q, const Database& db,
                               const Tuple& head, EngineStats* stats) {
   CQAC_RETURN_IF_ERROR(q.Validate());
   if (q.head().args.size() != head.size()) return false;
-  std::vector<const Relation*> relations;
-  relations.reserve(q.body().size());
-  for (const Atom& a : q.body()) relations.push_back(&db.Get(a.predicate));
-
   bool found = false;
   BatchHeadProjector proj(q);
   JoinBodyBatches(
-      q, relations,
+      q, OwnedInputs(q, db),
       [&](const Batch& b, const std::vector<int>& var_col) {
         proj.ForEachHead(b, var_col, [&](const Tuple& t) {
           if (t == head) found = true;
         });
         return !found;
       },
-      [] { return true; }, nullptr, stats);
+      [] { return true; }, stats);
   return found;
 }
 

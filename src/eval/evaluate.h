@@ -4,9 +4,9 @@
 // join results travel as Batches (per-variable value columns with a tagged
 // int64 fast path for integral Rationals), comparison predicates run as
 // vectorized selection-vector filters, and each body atom extends the batch
-// through a hash probe — the caller's persistent JoinIndexSource when it
-// covers the atom, an internal lazy per-call index otherwise. The
-// pre-columnar tuple-at-a-time evaluator survives as
+// through a ColumnIndex probe — the Database's own index when the atom
+// reads a relation a Database owns, a per-call one over a bare relation.
+// The pre-columnar tuple-at-a-time evaluator survives as
 // EvaluateQueryReference for differential testing.
 #ifndef CQAC_EVAL_EVALUATE_H_
 #define CQAC_EVAL_EVALUATE_H_
@@ -80,45 +80,49 @@ Result<Database> MaterializeViews(EngineContext& ctx, const ViewSet& views,
 /// database containment probe. Evaluates the join batch-at-a-time with an
 /// early exit as soon as one satisfying assignment projects onto `head`,
 /// instead of materializing the full result. `stats`, when non-null,
-/// receives eval_batches / eval_smallint_fallbacks increments.
+/// receives eval_batches / eval_smallint_fallbacks / eval_index_builds
+/// increments.
 Result<bool> QueryYieldsTuple(const Query& q, const Database& db,
                               const Tuple& head,
                               EngineStats* stats = nullptr);
 
-/// Optional caller-owned column indexes for one join call. The join probes
-/// `Probe(atom, col, v)` for the tuples of body atom `atom` whose column
-/// `col` equals `v`; returning nullptr means this source carries no index
-/// for that (atom, col) and the join falls back to its internal lazy
-/// per-call index. A source that does cover an (atom, col) must return a
-/// (possibly empty) vector for *every* value, and the vectors must enumerate
-/// exactly the matching tuples of *relations[atom]. Lets long-lived callers
-/// (incremental view maintenance) amortize index construction across many
-/// joins instead of paying O(|relation|) per call.
-class JoinIndexSource {
- public:
-  virtual ~JoinIndexSource() = default;
-  virtual const std::vector<const Tuple*>* Probe(size_t atom, size_t col,
-                                                 const Value& v) const = 0;
+/// What one body atom of a join reads. An atom over a relation a Database
+/// owns probes that Database's ColumnIndex for (atom predicate, column),
+/// built on first probe and kept across calls; an atom over a bare
+/// relation (a delta, a fan-out chunk, a datalog round) gets a per-call
+/// ColumnIndex.
+struct JoinInput {
+  /// Atom `predicate` of a join over `db`.
+  static JoinInput Owned(const Database& db, const std::string& predicate) {
+    return JoinInput{&db.Get(predicate), &db};
+  }
+  static JoinInput Bare(const Relation& rel) { return JoinInput{&rel, nullptr}; }
+
+  const Relation* rel;
+  const Database* owner;  // non-null: rel is owner's relation for the atom
 };
 
+/// Every atom of q's body read from `db`.
+std::vector<JoinInput> OwnedInputs(const Query& q, const Database& db);
+
 /// The batch-native join: evaluates `q`'s body where body atom i reads
-/// tuples from *relations[i], filtering comparisons eagerly (vectorized, as
-/// soon as both sides are bound). `sink` is invoked once per non-empty
-/// output batch with the batch and the variable -> column map (length
-/// q.num_vars(); -1 for variables no atom binds); returning false stops the
-/// enumeration early (a normal stop, not an abort). `checkpoint` is polled
-/// every few thousand candidate tuples; returning false aborts the join, in
-/// which case JoinBodyBatches returns false and the sink may have seen only
-/// a prefix of the satisfying assignments. `indexes`, when non-null, serves
-/// column probes for the atoms it covers. `stats`, when non-null, receives
-/// eval_batches / eval_smallint_fallbacks increments. Batch boundaries and
-/// row order within a batch are unspecified; only the multiset of rows is
-/// contractual (it equals the satisfying assignments exactly).
-bool JoinBodyBatches(const Query& q,
-                     const std::vector<const Relation*>& relations,
+/// inputs[i], filtering comparisons eagerly (as soon as both sides are
+/// bound). A fully scanned atom checks the comparisons it binds on its own
+/// on the stored tuple, before the tuple joins a batch; the rest run as
+/// vectorized filters. `sink` is invoked once per non-empty output batch
+/// with the batch and the variable -> column map (length q.num_vars(); -1
+/// for variables no atom binds); returning false stops the enumeration
+/// early (a normal stop, not an abort). `checkpoint` is polled every few
+/// thousand tuples examined; returning false aborts the join, in which case
+/// JoinBodyBatches returns false and the sink may have seen only a prefix
+/// of the satisfying assignments. `stats`, when non-null, receives
+/// eval_batches / eval_smallint_fallbacks / eval_index_builds increments.
+/// Batch boundaries and row order within a batch are unspecified; only the
+/// multiset of rows is contractual (it equals the satisfying assignments
+/// exactly).
+bool JoinBodyBatches(const Query& q, const std::vector<JoinInput>& inputs,
                      FunctionRef<bool(const Batch&, const std::vector<int>&)> sink,
                      FunctionRef<bool()> checkpoint,
-                     const JoinIndexSource* indexes = nullptr,
                      EngineStats* stats = nullptr);
 
 /// Projects batches of satisfying assignments onto a query head. The head

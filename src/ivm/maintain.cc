@@ -81,50 +81,26 @@ class CountBuilder {
   size_t watermark_ = kMinWatermark;
 };
 
-/// Joins `q` over `rels` batch-at-a-time and folds `sign` into *counts for
-/// every satisfying head projection — the one join shape both the rebuild
-/// path and the subset-expansion delta phases count with. Returns false iff
-/// the context aborted the join.
+/// Joins `q` over `inputs` batch-at-a-time and folds `sign` into *counts
+/// for every satisfying head projection — the one join shape both the
+/// rebuild path and the subset-expansion delta phases count with. Returns
+/// false iff the context aborted the join.
 bool CountJoin(EngineContext& ctx, const Query& q,
-               const std::vector<const Relation*>& rels,
-               const JoinIndexSource* indexes, int64_t sign,
+               const std::vector<JoinInput>& inputs, int64_t sign,
                std::map<Tuple, int64_t>* counts) {
   BatchHeadProjector proj(q);
   CountBuilder builder;
   const bool ok = JoinBodyBatches(
-      q, rels,
+      q, inputs,
       [&](const Batch& b, const std::vector<int>& var_col) {
         proj.ForEachHead(b, var_col,
                          [&](const Tuple& head) { builder.Add(head); });
         return true;
       },
-      [&ctx] { return !ctx.ShouldStop(); }, indexes, &ctx.stats());
+      [&ctx] { return !ctx.ShouldStop(); }, &ctx.stats());
   if (ok) builder.MoveInto(sign, counts);
   return ok;
 }
-
-/// Adapts the persistent base indexes to one task's reordered body: delta
-/// positions carry no entry (nullptr — the join builds its internal lazy
-/// index over the tiny delta relation), base positions resolve probes
-/// straight from the maintained ColumnIndexes.
-class BaseIndexSource final : public JoinIndexSource {
- public:
-  std::vector<const PredicateIndex*> per_atom;
-
-  const std::vector<const Tuple*>* Probe(size_t atom, size_t col,
-                                         const Value& v) const override {
-    if (atom >= per_atom.size() || per_atom[atom] == nullptr) return nullptr;
-    auto cit = per_atom[atom]->find(col);
-    if (cit == per_atom[atom]->end()) return nullptr;
-    auto hit = cit->second.find(v);
-    return hit == cit->second.end() ? &kNoHits : &hit->second;
-  }
-
- private:
-  static const std::vector<const Tuple*> kNoHits;
-};
-
-const std::vector<const Tuple*> BaseIndexSource::kNoHits;
 
 bool ContainsIn(const std::map<std::string, Relation>& m, const std::string& p,
                 const Tuple& t) {
@@ -238,7 +214,6 @@ void MaterializedViewSet::Reset() {
   views_ = Database();
   view_queries_.clear();
   counts_.clear();
-  base_index_.clear();
   maintained_ = false;
 }
 
@@ -271,19 +246,14 @@ Status MaterializedViewSet::RestoreSnapshot(Database base,
   views_ = std::move(view_db);
   view_queries_ = std::move(views);
   counts_ = std::move(counts);
-  base_index_.clear();
   maintained_ = maintained;
   return Status::OK();
 }
 
 Status MaterializedViewSet::RebuildView(EngineContext& ctx, size_t i) {
   const Query& q = view_queries_[i];
-  std::vector<const Relation*> rels;
-  rels.reserve(q.body().size());
-  for (const Atom& a : q.body()) rels.push_back(&base_.Get(a.predicate));
-
   CountMap counts;
-  if (!CountJoin(ctx, q, rels, nullptr, 1, &counts))
+  if (!CountJoin(ctx, q, OwnedInputs(q, base_), 1, &counts))
     return BudgetExhausted(ctx);
 
   counts_[i] = std::move(counts);
@@ -362,9 +332,6 @@ Result<ApplySummary> MaterializedViewSet::Apply(EngineContext& ctx,
 
   if (choice.rebuild) {
     ++ctx.stats().ivm_rebuild_fallbacks;
-    // The wholesale commit bypasses the index-patching path; drop the
-    // persistent indexes and let the next incremental batch rebuild them.
-    base_index_.clear();
     // All-or-nothing: a rebuild that runs out of budget puts the base back
     // (tuples, relation entries, sketches) and restores the old views and
     // counts — O(delta) undo plus the small sketch table.
@@ -407,17 +374,16 @@ Result<ApplySummary> MaterializedViewSet::Apply(EngineContext& ctx,
   }
 
   ++ctx.stats().ivm_incremental_applies;
-  EnsureBaseIndexes();
 
   // One phase = one side of the delta counted via subset expansion: tasks
   // fan out over (view, touched-position subset, delta chunk) and
   // accumulate per-slot count maps. Positions in the subset read the staged
-  // side, every other position reads the plain base_ through the persistent
-  // column indexes — the insert phase runs before its commit (old base) and
-  // the retract phase after (post base), which is exactly what the
-  // expansion (B±D)^n - B^n needs. No overlay relation is copied and no
-  // per-join index is built over base-sized input, so a small batch is
-  // O(delta) work end to end. Counts are additive, so the merge commutes
+  // side as bare relations, every other position reads the plain base_
+  // through base_'s own column indexes — the insert phase runs before its
+  // commit (old base) and the retract phase after (post base), which is
+  // exactly what the expansion (B±D)^n - B^n needs. No overlay relation is
+  // copied and base_'s indexes persist across applies (every commit below
+  // patches them), so a small batch is O(delta) work end to end. Counts are additive, so the merge commutes
   // and the result is identical at every thread count; slots are still
   // merged in task order for good measure.
   auto run_phase = [&](const Database& delta_side,
@@ -425,12 +391,10 @@ Result<ApplySummary> MaterializedViewSet::Apply(EngineContext& ctx,
     struct Task {
       size_t view;
       const Query* q;  // view query with the delta positions joined first
-      std::vector<const Relation*> rels;
-      const JoinIndexSource* indexes;
+      std::vector<JoinInput> inputs;
     };
     std::deque<Relation> chunk_store;  // stable addresses for chunked deltas
     std::deque<Query> query_store;     // stable addresses for reordered queries
-    std::deque<BaseIndexSource> source_store;
     std::vector<Task> tasks;
     const size_t max_chunks =
         ctx.parallelism() > 0 && !TaskPool::InPoolTask()
@@ -462,23 +426,16 @@ Result<ApplySummary> MaterializedViewSet::Apply(EngineContext& ctx,
         rq.body().clear();
         for (size_t i : order) rq.body().push_back(q.body()[i]);
 
-        source_store.emplace_back();
-        BaseIndexSource& source = source_store.back();
-        std::vector<const Relation*> rels;
-        rels.reserve(order.size());
+        std::vector<JoinInput> inputs;
+        inputs.reserve(order.size());
         for (size_t i : order) {
           const std::string& p = q.body()[i].predicate;
-          if (from_delta[i]) {
-            rels.push_back(&delta_side.Get(p));
-            source.per_atom.push_back(nullptr);
-          } else {
-            rels.push_back(&base_.Get(p));
-            source.per_atom.push_back(&base_index_.at(p));
-          }
+          inputs.push_back(from_delta[i] ? JoinInput::Bare(delta_side.Get(p))
+                                         : JoinInput::Owned(base_, p));
         }
 
         // Chunk the leading delta relation for pool fan-out.
-        const Relation& d = *rels[0];
+        const Relation& d = *inputs[0].rel;
         std::vector<const Relation*> pivots;
         if (max_chunks <= 1 || d.size() < 2 * max_chunks) {
           pivots.push_back(&d);
@@ -497,9 +454,8 @@ Result<ApplySummary> MaterializedViewSet::Apply(EngineContext& ctx,
           Task task;
           task.view = v;
           task.q = &rq;
-          task.rels = rels;
-          task.rels[0] = pivot;
-          task.indexes = &source;
+          task.inputs = inputs;
+          task.inputs[0] = JoinInput::Bare(*pivot);
           tasks.push_back(std::move(task));
         }
       }
@@ -508,8 +464,7 @@ Result<ApplySummary> MaterializedViewSet::Apply(EngineContext& ctx,
     std::vector<CountMap> slots(tasks.size());
     std::vector<char> aborted(tasks.size(), 0);
     CtxParallelFor(ctx, tasks.size(), [&](size_t t) {
-      if (!CountJoin(ctx, *tasks[t].q, tasks[t].rels, tasks[t].indexes, sign,
-                     &slots[t]))
+      if (!CountJoin(ctx, *tasks[t].q, tasks[t].inputs, sign, &slots[t]))
         aborted[t] = 1;
     });
     for (char a : aborted)
@@ -521,24 +476,21 @@ Result<ApplySummary> MaterializedViewSet::Apply(EngineContext& ctx,
     return merged;
   };
 
-  // Retract phase: commit the removals first (patching the persistent
+  // Retract phase: commit the removals first (Remove patches base_'s
   // indexes tuple by tuple), then count the lost derivations against the
   // post-delete base.
   if (summary.retracted > 0) {
     for (const auto& [pred, rel] : delta.minus().relations())
-      for (const Tuple& t : rel) {
-        IndexRemovedTuple(pred, t);
+      for (const Tuple& t : rel)
         if (!base_.Remove(pred, t))
           return Status::Internal("staged retraction of absent tuple");
-      }
     Result<std::vector<CountMap>> merged = run_phase(delta.minus(), -1);
     if (!merged.ok()) {
       // O(delta) rollback: an aborted phase must leave base and views in
-      // agreement, so put the removed tuples (and their index entries)
-      // back before reporting the abort.
+      // agreement, so put the removed tuples back (Insert re-indexes them)
+      // before reporting the abort.
       for (const auto& [pred, rel] : delta.minus().relations())
-        for (const Tuple& t : rel)
-          if (base_.Insert(pred, t).ok()) IndexInsertedTuple(pred, t);
+        for (const Tuple& t : rel) (void)base_.Insert(pred, t);  // was there
       return merged.status();
     }
     for (size_t i = 0; i < view_queries_.size(); ++i)
@@ -547,15 +499,12 @@ Result<ApplySummary> MaterializedViewSet::Apply(EngineContext& ctx,
 
   // Insert phase: count against the post-retract, pre-insert base (the
   // expansion reads the old base on non-delta positions), then commit the
-  // insertions and patch the indexes.
+  // insertions (Insert patches the indexes).
   if (summary.inserted > 0) {
     CQAC_ASSIGN_OR_RETURN(std::vector<CountMap> merged,
                           run_phase(delta.plus(), +1));
     for (const auto& [pred, rel] : delta.plus().relations())
-      for (const Tuple& t : rel) {
-        CQAC_RETURN_IF_ERROR(base_.Insert(pred, t));
-        IndexInsertedTuple(pred, t);
-      }
+      for (const Tuple& t : rel) CQAC_RETURN_IF_ERROR(base_.Insert(pred, t));
     for (size_t i = 0; i < view_queries_.size(); ++i)
       CQAC_RETURN_IF_ERROR(FoldCounts(i, merged[i], &summary));
   }
@@ -598,51 +547,6 @@ Status MaterializedViewSet::FoldCounts(size_t i, const CountMap& delta,
     }
   }
   return Status::OK();
-}
-
-void MaterializedViewSet::EnsureBaseIndexes() {
-  for (const Query& q : view_queries_) {
-    for (const Atom& a : q.body()) {
-      PredicateIndex& pi = base_index_[a.predicate];
-      for (size_t col = 0; col < a.args.size(); ++col) {
-        if (pi.count(col)) continue;
-        ColumnIndex index;
-        for (const Tuple& t : base_.Get(a.predicate))
-          if (col < t.size()) index[t[col]].push_back(&t);
-        pi.emplace(col, std::move(index));
-      }
-    }
-  }
-}
-
-void MaterializedViewSet::IndexInsertedTuple(const std::string& pred,
-                                             const Tuple& t) {
-  auto pit = base_index_.find(pred);
-  if (pit == base_index_.end()) return;
-  const Relation& rel = base_.Get(pred);
-  auto it = rel.find(t);
-  if (it == rel.end()) return;
-  const Tuple* stored = &*it;
-  for (auto& [col, index] : pit->second)
-    if (col < t.size()) index[t[col]].push_back(stored);
-}
-
-void MaterializedViewSet::IndexRemovedTuple(const std::string& pred,
-                                            const Tuple& t) {
-  auto pit = base_index_.find(pred);
-  if (pit == base_index_.end()) return;
-  const Relation& rel = base_.Get(pred);
-  auto it = rel.find(t);
-  if (it == rel.end()) return;
-  const Tuple* stored = &*it;
-  for (auto& [col, index] : pit->second) {
-    if (col >= t.size()) continue;
-    auto hit = index.find(t[col]);
-    if (hit == index.end()) continue;
-    std::vector<const Tuple*>& vec = hit->second;
-    vec.erase(std::remove(vec.begin(), vec.end(), stored), vec.end());
-    if (vec.empty()) index.erase(hit);
-  }
 }
 
 Result<ApplySummary> MaterializedViewSet::ApplyInsert(

@@ -14,9 +14,9 @@
 //     S-positions read D+ and the rest read B. Retractions mirror this
 //     against the post-delete base with sign -1. Because the non-delta
 //     positions always read the plain owned base (never a base-union-delta
-//     overlay), they are served by persistent per-column hash indexes that
-//     are built once and patched in O(delta) as batches commit — a
-//     single-fact apply does O(delta) work, not O(base).
+//     overlay), they probe the base Database's own column indexes, which
+//     every commit patches in O(delta) — a single-fact apply does O(delta)
+//     work, not O(base).
 //
 //   * MaintainedProgram — recursive Datalog programs (the Section 5 MCRs),
 //     DRed-style: inserts seed a semi-naive resume of the existing engine;
@@ -38,7 +38,6 @@
 #include <map>
 #include <set>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/base/status.h"
@@ -51,15 +50,6 @@
 
 namespace cqac {
 namespace ivm {
-
-/// value -> the base tuples whose indexed column holds it. The pointers
-/// reference tuples inside the owning Database's relation sets; std::set
-/// nodes are address-stable, so unrelated inserts/erases never invalidate
-/// them.
-using ColumnIndex = std::unordered_map<Value, std::vector<const Tuple*>>;
-
-/// column -> ColumnIndex, covering every column a view body can probe.
-using PredicateIndex = std::map<size_t, ColumnIndex>;
 
 /// Per-batch policy knobs. The incremental-vs-rebuild choice itself is made
 /// by the planner (plan::ChooseIvmPath), which combines these pins with the
@@ -175,9 +165,8 @@ class MaterializedViewSet {
   /// Adopts externally recovered state wholesale — the durability snapshot
   /// loader's O(state-size) path that does NO rematerialization (no joins):
   /// `view_db` must already equal the materialization implied by `counts`,
-  /// which must be parallel to `views`. The base indexes are left empty and
-  /// rebuilt lazily by the next incremental Apply, exactly as after a
-  /// rebuild fallback.
+  /// which must be parallel to `views`. `base` brings its own indexes, if
+  /// any; the rest are built on first probe.
   Status RestoreSnapshot(Database base, std::vector<Query> views,
                          std::vector<CountMap> counts, Database view_db,
                          bool maintained);
@@ -197,27 +186,10 @@ class MaterializedViewSet {
   /// Folds one view's count delta into counts_/views_.
   Status FoldCounts(size_t i, const CountMap& delta, ApplySummary* summary);
 
-  /// Builds any missing persistent column index over base_ for the
-  /// (predicate, column) pairs the registered view bodies can probe.
-  /// O(base) per missing column, a no-op once built.
-  void EnsureBaseIndexes();
-
-  /// Patches base_index_ for one committed tuple. IndexRemovedTuple must
-  /// run while the tuple is still in base_ (it resolves the stored
-  /// address); IndexInsertedTuple after the insert landed.
-  void IndexInsertedTuple(const std::string& pred, const Tuple& t);
-  void IndexRemovedTuple(const std::string& pred, const Tuple& t);
-
   Database base_;
   Database views_;
   std::vector<Query> view_queries_;
   std::vector<CountMap> counts_;
-
-  /// Persistent single-column hash indexes over base_ for every column some
-  /// view body reads. Built lazily (first incremental Apply), patched in
-  /// O(delta) as batches commit, and dropped whenever base_ changes without
-  /// going through the patching commits (rebuild fallback, Reset).
-  std::map<std::string, PredicateIndex> base_index_;
   bool maintained_ = false;
 };
 

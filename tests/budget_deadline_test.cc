@@ -86,6 +86,24 @@ TEST(BudgetDeadlineTest, JoinLoopAbortsMidEvaluation) {
   EXPECT_GT(uint64_t{ctx.stats().budget_exhaustions}, 0u);
 }
 
+TEST(BudgetDeadlineTest, FilteredScanStillPollsTheCheckpoint) {
+  // The leading atom's constant comparison rejects every stored tuple
+  // before it joins a batch. Rejected tuples must still count toward the
+  // 4096-tuple checkpoint, so a cancelled context ends the scan with
+  // kResourceExhausted rather than an empty success.
+  Database db;
+  for (int i = 0; i < 10000; ++i)
+    ASSERT_TRUE(db.Insert("r", {Value(i), Value(i % 7)}).ok());
+  Query q = MustParseQuery("q(X, Y) :- r(X, Y), X < 0");
+
+  EngineContext ctx;
+  ctx.RequestCancel();
+  Result<Relation> r = EvaluateQuery(ctx, q, db);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted)
+      << r.status();
+}
+
 TEST(BudgetDeadlineTest, GenerousDeadlineStillSucceeds) {
   // Sanity: the finer checkpoints must not reject work that fits the
   // budget.

@@ -279,6 +279,35 @@ TEST_F(ServiceTest, SessionStatsAttributeEngineWork) {
   EXPECT_NE(stats.find("\"requests\":2"), std::string::npos) << stats;
 }
 
+TEST_F(ServiceTest, EvalOverAnUnchangedSessionBuildsNoIndexes) {
+  // The session's base database keeps the join indexes its first eval
+  // built; later evals probe them, and a fact patches them in place.
+  std::string facts;
+  for (int i = 0; i < 200; ++i)
+    facts += StrCat("r(", i, ", ", i % 13, "). s(", i % 13, ", ", i, "). ");
+  Ok(StrCat("{\"op\":\"fact\",\"facts\":", JsonQuote(facts), "}"));
+  auto index_builds = [&] {
+    const std::string stats = Ok("{\"op\":\"stats\"}");
+    const std::string key = "\"eval_index_builds\":";
+    const size_t pos = stats.find(key);
+    EXPECT_NE(pos, std::string::npos) << stats;
+    return std::strtoull(stats.c_str() + pos + key.size(), nullptr, 10);
+  };
+  auto eval = [&](int x) {
+    return Ok(StrCat("{\"op\":\"eval\",\"query\":\"q(X, Z) :- r(X, Y), ",
+                     "s(Y, Z), X < ", x, ".\"}"));
+  };
+  const std::string first = eval(20);
+  const uint64_t built = index_builds();
+  EXPECT_GT(built, 0u);
+  EXPECT_EQ(eval(20), first);
+  eval(50);
+  EXPECT_EQ(index_builds(), built);
+  Ok("{\"op\":\"fact\",\"facts\":\"r(1000, 3). s(3, 1000).\"}");
+  EXPECT_NE(eval(20), first);  // the new s tuple joins r(X, 3), X < 20
+  EXPECT_EQ(index_builds(), built);
+}
+
 TEST_F(ServiceTest, ExpiredDeadlineSurfacesAsResourceExhausted) {
   // The budget_deadline_test workload: mapping a 14-atom chain into a dense
   // 4-node digraph enumerates millions of walks, none satisfying the
