@@ -35,9 +35,11 @@ const char* kTriangle = "q(A, C) :- e(A, B), e(B, C), e(C, A)";
 void BM_JoinIndexed(benchmark::State& state) {
   Database db = ChainDb(static_cast<size_t>(state.range(0)));
   Query q = MustParseQuery(kTriangle);
+  EngineContext ctx;  // no pool: the serial join in written order
+  const EvalOptions written{EvalOptions::JoinOrder::kSyntactic};
   size_t answers = 0;
   for (auto _ : state) {
-    auto r = EvaluateQuery(q, db);
+    auto r = EvaluateQuery(ctx, q, db, written);
     if (!r.ok()) state.SkipWithError(r.status().ToString().c_str());
     answers = r.ValueOr(Relation{}).size();
   }
@@ -102,13 +104,15 @@ void BM_DatalogNaiveReference(benchmark::State& state) {
   }
   Query base = MustParseQuery("t(X, Y) :- e(X, Y)");
   Query step = MustParseQuery("t(X, Z) :- e(X, Y), t(Y, Z)");
+  EngineContext ctx;  // no pool: the serial join in written order
+  const EvalOptions written{EvalOptions::JoinOrder::kSyntactic};
   size_t facts = 0;
   for (auto _ : state) {
     Database work = db;
     size_t before = 0;
     while (true) {
       for (const Query& rule : {base, step}) {
-        auto r = EvaluateQuery(rule, work);
+        auto r = EvaluateQuery(ctx, rule, work, written);
         if (!r.ok()) {
           state.SkipWithError(r.status().ToString().c_str());
           return;
@@ -136,7 +140,8 @@ void RunRewrite(benchmark::State& state, bool verify) {
   opts.verify_rewritings = verify;
   size_t rewritings = 0;
   for (auto _ : state) {
-    auto mcr = RewriteLsiQuery(q, views, opts);
+    EngineContext ctx;
+    auto mcr = RewriteLsiQuery(ctx, q, views, opts);
     if (!mcr.ok()) state.SkipWithError(mcr.status().ToString().c_str());
     rewritings = mcr.ValueOr(UnionQuery{}).disjuncts.size();
   }

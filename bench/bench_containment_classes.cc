@@ -44,7 +44,8 @@ void BM_ContainmentByClass(benchmark::State& state,
   Query big = Chain(n, cls);
   size_t contained = 0;
   for (auto _ : state) {
-    auto r = IsContained(big, small);
+    EngineContext ctx;
+    auto r = IsContained(ctx, big, small);
     if (!r.ok()) state.SkipWithError(r.status().ToString().c_str());
     contained += r.ValueOr(false) ? 1 : 0;
     benchmark::DoNotOptimize(contained);

@@ -52,7 +52,8 @@ Database WorldOfSize(size_t tuples, uint64_t seed) {
 void BM_EndToEndCertainAnswers(benchmark::State& state) {
   Query q = MustParseQuery(kQuery);
   ViewSet views(MustParseRules(kViews));
-  auto mcr = RewriteLsiQuery(q, views);
+  EngineContext rewrite_ctx;
+  auto mcr = RewriteLsiQuery(rewrite_ctx, q, views);
   if (!mcr.ok() || mcr.value().empty()) {
     state.SkipWithError("rewriting failed");
     return;
@@ -71,10 +72,11 @@ void BM_EndToEndCertainAnswers(benchmark::State& state) {
     answers = ans.ValueOr(Relation{}).size();
     benchmark::DoNotOptimize(answers);
   }
-  // Soundness check outside the timed region.
-  Relation truth = EvaluateQuery(q, world).value();
-  Database vdb = MaterializeViews(views, world).value();
-  Relation certain = EvaluateUnion(mcr.value(), vdb).value();
+  // Soundness check outside the timed region, serially.
+  EngineContext check;
+  Relation truth = EvaluateQuery(check, q, world).value();
+  Database vdb = MaterializeViews(check, views, world).value();
+  Relation certain = EvaluateUnion(check, mcr.value(), vdb).value();
   for (const Tuple& t : certain)
     if (!truth.count(t)) state.SkipWithError("unsound certain answer");
 
@@ -98,7 +100,8 @@ void BM_RewriteOnly(benchmark::State& state) {
   Query q = MustParseQuery(kQuery);
   ViewSet views(MustParseRules(kViews));
   for (auto _ : state) {
-    auto mcr = RewriteLsiQuery(q, views);
+    EngineContext ctx;  // cold: a fresh memo per rewrite
+    auto mcr = RewriteLsiQuery(ctx, q, views);
     if (!mcr.ok()) state.SkipWithError(mcr.status().ToString().c_str());
     benchmark::DoNotOptimize(mcr);
   }

@@ -34,7 +34,8 @@ void BM_EquivalenceWithCollapse(benchmark::State& state) {
   Pair(static_cast<int>(state.range(0)), &a, &b);
   bool equivalent = false;
   for (auto _ : state) {
-    auto r = IsEquivalent(a, b);
+    EngineContext ctx;
+    auto r = IsEquivalent(ctx, a, b);
     if (!r.ok()) state.SkipWithError(r.status().ToString().c_str());
     equivalent = r.ValueOr(false);
     benchmark::DoNotOptimize(equivalent);
@@ -49,7 +50,8 @@ void BM_EquivalenceNegative(benchmark::State& state) {
       "q(X0) :- r(X0, X1), X0 <= X1, X1 < X0, X0 < 5");  // inconsistent
   Query b = MustParseQuery("q(X) :- r(X, X), X < 5");
   for (auto _ : state) {
-    auto r = IsEquivalent(a, b);
+    EngineContext ctx;
+    auto r = IsEquivalent(ctx, a, b);
     if (!r.ok()) state.SkipWithError(r.status().ToString().c_str());
     benchmark::DoNotOptimize(r);
   }

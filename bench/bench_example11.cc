@@ -46,7 +46,8 @@ void BM_Example11Scaled(benchmark::State& state) {
   RewriteStats stats;
   size_t rewritings = 0;
   for (auto _ : state) {
-    auto mcr = RewriteLsiQuery(q, views, RewriteOptions{}, &stats);
+    EngineContext ctx;
+    auto mcr = RewriteLsiQuery(ctx, q, views, RewriteOptions{}, &stats);
     if (!mcr.ok()) state.SkipWithError(mcr.status().ToString().c_str());
     rewritings = mcr.ValueOr(UnionQuery{}).disjuncts.size();
     benchmark::DoNotOptimize(rewritings);
@@ -60,7 +61,8 @@ void BM_Example11Exact(benchmark::State& state) {
   Query q = workloads::Example11Query();
   ViewSet views = workloads::Example11Views();
   for (auto _ : state) {
-    auto mcr = RewriteLsiQuery(q, views);
+    EngineContext ctx;
+    auto mcr = RewriteLsiQuery(ctx, q, views);
     if (!mcr.ok() || mcr.value().disjuncts.size() != 1)
       state.SkipWithError("expected exactly the paper's rewriting");
     benchmark::DoNotOptimize(mcr);

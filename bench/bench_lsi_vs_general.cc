@@ -43,8 +43,9 @@ void Run(benchmark::State& state, bool fast_path) {
 
   // Agreement check before the timed loop.
   for (const auto& [a, b] : pairs) {
-    auto x = IsContained(a, b, opts);
-    auto y = IsContained(a, b, other);
+    EngineContext x_ctx, y_ctx;
+    auto x = IsContained(x_ctx, a, b, opts);
+    auto y = IsContained(y_ctx, a, b, other);
     if (x.ok() && y.ok() && x.value() != y.value()) {
       state.SkipWithError("fast path disagrees with the general procedure");
       return;
@@ -53,7 +54,8 @@ void Run(benchmark::State& state, bool fast_path) {
   size_t contained = 0;
   for (auto _ : state) {
     for (const auto& [a, b] : pairs) {
-      auto r = IsContained(a, b, opts);
+      EngineContext ctx;
+      auto r = IsContained(ctx, a, b, opts);
       if (!r.ok()) state.SkipWithError(r.status().ToString().c_str());
       contained += r.ValueOr(false) ? 1 : 0;
     }

@@ -42,7 +42,8 @@ void BM_McdEngineOnCq(benchmark::State& state) {
   ScaledCarDealer(static_cast<int>(state.range(0)), &q, &views);
   size_t n = 0;
   for (auto _ : state) {
-    auto mcr = RewriteLsiQuery(q, views);
+    EngineContext ctx;
+    auto mcr = RewriteLsiQuery(ctx, q, views);
     if (!mcr.ok()) state.SkipWithError(mcr.status().ToString().c_str());
     n = mcr.ValueOr(UnionQuery{}).disjuncts.size();
   }
@@ -56,7 +57,8 @@ void BM_BucketOnCq(benchmark::State& state) {
   ScaledCarDealer(static_cast<int>(state.range(0)), &q, &views);
   size_t n = 0;
   for (auto _ : state) {
-    auto u = BucketRewrite(q, views);
+    EngineContext ctx;
+    auto u = BucketRewrite(ctx, q, views);
     if (!u.ok()) state.SkipWithError(u.status().ToString().c_str());
     n = u.ValueOr(UnionQuery{}).disjuncts.size();
   }
@@ -69,12 +71,14 @@ void BM_CarDealerAgreement(benchmark::State& state) {
   ViewSet views = workloads::CarDealerViews();
   int agree = 0;
   for (auto _ : state) {
-    auto a = RewriteLsiQuery(q, views);
-    auto b = BucketRewrite(q, views);
+    EngineContext a_ctx, b_ctx, eq_ctx;  // each call starts cold
+    auto a = RewriteLsiQuery(a_ctx, q, views);
+    auto b = BucketRewrite(b_ctx, q, views);
     agree = 0;
     if (a.ok() && b.ok() && a.value().disjuncts.size() == 1 &&
         b.value().disjuncts.size() == 1) {
-      auto eq = IsEquivalent(a.value().disjuncts[0], b.value().disjuncts[0]);
+      auto eq = IsEquivalent(eq_ctx, a.value().disjuncts[0],
+                             b.value().disjuncts[0]);
       agree = (eq.ok() && eq.value()) ? 1 : 0;
     }
   }

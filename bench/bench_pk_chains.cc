@@ -35,11 +35,12 @@ Database ChainDatabase(int k) {
 void BM_PkEvaluation(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));
   ViewSet views = workloads::Example12Views();
-  Database vdb = MaterializeViews(views, ChainDatabase(k)).value();
+  EngineContext ctx;
+  Database vdb = MaterializeViews(ctx, views, ChainDatabase(k)).value();
   Query pk = workloads::Example12Pk(k);
   bool fired = false;
   for (auto _ : state) {
-    auto r = EvaluateQuery(pk, vdb);
+    auto r = EvaluateQuery(ctx, pk, vdb);
     if (!r.ok()) state.SkipWithError(r.status().ToString().c_str());
     fired = !r.ValueOr(Relation{}).empty();
     benchmark::DoNotOptimize(fired);
@@ -52,8 +53,9 @@ BENCHMARK(BM_PkEvaluation)->Arg(0)->Arg(2)->Arg(4)->Arg(8)->Arg(16)->Arg(32);
 void BM_DatalogMcrEvaluation(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));
   ViewSet views = workloads::Example12Views();
-  Database vdb = MaterializeViews(views, ChainDatabase(k)).value();
-  auto mcr = RewriteSiQueryDatalog(workloads::Example12Query(), views);
+  EngineContext ctx;
+  Database vdb = MaterializeViews(ctx, views, ChainDatabase(k)).value();
+  auto mcr = RewriteSiQueryDatalog(ctx, workloads::Example12Query(), views);
   if (!mcr.ok()) {
     state.SkipWithError(mcr.status().ToString().c_str());
     return;
@@ -80,7 +82,8 @@ void BM_McrConstruction(benchmark::State& state) {
   ViewSet views = workloads::Example12Views();
   Query q = workloads::Example12Query();
   for (auto _ : state) {
-    auto mcr = RewriteSiQueryDatalog(q, views);
+    EngineContext ctx;
+    auto mcr = RewriteSiQueryDatalog(ctx, q, views);
     if (!mcr.ok()) state.SkipWithError(mcr.status().ToString().c_str());
     benchmark::DoNotOptimize(mcr);
   }

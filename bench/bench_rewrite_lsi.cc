@@ -97,7 +97,8 @@ void BM_AcBlindBaselineCoverage(benchmark::State& state) {
     BucketOptions blind;
     blind.ac_aware = false;
     BucketStats bstats;
-    auto baseline = BucketRewrite(w.q, w.views, blind, &bstats);
+    EngineContext blind_ctx;  // default budget, its own cold memo
+    auto baseline = BucketRewrite(blind_ctx, w.q, w.views, blind, &bstats);
     if (!mcr.ok() || !baseline.ok()) {
       state.SkipWithError("rewriting failed");
       break;
@@ -106,7 +107,8 @@ void BM_AcBlindBaselineCoverage(benchmark::State& state) {
     total = mcr.value().disjuncts.size();
     blind_rejects = bstats.verified_rejects;
     for (const Query& d : mcr.value().disjuncts) {
-      auto covered = IsContainedInUnion(d, baseline.value());
+      EngineContext cover_ctx;
+      auto covered = IsContainedInUnion(cover_ctx, d, baseline.value());
       if (covered.ok() && !covered.value()) ++missed;
     }
   }

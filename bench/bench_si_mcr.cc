@@ -69,7 +69,8 @@ BENCHMARK(BM_McrConstructionViewsSweep)->Arg(2)->Arg(4)->Arg(8)->Arg(16)->Arg(32
 void BM_McrEvaluationDbSweep(benchmark::State& state) {
   Query q = workloads::Example12Query();
   ViewSet views = workloads::Example12Views();
-  auto mcr = RewriteSiQueryDatalog(q, views);
+  EngineContext ctx;
+  auto mcr = RewriteSiQueryDatalog(ctx, q, views);
   if (!mcr.ok()) {
     state.SkipWithError(mcr.status().ToString().c_str());
     return;
@@ -82,7 +83,7 @@ void BM_McrEvaluationDbSweep(benchmark::State& state) {
   spec.value_min = 0;
   spec.value_max = 12;
   Database db = gen::RandomDatabase(rng, {{"e", 2}}, spec);
-  Database vdb = MaterializeViews(views, db).value();
+  Database vdb = MaterializeViews(ctx, views, db).value();
 
   for (auto _ : state) {
     auto r = engine.Query(vdb);

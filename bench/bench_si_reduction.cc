@@ -22,7 +22,8 @@ void BM_SiReduction(benchmark::State& state) {
   Query chain = workloads::Example51Chain(n, Rational(6), Rational(7));
   bool contained = false;
   for (auto _ : state) {
-    auto r = IsContainedSiReduction(chain, q1);
+    EngineContext ctx;
+    auto r = IsContainedSiReduction(ctx, chain, q1);
     if (!r.ok()) state.SkipWithError(r.status().ToString().c_str());
     contained = r.ValueOr(false);
   }
@@ -38,7 +39,8 @@ void BM_GeneralContainmentSameInstances(benchmark::State& state) {
   Query chain = workloads::Example51Chain(n, Rational(6), Rational(7));
   bool contained = false;
   for (auto _ : state) {
-    auto r = IsContained(chain, q1);
+    EngineContext ctx;
+    auto r = IsContained(ctx, chain, q1);
     if (!r.ok()) state.SkipWithError(r.status().ToString().c_str());
     contained = r.ValueOr(false);
   }
@@ -67,7 +69,8 @@ void BM_PcqConstruction(benchmark::State& state) {
   Query q1 = workloads::Example51Q1();
   Query chain = workloads::Example51Chain(n, Rational(6), Rational(7));
   for (auto _ : state) {
-    auto p = BuildPcq(chain, q1);
+    EngineContext ctx;
+    auto p = BuildPcq(ctx, chain, q1);
     if (!p.ok()) state.SkipWithError(p.status().ToString().c_str());
     benchmark::DoNotOptimize(p);
   }

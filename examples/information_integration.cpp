@@ -18,6 +18,8 @@
 using namespace cqac;  // NOLINT — example brevity
 
 int main() {
+  EngineContext ctx;  // budget, decision memo and counters for every call
+
   // Global-schema query: cars located in 'irvine' cheaper than 30 (x1000$).
   Query q = MustParseQuery(
       "q(C) :- car(C, D), loc(D, irvine), price(C, P), P < 30");
@@ -37,8 +39,8 @@ int main() {
               sources.ToString().c_str());
 
   RewriteStats stats;
-  Result<UnionQuery> mcr = RewriteLsiQuery(q, sources, RewriteOptions{},
-                                           &stats);
+  Result<UnionQuery> mcr =
+      RewriteLsiQuery(ctx, q, sources, RewriteOptions{}, &stats);
   if (!mcr.ok()) {
     std::fprintf(stderr, "rewriting failed: %s\n",
                  mcr.status().ToString().c_str());
@@ -58,10 +60,10 @@ int main() {
           "price(camry, 28). price(accord, 24). price(model3, 45). "
           "price(phantom, 400).")
           .value();
-  Database view_instance = MaterializeViews(sources, world).value();
+  Database view_instance = MaterializeViews(ctx, sources, world).value();
 
-  Relation certain = EvaluateUnion(mcr.value(), view_instance).value();
-  Relation truth = EvaluateQuery(q, world).value();
+  Relation certain = EvaluateUnion(ctx, mcr.value(), view_instance).value();
+  Relation truth = EvaluateQuery(ctx, q, world).value();
 
   std::printf("Answers via sources:");
   for (const Tuple& t : certain) std::printf(" %s", TupleToString(t).c_str());

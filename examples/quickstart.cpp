@@ -17,6 +17,10 @@
 using namespace cqac;  // NOLINT — example brevity
 
 int main() {
+  // One engine context carries the budget, decision memo and counters of
+  // every call below.
+  EngineContext ctx;
+
   // ---- 1. Declare the query and the views (Example 1.1). ------------------
   Query q = MustParseQuery("q1(A) :- r(A), A < 4");
   ViewSet views(MustParseRules(
@@ -27,7 +31,7 @@ int main() {
               views.ToString().c_str());
 
   // ---- 2. Compute the maximally-contained rewriting (Section 4). ----------
-  Result<UnionQuery> mcr = RewriteLsiQuery(q, views);
+  Result<UnionQuery> mcr = RewriteLsiQuery(ctx, q, views);
   if (!mcr.ok()) {
     std::fprintf(stderr, "rewriting failed: %s\n",
                  mcr.status().ToString().c_str());
@@ -39,7 +43,7 @@ int main() {
   // ---- 3. Verify one rewriting symbolically. -------------------------------
   for (const Query& p : mcr.value().disjuncts) {
     Query expansion = ExpandRewriting(p, views).value();
-    bool contained = IsContained(expansion, q).value();
+    bool contained = IsContained(ctx, expansion, q).value();
     std::printf("  %-40s expansion contained in q1: %s\n",
                 p.ToString().c_str(), contained ? "yes" : "NO (bug!)");
   }
@@ -49,9 +53,9 @@ int main() {
   Database db = Database::FromFacts(
                     "r(2). r(9). s(2, 2). s(9, 9). s(1, 5).")
                     .value();
-  Database view_instance = MaterializeViews(views, db).value();
-  Relation direct = EvaluateQuery(q, db).value();
-  Relation via_views = EvaluateUnion(mcr.value(), view_instance).value();
+  Database view_instance = MaterializeViews(ctx, views, db).value();
+  Relation direct = EvaluateQuery(ctx, q, db).value();
+  Relation via_views = EvaluateUnion(ctx, mcr.value(), view_instance).value();
 
   std::printf("\nq1 over the base database:");
   for (const Tuple& t : direct) std::printf(" %s", TupleToString(t).c_str());

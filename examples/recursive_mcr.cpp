@@ -38,13 +38,14 @@ Database ChainDatabase(int k) {
 }  // namespace
 
 int main() {
+  EngineContext ctx;  // budget, decision memo and counters for every call
   Query q = workloads::Example12Query();
   ViewSet views = workloads::Example12Views();
   std::printf("Query: %s\nViews:\n%s\n\n", q.ToString().c_str(),
               views.ToString().c_str());
 
   // ---- The recursive Datalog MCR (Figure 4). ------------------------------
-  Result<SiMcr> mcr = RewriteSiQueryDatalog(q, views);
+  Result<SiMcr> mcr = RewriteSiQueryDatalog(ctx, q, views);
   if (!mcr.ok()) {
     std::fprintf(stderr, "MCR construction failed: %s\n",
                  mcr.status().ToString().c_str());
@@ -60,12 +61,13 @@ int main() {
               "best shorter P_j?", "Datalog MCR?");
   for (int k = 0; k <= 5; ++k) {
     Database db = ChainDatabase(k);
-    Database vdb = MaterializeViews(views, db).value();
+    Database vdb = MaterializeViews(ctx, views, db).value();
 
-    bool pk = !EvaluateQuery(workloads::Example12Pk(k), vdb).value().empty();
+    bool pk =
+        !EvaluateQuery(ctx, workloads::Example12Pk(k), vdb).value().empty();
     bool shorter = false;
     for (int j = 0; j < k; ++j)
-      if (!EvaluateQuery(workloads::Example12Pk(j), vdb).value().empty())
+      if (!EvaluateQuery(ctx, workloads::Example12Pk(j), vdb).value().empty())
         shorter = true;
     Result<Relation> rec = engine.Query(vdb);
     if (!rec.ok()) {

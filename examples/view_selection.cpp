@@ -20,7 +20,8 @@ namespace {
 
 void Analyze(const std::string& label, const Query& q, const ViewSet& views) {
   std::printf("---- %s\n  query: %s\n", label.c_str(), q.ToString().c_str());
-  Result<ErResult> er = FindEquivalentRewriting(q, views);
+  EngineContext ctx;  // one context per analyzed query
+  Result<ErResult> er = FindEquivalentRewriting(ctx, q, views);
   if (!er.ok()) {
     std::printf("  error: %s\n", er.status().ToString().c_str());
     return;
@@ -37,7 +38,7 @@ void Analyze(const std::string& label, const Query& q, const ViewSet& views) {
       std::printf("    %s\n", d.ToString().c_str());
     return;
   }
-  Result<UnionQuery> mcr = RewriteLsiQuery(q, views);
+  Result<UnionQuery> mcr = RewriteLsiQuery(ctx, q, views);
   if (mcr.ok() && !mcr.value().empty()) {
     std::printf("  no equivalent plan; maximally-contained plan (%zu CRs):\n",
                 mcr.value().disjuncts.size());

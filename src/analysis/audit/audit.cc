@@ -14,6 +14,7 @@
 #include "src/eval/evaluate.h"
 #include "src/ir/canonical.h"
 #include "src/ir/expansion.h"
+#include "src/ir/json.h"
 #include "src/ivm/delta.h"
 #include "src/rewriting/answer.h"
 #include "src/rewriting/bucket.h"
@@ -272,50 +273,19 @@ std::string AuditReport::ToString() const {
   return out;
 }
 
-namespace {
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20)
-          out += StrCat("\\u00", c < 0x10 ? "0" : "1",
-                        "0123456789abcdef"[c & 0xf]);
-        else
-          out += c;
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 std::string AuditReport::ToJson() const {
   std::string out = "{\"obligations\":[";
   for (size_t i = 0; i < obligations.size(); ++i) {
     const Obligation& o = obligations[i];
     if (i > 0) out += ",";
     out += StrCat("{\"kind\":\"", ObligationKindName(o.kind),
-                  "\",\"code\":", static_cast<int>(o.kind), ",\"label\":\"",
-                  JsonEscape(o.label), "\",\"verdict\":\"",
+                  "\",\"code\":", static_cast<int>(o.kind), ",\"label\":",
+                  JsonQuote(o.label), ",\"verdict\":\"",
                   o.status.ok() ? "certified" : o.skipped() ? "skipped"
                                                             : "rejected",
                   "\"");
     if (!o.status.ok())
-      out += StrCat(",\"message\":\"", JsonEscape(o.status.message()), "\"");
+      out += StrCat(",\"message\":", JsonQuote(o.status.message()));
     out += "}";
   }
   out += StrCat("],\"failures\":", failures(), ",\"skipped\":", skipped(),
@@ -758,8 +728,9 @@ Status AuditAll(EngineContext& ctx, const AuditInputs& inputs,
     if (mcr.has_value() && !mcr->rules.empty()) {
       run(ObligationKind::kIvmCommit, StrCat(name, " datalog retract"),
           [&]() -> Status {
-            CQAC_ASSIGN_OR_RETURN(Database vext,
-                                  MaterializeViews(inputs.views, inputs.facts));
+            CQAC_ASSIGN_OR_RETURN(
+                Database vext,
+                MaterializeViews(ctx, inputs.views, inputs.facts));
             ivm::MaintainedProgram prog(mcr->MakeEngine());
             CQAC_RETURN_IF_ERROR(prog.Initialize(ctx, vext));
             ivm::DeltaDatabase delta(&prog.edb());

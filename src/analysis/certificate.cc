@@ -295,13 +295,17 @@ Status CheckErResult(const Query& q, const ViewSet& views, const ErResult& er,
         return Invalid(StrCat("union ER disjunct #", i + 1,
                               " is not the witnessed candidate"));
     // Back direction, re-decided from scratch: the query contained in the
-    // union of the expansions (canonical-database procedure, fresh context).
+    // union of the expansions (canonical-database procedure). The checker is
+    // independent of the engine run it certifies, so this re-check must not
+    // read that run's decision memo: it gets a context of its own.
     UnionQuery expansions;
     for (const Query& cr : er.union_er->disjuncts) {
       CQAC_ASSIGN_OR_RETURN(Query exp, ExpandRewriting(cr, views));
       expansions.disjuncts.push_back(std::move(exp));
     }
-    CQAC_ASSIGN_OR_RETURN(bool covered, IsContainedInUnion(qp, expansions));
+    EngineContext recheck;
+    CQAC_ASSIGN_OR_RETURN(bool covered,
+                          IsContainedInUnion(recheck, qp, expansions));
     if (!covered)
       return Invalid(
           "the query is not contained in the union of the ER's expansions "

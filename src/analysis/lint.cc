@@ -232,6 +232,9 @@ class RuleLinter {
     if (q_.body().size() < 2 ||
         q_.body().size() > options_.subsumption_max_atoms)
       return;
+    // Lint is a static check with no caller context (cqac_lint, `fix`, the
+    // serve `lint` op). One local context bounds these containment checks by
+    // the default budget and shares their memo across the drops.
     EngineContext ctx;
     for (size_t i = 0; i < q_.body().size(); ++i) {
       if (duplicate_.count(i)) continue;  // already reported as L008
@@ -395,16 +398,8 @@ const char kLintParseCode[] = "P001";
 
 namespace {
 
-// Every cqac_shell command word (tools/cqac_shell.cc Dispatch), used for
-// script auto-detection.
-const char* const kShellCommands[] = {
-    "view",  "query",    "fact",      "retract",   "classify", "rewrite",
-    "er",    "minimize", "eval",      "answers",   "contained", "explain",
-    "intervals", "lint", "verify",    "audit",     "plan",      "stats",
-    "save",  "load",     "reset",     "help"};
-
 bool IsShellCommandWord(const std::string& word) {
-  for (const char* cmd : kShellCommands)
+  for (std::string_view cmd : kShellCommands)
     if (word == cmd) return true;
   return false;
 }

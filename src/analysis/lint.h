@@ -25,6 +25,7 @@
 #define CQAC_ANALYSIS_LINT_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/ir/parser.h"
@@ -87,8 +88,17 @@ LintSeverity MaxLintSeverity(const std::vector<LintDiagnostic>& diags);
 /// diagnostic shape so tools render them uniformly.
 extern const char kLintParseCode[];
 
+/// Every cqac_shell command word, in the order the shell's `help` lists
+/// them. tools/cqac_shell.cc dispatches exactly this set (lint_test reads
+/// its Dispatch to check), so script auto-detection knows every command.
+inline constexpr std::string_view kShellCommands[] = {
+    "view",  "query",    "fact",      "retract",   "classify",  "rewrite",
+    "er",    "minimize", "eval",      "answers",   "contained", "explain",
+    "intervals", "lint", "verify",    "audit",     "plan",      "stats",
+    "save",  "load",     "reset",     "help"};
+
 /// True when `text` reads as a cqac_shell script — its first effective
-/// (non-blank, non-comment) line starts with a shell command word — rather
+/// (non-blank, non-comment) line starts with a kShellCommands word — rather
 /// than a plain '.'-terminated rule program.
 bool LooksLikeShellScript(const std::string& text);
 

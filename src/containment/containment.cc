@@ -209,23 +209,11 @@ Result<bool> IsContained(EngineContext& ctx, const Query& q2, const Query& q1,
   return r;
 }
 
-Result<bool> IsContained(const Query& q2, const Query& q1,
-                         const ContainmentOptions& options) {
-  EngineContext ctx;
-  return IsContained(ctx, q2, q1, options);
-}
-
 Result<bool> IsEquivalent(EngineContext& ctx, const Query& q1, const Query& q2,
                           const ContainmentOptions& options) {
   CQAC_ASSIGN_OR_RETURN(bool a, IsContained(ctx, q1, q2, options));
   if (!a) return false;
   return IsContained(ctx, q2, q1, options);
-}
-
-Result<bool> IsEquivalent(const Query& q1, const Query& q2,
-                          const ContainmentOptions& options) {
-  EngineContext ctx;
-  return IsEquivalent(ctx, q1, q2, options);
 }
 
 namespace {
@@ -472,11 +460,6 @@ Result<bool> IsContainedInUnion(EngineContext& ctx, const Query& q,
   return true;
 }
 
-Result<bool> IsContainedInUnion(const Query& q, const UnionQuery& u) {
-  EngineContext ctx;
-  return IsContainedInUnion(ctx, q, u);
-}
-
 Result<bool> UnionIsContained(EngineContext& ctx, const UnionQuery& u,
                               const Query& q1,
                               const ContainmentOptions& options) {
@@ -494,12 +477,6 @@ Result<bool> UnionIsContained(EngineContext& ctx, const UnionQuery& u,
     if (!r.value()) return false;
   }
   return true;
-}
-
-Result<bool> UnionIsContained(const UnionQuery& u, const Query& q1,
-                              const ContainmentOptions& options) {
-  EngineContext ctx;
-  return UnionIsContained(ctx, u, q1, options);
 }
 
 Result<UnionQuery> MinimizeUnion(EngineContext& ctx, const UnionQuery& u,
@@ -541,11 +518,6 @@ Result<UnionQuery> MinimizeUnion(EngineContext& ctx, const UnionQuery& u,
     }
   }
   return out;
-}
-
-Result<UnionQuery> MinimizeUnion(const UnionQuery& u) {
-  EngineContext ctx;
-  return MinimizeUnion(ctx, u);
 }
 
 }  // namespace cqac

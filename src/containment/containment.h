@@ -14,11 +14,12 @@
 // All procedures preprocess their inputs first (Section 2), so callers may
 // pass queries whose comparisons imply equalities.
 //
-// Every procedure has an EngineContext overload: decisions are memoized in
-// the context's cache (keyed on interned canonical forms, so queries equal
-// up to renaming share entries), enumeration is charged to the context's
-// Budget, and counters land in its EngineStats. The context-free overloads
-// run under a fresh default context per call.
+// Every production procedure takes the caller's EngineContext: decisions are
+// memoized in the context's cache (keyed on interned canonical forms, so
+// queries equal up to renaming share entries), enumeration is charged to the
+// context's Budget, and counters land in its EngineStats. Only the reference
+// procedure IsContainedByCanonicalDatabases runs without one, so that tests
+// can check the engine against it.
 #ifndef CQAC_CONTAINMENT_CONTAINMENT_H_
 #define CQAC_CONTAINMENT_CONTAINMENT_H_
 
@@ -65,13 +66,9 @@ struct ContainmentWitness {
 Result<bool> IsContained(EngineContext& ctx, const Query& q2, const Query& q1,
                          const ContainmentOptions& options = {},
                          ContainmentWitness* witness = nullptr);
-Result<bool> IsContained(const Query& q2, const Query& q1,
-                         const ContainmentOptions& options = {});
 
 /// True iff `q1` and `q2` are equivalent.
 Result<bool> IsEquivalent(EngineContext& ctx, const Query& q1, const Query& q2,
-                          const ContainmentOptions& options = {});
-Result<bool> IsEquivalent(const Query& q1, const Query& q2,
                           const ContainmentOptions& options = {});
 
 /// Independent decision procedure: enumerates every total preorder of q2's
@@ -84,13 +81,10 @@ Result<bool> IsContainedByCanonicalDatabases(const Query& q2, const Query& q1);
 /// disjunct).
 Result<bool> IsContainedInUnion(EngineContext& ctx, const Query& q,
                                 const UnionQuery& u);
-Result<bool> IsContainedInUnion(const Query& q, const UnionQuery& u);
 
 /// True iff every disjunct of `u` is contained in `q1`.
 Result<bool> UnionIsContained(EngineContext& ctx, const UnionQuery& u,
                               const Query& q1,
-                              const ContainmentOptions& options = {});
-Result<bool> UnionIsContained(const UnionQuery& u, const Query& q1,
                               const ContainmentOptions& options = {});
 
 /// A machine-checkable record of one MinimizeUnion run. Although the greedy
@@ -112,7 +106,6 @@ struct UnionMinimizationWitness {
 /// When `witness` is non-null it is filled with the kept/dropped partition.
 Result<UnionQuery> MinimizeUnion(EngineContext& ctx, const UnionQuery& u,
                                  UnionMinimizationWitness* witness = nullptr);
-Result<UnionQuery> MinimizeUnion(const UnionQuery& u);
 
 }  // namespace cqac
 

@@ -23,7 +23,8 @@ std::string ContainmentExplanation::ToString() const {
   return Join(lines, "\n");
 }
 
-Result<ContainmentExplanation> ExplainContainment(const Query& q2,
+Result<ContainmentExplanation> ExplainContainment(EngineContext& ctx,
+                                                  const Query& q2,
                                                   const Query& q1) {
   ContainmentExplanation out;
   if (q2.head().args.size() != q1.head().args.size())
@@ -31,7 +32,7 @@ Result<ContainmentExplanation> ExplainContainment(const Query& q2,
         "containment between queries of different head arity");
 
   // The verdict always comes from the production procedure.
-  CQAC_ASSIGN_OR_RETURN(bool verdict, IsContained(q2, q1));
+  CQAC_ASSIGN_OR_RETURN(bool verdict, IsContained(ctx, q2, q1));
   out.contained = verdict;
 
   Result<Query> q2p = Preprocess(q2);
@@ -55,7 +56,8 @@ Result<ContainmentExplanation> ExplainContainment(const Query& q2,
     return q1p.status();
   }
 
-  std::vector<VarMap> maps = FindHomomorphisms(q1p.value(), q2p.value());
+  CQAC_ASSIGN_OR_RETURN(std::vector<VarMap> maps,
+                        FindHomomorphisms(ctx, q1p.value(), q2p.value()));
   if (maps.empty()) {
     out.narrative =
         "no containment mapping exists between the ordinary subgoals "

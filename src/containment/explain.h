@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "src/base/status.h"
+#include "src/engine/context.h"
 #include "src/ir/query.h"
 #include "src/ir/substitution.h"
 
@@ -37,8 +38,11 @@ struct ContainmentExplanation {
 };
 
 /// Explains whether (and why) q2 is contained in q1. Uses the same decision
-/// procedures as IsContained; the answer always matches it.
-Result<ContainmentExplanation> ExplainContainment(const Query& q2,
+/// procedures as IsContained, under the caller's context (its budget bounds
+/// the mapping enumeration; its stats count the work); the answer always
+/// matches IsContained.
+Result<ContainmentExplanation> ExplainContainment(EngineContext& ctx,
+                                                  const Query& q2,
                                                   const Query& q1);
 
 }  // namespace cqac

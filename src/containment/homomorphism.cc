@@ -97,14 +97,6 @@ EnumerationOutcome ForEachHomomorphism(EngineContext& ctx, const Query& from,
   return search.Run();
 }
 
-bool ForEachHomomorphism(const Query& from, const Query& to,
-                         const HomomorphismOptions& options,
-                         FunctionRef<bool(const VarMap&)> cb) {
-  EngineContext ctx;
-  return ForEachHomomorphism(ctx, from, to, options, cb) ==
-         EnumerationOutcome::kCompleted;
-}
-
 Result<std::vector<VarMap>> FindHomomorphisms(
     EngineContext& ctx, const Query& from, const Query& to,
     const HomomorphismOptions& options) {
@@ -120,15 +112,6 @@ Result<std::vector<VarMap>> FindHomomorphisms(
   return out;
 }
 
-std::vector<VarMap> FindHomomorphisms(const Query& from, const Query& to,
-                                      const HomomorphismOptions& options) {
-  EngineContext ctx;
-  ctx.budget() = Budget::Unlimited();
-  Result<std::vector<VarMap>> r = FindHomomorphisms(ctx, from, to, options);
-  // Unlimited budget: exhaustion is impossible.
-  return std::move(r.value());
-}
-
 Result<bool> HomomorphismExists(EngineContext& ctx, const Query& from,
                                 const Query& to,
                                 const HomomorphismOptions& options) {
@@ -138,13 +121,6 @@ Result<bool> HomomorphismExists(EngineContext& ctx, const Query& from,
     return Status::ResourceExhausted(
         "homomorphism search exceeded the budget");
   return outcome == EnumerationOutcome::kAborted;  // aborted == found one
-}
-
-bool HomomorphismExists(const Query& from, const Query& to,
-                        const HomomorphismOptions& options) {
-  EngineContext ctx;
-  ctx.budget() = Budget::Unlimited();
-  return HomomorphismExists(ctx, from, to, options).value();
 }
 
 }  // namespace cqac

@@ -44,22 +44,11 @@ EnumerationOutcome ForEachHomomorphism(EngineContext& ctx, const Query& from,
                                        const HomomorphismOptions& options,
                                        FunctionRef<bool(const VarMap&)> cb);
 
-/// Legacy entry point: runs under a fresh default-budget context. Returns
-/// true iff the enumeration completed (no abort, no budget hit).
-bool ForEachHomomorphism(const Query& from, const Query& to,
-                         const HomomorphismOptions& options,
-                         FunctionRef<bool(const VarMap&)> cb);
-
 /// Collects all containment mappings; ResourceExhausted if the context's
 /// budget cut the enumeration short.
 Result<std::vector<VarMap>> FindHomomorphisms(
     EngineContext& ctx, const Query& from, const Query& to,
     const HomomorphismOptions& options = {});
-
-/// Legacy: unbudgeted collection under a fresh default context (the default
-/// cap is large enough that practical inputs always complete).
-std::vector<VarMap> FindHomomorphisms(const Query& from, const Query& to,
-                                      const HomomorphismOptions& options = {});
 
 /// True iff at least one containment mapping exists — the Chandra-Merlin
 /// containment test for pure CQs (`to` contained in `from`).
@@ -67,10 +56,6 @@ std::vector<VarMap> FindHomomorphisms(const Query& from, const Query& to,
 Result<bool> HomomorphismExists(EngineContext& ctx, const Query& from,
                                 const Query& to,
                                 const HomomorphismOptions& options = {});
-
-/// Legacy form under a fresh default context.
-bool HomomorphismExists(const Query& from, const Query& to,
-                        const HomomorphismOptions& options = {});
 
 }  // namespace cqac
 

@@ -147,11 +147,6 @@ Result<Query> BuildPcq(EngineContext& ctx, const Query& p, const Query& q1,
   return out;
 }
 
-Result<Query> BuildPcq(const Query& p, const Query& q1, bool require_si_only) {
-  EngineContext ctx;
-  return BuildPcq(ctx, p, q1, require_si_only);
-}
-
 Result<Program> BuildQdatalog(const Query& q1) {
   CQAC_ASSIGN_OR_RETURN(Query q1p, Preprocess(q1));
   if (!q1p.IsCqacSi())
@@ -332,11 +327,6 @@ Result<bool> IsContainedSiReduction(EngineContext& ctx, const Query& q2,
   CQAC_ASSIGN_OR_RETURN(Query pcq, BuildPcq(ctx, q2p.value(), q1p.value()));
   CQAC_ASSIGN_OR_RETURN(Program qdl, BuildQdatalog(q1p.value()));
   return datalog::IsCqContainedInDatalog(pcq, qdl);
-}
-
-Result<bool> IsContainedSiReduction(const Query& q2, const Query& q1) {
-  EngineContext ctx;
-  return IsContainedSiReduction(ctx, q2, q1);
 }
 
 }  // namespace cqac

@@ -72,19 +72,16 @@ bool FormsCouple(const SiForm& f1, const SiForm& f2);
 /// paper proves completeness only for the SI case.
 Result<Query> BuildPcq(EngineContext& ctx, const Query& p, const Query& q1,
                        bool require_si_only = true);
-Result<Query> BuildPcq(const Query& p, const Query& q1,
-                       bool require_si_only = true);
 
 /// Builds Q1^datalog for the CQAC-SI query `q1`.
 Result<Program> BuildQdatalog(const Query& q1);
 
 /// Theorem 5.1 containment test: is `q2` contained in `q1`, decided through
 /// the reduction? Requires q1 CQAC-SI and q2 SI-only; Unsupported otherwise.
-/// The context overload memoizes the per-variable implication checks of the
+/// The context memoizes the per-variable implication checks of the
 /// P^CQ construction in the shared decision cache.
 Result<bool> IsContainedSiReduction(EngineContext& ctx, const Query& q2,
                                     const Query& q1);
-Result<bool> IsContainedSiReduction(const Query& q2, const Query& q1);
 
 }  // namespace cqac
 

@@ -8,10 +8,13 @@
 //     which together memoize containment and implication results across
 //     calls that are identical up to variable renaming.
 //
-// Every algorithm in src/containment and src/rewriting has an overload
-// taking `EngineContext&` as its first parameter; the legacy overloads
-// construct a fresh context per top-level call (so existing callers keep
-// their exact semantics while still getting intra-call memoization).
+// Every containment, rewriting and evaluation entry point (src/containment,
+// src/rewriting, src/eval) takes the caller's `EngineContext&` as its first
+// parameter, and there is no context-free twin: work is charged to the
+// budget, memo and counters of whoever asked for it. The caller decides the
+// context's lifetime — one per request, per session, or per test. What stays
+// context-free is listed in docs/engine.md (reference oracles, certificate
+// checkers, the src/constraints primitives).
 //
 // Thread-safety model. A context is safely shareable across the workers of
 // an attached TaskPool: Intern, CacheLookup/CacheStore, every stats counter,

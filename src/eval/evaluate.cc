@@ -454,13 +454,6 @@ bool JoinInto(const Query& q, const std::vector<JoinInput>& inputs,
 
 }  // namespace
 
-Result<Relation> EvaluateQuery(const Query& q, const Database& db) {
-  CQAC_RETURN_IF_ERROR(q.Validate());
-  Relation results;
-  JoinInto(q, OwnedInputs(q, db), [] { return true; }, &results);
-  return results;
-}
-
 Result<Relation> EvaluateQuery(EngineContext& ctx, const Query& q,
                                const Database& db) {
   return EvaluateQuery(ctx, q, db, EvalOptions{});
@@ -708,18 +701,6 @@ Result<bool> QueryYieldsTuple(const Query& q, const Database& db,
   return found;
 }
 
-Result<Relation> EvaluateUnion(const UnionQuery& u, const Database& db) {
-  Relation out;
-  for (const Query& q : u.disjuncts) {
-    CQAC_ASSIGN_OR_RETURN(Relation r, EvaluateQuery(q, db));
-    if (out.empty())
-      out = std::move(r);
-    else
-      out.merge(std::move(r));
-  }
-  return out;
-}
-
 Result<Relation> EvaluateUnion(EngineContext& ctx, const UnionQuery& u,
                                const Database& db) {
   // Disjuncts evaluate independently; the union of result sets is
@@ -736,15 +717,6 @@ Result<Relation> EvaluateUnion(EngineContext& ctx, const UnionQuery& u,
       out = std::move(r.value());
     else
       out.merge(std::move(r.value()));
-  }
-  return out;
-}
-
-Result<Database> MaterializeViews(const ViewSet& views, const Database& db) {
-  Database out;
-  for (const Query& v : views.views()) {
-    CQAC_ASSIGN_OR_RETURN(Relation r, EvaluateQuery(v, db));
-    CQAC_RETURN_IF_ERROR(out.InsertRelation(v.head().predicate, std::move(r)));
   }
   return out;
 }

@@ -26,9 +26,6 @@ namespace cqac {
 /// are false.
 bool EvaluateGroundComparison(const Value& lhs, CompOp op, const Value& rhs);
 
-/// Returns the set of head tuples of `q` on `db`.
-Result<Relation> EvaluateQuery(const Query& q, const Database& db);
-
 /// Per-call evaluation knobs — the planner seam.
 struct EvalOptions {
   /// kPlanned (default): the body executes in the atom order chosen by
@@ -41,13 +38,14 @@ struct EvalOptions {
   JoinOrder join_order = JoinOrder::kPlanned;
 };
 
-/// Context-aware variant: honours the budget deadline / cancellation flag
-/// (kResourceExhausted on abort), records eval_batches /
-/// eval_smallint_fallbacks / plan_* stats, plans the body atom order (see
-/// EvalOptions), and fans the join out over the context's task pool by
-/// dealing the first planned atom's tuples round-robin into chunks. The
-/// order is chosen from the database alone, before any fan-out, so the
-/// result set is identical at every thread count.
+/// Returns the set of head tuples of `q` on `db`. Honours the budget
+/// deadline / cancellation flag (kResourceExhausted on abort), records
+/// eval_batches / eval_smallint_fallbacks / plan_* stats, plans the body
+/// atom order (see EvalOptions), and fans the join out over the context's
+/// task pool by dealing the first planned atom's tuples round-robin into
+/// chunks. The order is chosen from the database alone, before any fan-out,
+/// so the result set is identical at every thread count. With no pool
+/// attached and JoinOrder::kSyntactic it is a serial join in written order.
 Result<Relation> EvaluateQuery(EngineContext& ctx, const Query& q,
                                const Database& db);
 Result<Relation> EvaluateQuery(EngineContext& ctx, const Query& q,
@@ -60,19 +58,14 @@ Result<Relation> EvaluateQuery(EngineContext& ctx, const Query& q,
 /// counts 0/1/4/8).
 Result<Relation> EvaluateQueryReference(const Query& q, const Database& db);
 
-/// Evaluates each disjunct and unions the results (all head arities must
-/// agree).
-Result<Relation> EvaluateUnion(const UnionQuery& u, const Database& db);
-
-/// Context-aware variant: disjuncts evaluate in parallel.
+/// Evaluates each disjunct (in parallel over the context's pool) and unions
+/// the results (all head arities must agree).
 Result<Relation> EvaluateUnion(EngineContext& ctx, const UnionQuery& u,
                                const Database& db);
 
-/// Materializes every view in `views` over `db`, producing the view
-/// database {v_i -> v_i(db)} the rewriting is evaluated against.
-Result<Database> MaterializeViews(const ViewSet& views, const Database& db);
-
-/// Context-aware variant: views materialize in parallel.
+/// Materializes every view in `views` over `db` (in parallel over the
+/// context's pool), producing the view database {v_i -> v_i(db)} the
+/// rewriting is evaluated against.
 Result<Database> MaterializeViews(EngineContext& ctx, const ViewSet& views,
                                   const Database& db);
 

@@ -251,10 +251,4 @@ Result<UnionQuery> RewriteAllDistinguished(EngineContext& ctx, const Query& q,
   return result;
 }
 
-Result<UnionQuery> RewriteAllDistinguished(const Query& q,
-                                           const ViewSet& views) {
-  EngineContext ctx;
-  return RewriteAllDistinguished(ctx, q, views);
-}
-
 }  // namespace cqac

@@ -25,8 +25,6 @@ namespace cqac {
 /// Budget::max_mappings.
 Result<UnionQuery> RewriteAllDistinguished(EngineContext& ctx, const Query& q,
                                            const ViewSet& views);
-Result<UnionQuery> RewriteAllDistinguished(const Query& q,
-                                           const ViewSet& views);
 
 }  // namespace cqac
 

@@ -25,18 +25,6 @@ plan::Decision AlgorithmDecision(const std::string& algo, AcClass cls,
 
 }  // namespace
 
-Result<Relation> ViewPlan::Answer(const Database& view_instance) const {
-  switch (kind) {
-    case PlanKind::kEmpty:
-      return Relation{};
-    case PlanKind::kFiniteUnion:
-      return EvaluateUnion(union_plan, view_instance);
-    case PlanKind::kDatalog:
-      return datalog->MakeEngine().Query(view_instance);
-  }
-  return Status::Internal("unknown plan kind");
-}
-
 Result<Relation> ViewPlan::Answer(EngineContext& ctx,
                                   const Database& view_instance,
                                   const AnswerOptions& options,
@@ -152,22 +140,11 @@ Result<ViewPlan> PlanForQuery(EngineContext& ctx, const Query& q,
   return plan;
 }
 
-Result<ViewPlan> PlanForQuery(const Query& q, const ViewSet& views) {
-  EngineContext ctx;
-  return PlanForQuery(ctx, q, views);
-}
-
 Result<Relation> AnswerUsingViews(EngineContext& ctx, const Query& q,
                                   const ViewSet& views,
                                   const Database& view_instance) {
   CQAC_ASSIGN_OR_RETURN(ViewPlan plan, PlanForQuery(ctx, q, views));
   return plan.Answer(ctx, view_instance);
-}
-
-Result<Relation> AnswerUsingViews(const Query& q, const ViewSet& views,
-                                  const Database& view_instance) {
-  EngineContext ctx;
-  return AnswerUsingViews(ctx, q, views, view_instance);
 }
 
 }  // namespace cqac

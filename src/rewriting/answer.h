@@ -45,7 +45,7 @@ const char* RewriteAlgorithmName(RewriteAlgorithm a);
 /// Pure: it bumps no counter.
 RewriteAlgorithm ChooseRewriteAlgorithm(const Query& q, const ViewSet& views);
 
-/// Options for the context-aware ViewPlan::Answer.
+/// Options for ViewPlan::Answer.
 struct AnswerOptions {
   plan::UnionEvalPin union_eval = plan::UnionEvalPin::kAuto;
 };
@@ -62,16 +62,13 @@ struct ViewPlan {
   plan::Plan plan;
 
   /// Evaluates the plan over a view instance, returning certain answers.
-  Result<Relation> Answer(const Database& view_instance) const;
-
-  /// Context-aware evaluation. For finite-union plans the planner chooses
-  /// between direct evaluation and containment-pruning redundant disjuncts
-  /// first — a disjunct contained in a kept one contributes only a subset
-  /// of its tuples on every instance, so both arms return the identical
-  /// relation and the choice is pure cost (estimates from the view
-  /// instance's cardinality stats, the expected prunable fraction from
-  /// ctx.adaptive()). The decision taken is appended to `plan_out` when
-  /// non-null.
+  /// For finite-union plans the planner chooses between direct evaluation
+  /// and containment-pruning redundant disjuncts first — a disjunct
+  /// contained in a kept one contributes only a subset of its tuples on
+  /// every instance, so both arms return the identical relation and the
+  /// choice is pure cost (estimates from the view instance's cardinality
+  /// stats, the expected prunable fraction from ctx.adaptive()). The
+  /// decision taken is appended to `plan_out` when non-null.
   Result<Relation> Answer(EngineContext& ctx, const Database& view_instance,
                           const AnswerOptions& options = {},
                           plan::Plan* plan_out = nullptr) const;
@@ -85,16 +82,9 @@ struct ViewPlan {
 Result<ViewPlan> PlanForQuery(EngineContext& ctx, const Query& q,
                               const ViewSet& views);
 
-/// Legacy overload: plans under a fresh default-budget context.
-Result<ViewPlan> PlanForQuery(const Query& q, const ViewSet& views);
-
 /// Convenience: compile + evaluate in one call.
 Result<Relation> AnswerUsingViews(EngineContext& ctx, const Query& q,
                                   const ViewSet& views,
-                                  const Database& view_instance);
-
-/// Legacy overload: answers under a fresh default-budget context.
-Result<Relation> AnswerUsingViews(const Query& q, const ViewSet& views,
                                   const Database& view_instance);
 
 }  // namespace cqac

@@ -337,12 +337,4 @@ Result<UnionQuery> BucketRewrite(EngineContext& ctx, const Query& q,
   return result;
 }
 
-Result<UnionQuery> BucketRewrite(const Query& q, const ViewSet& views,
-                                 const BucketOptions& options,
-                                 BucketStats* stats,
-                                 RewritingWitness* witness) {
-  EngineContext ctx;
-  return BucketRewrite(ctx, q, views, options, stats, witness);
-}
-
 }  // namespace cqac

@@ -44,10 +44,6 @@ Result<UnionQuery> BucketRewrite(EngineContext& ctx, const Query& q,
                                  const BucketOptions& options = {},
                                  BucketStats* stats = nullptr,
                                  RewritingWitness* witness = nullptr);
-Result<UnionQuery> BucketRewrite(const Query& q, const ViewSet& views,
-                                 const BucketOptions& options = {},
-                                 BucketStats* stats = nullptr,
-                                 RewritingWitness* witness = nullptr);
 
 }  // namespace cqac
 

@@ -102,11 +102,4 @@ Result<ErResult> FindEquivalentRewriting(EngineContext& ctx, const Query& q,
   return result;
 }
 
-Result<ErResult> FindEquivalentRewriting(const Query& q, const ViewSet& views,
-                                         const ErSearchOptions& options,
-                                         ErWitness* witness) {
-  EngineContext ctx;
-  return FindEquivalentRewriting(ctx, q, views, options, witness);
-}
-
 }  // namespace cqac

@@ -58,14 +58,11 @@ struct ErWitness {
 };
 
 /// Searches for an equivalent rewriting of `q` using `views`. The context
-/// overload shares one decision cache across the CR generation and the
-/// many two-way containment verifications. When `witness` is non-null the
+/// shares one decision cache across the CR generation and the many two-way
+/// containment verifications. When `witness` is non-null the
 /// evidence behind a found ER is recorded for certificate checking.
 Result<ErResult> FindEquivalentRewriting(EngineContext& ctx, const Query& q,
                                          const ViewSet& views,
-                                         const ErSearchOptions& options = {},
-                                         ErWitness* witness = nullptr);
-Result<ErResult> FindEquivalentRewriting(const Query& q, const ViewSet& views,
                                          const ErSearchOptions& options = {},
                                          ErWitness* witness = nullptr);
 

@@ -301,11 +301,4 @@ Result<std::vector<Mcd>> ConstructMcds(
   return out;
 }
 
-Result<std::vector<Mcd>> ConstructMcds(
-    const Query& q, const ViewSet& views,
-    const std::vector<ExportAnalysis>& analyses, const McdOptions& options) {
-  EngineContext ctx;
-  return ConstructMcds(ctx, q, views, analyses, options);
-}
-
 }  // namespace cqac

@@ -59,10 +59,6 @@ Result<std::vector<Mcd>> ConstructMcds(
     EngineContext& ctx, const Query& q, const ViewSet& views,
     const std::vector<ExportAnalysis>& analyses,
     const McdOptions& options = {});
-Result<std::vector<Mcd>> ConstructMcds(
-    const Query& q, const ViewSet& views,
-    const std::vector<ExportAnalysis>& analyses,
-    const McdOptions& options = {});
 
 }  // namespace cqac
 

@@ -539,12 +539,4 @@ Result<UnionQuery> RewriteLsiQuery(EngineContext& ctx, const Query& q,
   return result;
 }
 
-Result<UnionQuery> RewriteLsiQuery(const Query& q, const ViewSet& views,
-                                   const RewriteOptions& options,
-                                   RewriteStats* stats,
-                                   RewritingWitness* witness) {
-  EngineContext ctx;
-  return RewriteLsiQuery(ctx, q, views, options, stats, witness);
-}
-
 }  // namespace cqac

@@ -69,10 +69,6 @@ Result<UnionQuery> RewriteLsiQuery(EngineContext& ctx, const Query& q,
                                    const RewriteOptions& options = {},
                                    RewriteStats* stats = nullptr,
                                    RewritingWitness* witness = nullptr);
-Result<UnionQuery> RewriteLsiQuery(const Query& q, const ViewSet& views,
-                                   const RewriteOptions& options = {},
-                                   RewriteStats* stats = nullptr,
-                                   RewritingWitness* witness = nullptr);
 
 }  // namespace cqac
 

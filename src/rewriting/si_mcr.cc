@@ -156,10 +156,4 @@ Result<SiMcr> RewriteSiQueryDatalog(EngineContext& ctx, const Query& q,
   return mcr;
 }
 
-Result<SiMcr> RewriteSiQueryDatalog(const Query& q, const ViewSet& views,
-                                    const SiMcrOptions& options) {
-  EngineContext ctx;
-  return RewriteSiQueryDatalog(ctx, q, views, options);
-}
-
 }  // namespace cqac

@@ -78,12 +78,10 @@ struct SiMcrOptions {
 /// view is not SI-only and `options.allow_general_views` is off. A query
 /// with unsatisfiable comparisons denotes the empty relation; its MCR is the
 /// empty program (no rules). The construction itself is syntactic; the
-/// context overload memoizes the per-view v^CQ implication checks in the
+/// context memoizes the per-view v^CQ implication checks in the
 /// shared decision cache.
 Result<SiMcr> RewriteSiQueryDatalog(EngineContext& ctx, const Query& q,
                                     const ViewSet& views,
-                                    const SiMcrOptions& options = {});
-Result<SiMcr> RewriteSiQueryDatalog(const Query& q, const ViewSet& views,
                                     const SiMcrOptions& options = {});
 
 }  // namespace cqac

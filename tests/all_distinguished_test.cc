@@ -11,33 +11,36 @@ namespace cqac {
 namespace {
 
 TEST(AllDistinguishedTest, RequiresFullyDistinguishedViews) {
+  EngineContext ctx;
   Query q = MustParseQuery("q(X) :- r(X, Y)");
   ViewSet hidden(MustParseRules("v(X) :- r(X, Y)."));
-  EXPECT_FALSE(RewriteAllDistinguished(q, hidden).ok());
+  EXPECT_FALSE(RewriteAllDistinguished(ctx, q, hidden).ok());
 }
 
 TEST(AllDistinguishedTest, GeneralAcQuerySupported) {
   // Unlike RewriteLsiQuery, the all-distinguished algorithm accepts any
   // comparison class (Theorem 3.2 has no LSI restriction).
+  EngineContext ctx;
   Query q = MustParseQuery("q(X, Y) :- r(X, Y), X < Y, X > 2");
   ViewSet views(MustParseRules("v(X, Y) :- r(X, Y)."));
-  auto mcr = RewriteAllDistinguished(q, views);
+  auto mcr = RewriteAllDistinguished(ctx, q, views);
   ASSERT_TRUE(mcr.ok()) << mcr.status();
   ASSERT_EQ(mcr.value().disjuncts.size(), 1u);
   auto exp = ExpandRewriting(mcr.value().disjuncts[0], views);
   ASSERT_TRUE(exp.ok());
-  auto eq = IsEquivalent(exp.value(), q);
+  auto eq = IsEquivalent(ctx, exp.value(), q);
   ASSERT_TRUE(eq.ok());
   EXPECT_TRUE(eq.value());
 }
 
 TEST(AllDistinguishedTest, MultiViewJoin) {
+  EngineContext ctx;
   Query q = MustParseQuery(
       "q(A, C) :- r(A, B), s(B, C), A < 5, C > 1");
   ViewSet views(MustParseRules(
       "vr(X, Y) :- r(X, Y).\n"
       "vs(X, Y) :- s(X, Y)."));
-  auto mcr = RewriteAllDistinguished(q, views);
+  auto mcr = RewriteAllDistinguished(ctx, q, views);
   ASSERT_TRUE(mcr.ok()) << mcr.status();
   ASSERT_EQ(mcr.value().disjuncts.size(), 1u);
   const Query& p = mcr.value().disjuncts[0];
@@ -46,11 +49,12 @@ TEST(AllDistinguishedTest, MultiViewJoin) {
 }
 
 TEST(AllDistinguishedTest, FilteredViewsRestrictUsability) {
+  EngineContext ctx;
   Query q = MustParseQuery("q(X) :- r(X), X < 10");
   ViewSet views(MustParseRules(
       "vlow(X) :- r(X), X < 5.\n"
       "vbad(X) :- r(X), X > 50."));
-  auto mcr = RewriteAllDistinguished(q, views);
+  auto mcr = RewriteAllDistinguished(ctx, q, views);
   ASSERT_TRUE(mcr.ok()) << mcr.status();
   // vlow usable (already below 10); vbad's rewriting would be inconsistent
   // with X < 10... actually vbad(X), X < 10 expands to X > 50 ^ X < 10:
@@ -63,12 +67,13 @@ TEST(AllDistinguishedTest, FilteredViewsRestrictUsability) {
 }
 
 TEST(AllDistinguishedTest, AgreesWithRewriteLsiOnLsiInputs) {
+  EngineContext ctx;
   Query q = MustParseQuery("q(A) :- r(A, B), B <= 7, A < 5");
   ViewSet views(MustParseRules(
       "v1(X, Y) :- r(X, Y).\n"
       "v2(X, Y) :- r(X, Y), Y <= 7."));
-  auto a = RewriteAllDistinguished(q, views);
-  auto b = RewriteLsiQuery(q, views);
+  auto a = RewriteAllDistinguished(ctx, q, views);
+  auto b = RewriteLsiQuery(ctx, q, views);
   ASSERT_TRUE(a.ok()) << a.status();
   ASSERT_TRUE(b.ok()) << b.status();
   // The two MCRs must be equivalent as unions. Containment is checked at
@@ -84,21 +89,22 @@ TEST(AllDistinguishedTest, AgreesWithRewriteLsiOnLsiInputs) {
   UnionQuery a_exp = expansions(a.value());
   UnionQuery b_exp = expansions(b.value());
   for (const Query& d : a_exp.disjuncts) {
-    auto c = IsContainedInUnion(d, b_exp);
+    auto c = IsContainedInUnion(ctx, d, b_exp);
     ASSERT_TRUE(c.ok()) << c.status();
     EXPECT_TRUE(c.value()) << d.ToString();
   }
   for (const Query& d : b_exp.disjuncts) {
-    auto c = IsContainedInUnion(d, a_exp);
+    auto c = IsContainedInUnion(ctx, d, a_exp);
     ASSERT_TRUE(c.ok()) << c.status();
     EXPECT_TRUE(c.value()) << d.ToString();
   }
 }
 
 TEST(AllDistinguishedTest, ConstantsInQuerySubgoals) {
+  EngineContext ctx;
   Query q = MustParseQuery("q(C) :- color(C, red)");
   ViewSet views(MustParseRules("v(X, Y) :- color(X, Y)."));
-  auto mcr = RewriteAllDistinguished(q, views);
+  auto mcr = RewriteAllDistinguished(ctx, q, views);
   ASSERT_TRUE(mcr.ok()) << mcr.status();
   ASSERT_EQ(mcr.value().disjuncts.size(), 1u);
   EXPECT_NE(mcr.value().disjuncts[0].ToString().find("red"),
@@ -106,9 +112,10 @@ TEST(AllDistinguishedTest, ConstantsInQuerySubgoals) {
 }
 
 TEST(AllDistinguishedTest, EmptyWhenNoViewMatchesPredicate) {
+  EngineContext ctx;
   Query q = MustParseQuery("q(X) :- t(X)");
   ViewSet views(MustParseRules("v(X) :- r(X)."));
-  auto mcr = RewriteAllDistinguished(q, views);
+  auto mcr = RewriteAllDistinguished(ctx, q, views);
   ASSERT_TRUE(mcr.ok());
   EXPECT_TRUE(mcr.value().empty());
 }

@@ -10,33 +10,35 @@ namespace cqac {
 namespace {
 
 TEST(AnswerTest, LsiQueryDispatchesToFiniteUnion) {
+  EngineContext ctx;
   Query q = workloads::Example11Query();
   ViewSet views = workloads::Example11Views();
-  auto plan = PlanForQuery(q, views);
+  auto plan = PlanForQuery(ctx, q, views);
   ASSERT_TRUE(plan.ok()) << plan.status();
   EXPECT_EQ(plan.value().kind, PlanKind::kFiniteUnion);
 
   Database db = Database::FromFacts("r(2). s(2, 2).").value();
-  Database vdb = MaterializeViews(views, db).value();
-  auto ans = plan.value().Answer(vdb);
+  Database vdb = MaterializeViews(ctx, views, db).value();
+  auto ans = plan.value().Answer(ctx, vdb);
   ASSERT_TRUE(ans.ok());
   EXPECT_EQ(ans.value().size(), 1u);
   EXPECT_TRUE(ans.value().count({Value(Rational(2))}));
 }
 
 TEST(AnswerTest, CqacSiDispatchesToDatalog) {
+  EngineContext ctx;
   Query q = workloads::Example12Query();
   ViewSet views = workloads::Example12Views();
-  auto plan = PlanForQuery(q, views);
+  auto plan = PlanForQuery(ctx, q, views);
   ASSERT_TRUE(plan.ok()) << plan.status();
   EXPECT_EQ(plan.value().kind, PlanKind::kDatalog);
   EXPECT_NE(plan.value().ToString().find(":-"), std::string::npos);
 
   // One-call convenience agrees with the plan route.
   Database db = Database::FromFacts("e(9, 2). e(2, 3).").value();
-  Database vdb = MaterializeViews(views, db).value();
-  auto one_call = AnswerUsingViews(q, views, vdb);
-  auto via_plan = plan.value().Answer(vdb);
+  Database vdb = MaterializeViews(ctx, views, db).value();
+  auto one_call = AnswerUsingViews(ctx, q, views, vdb);
+  auto via_plan = plan.value().Answer(ctx, vdb);
   ASSERT_TRUE(one_call.ok());
   ASSERT_TRUE(via_plan.ok());
   EXPECT_EQ(one_call.value(), via_plan.value());
@@ -44,30 +46,33 @@ TEST(AnswerTest, CqacSiDispatchesToDatalog) {
 }
 
 TEST(AnswerTest, GeneralQueryFallsBackToBucket) {
+  EngineContext ctx;
   Query q = MustParseQuery("q(X, Y) :- r(X, Y), X < Y");
   ViewSet views(MustParseRules("v(X, Y) :- r(X, Y)."));
-  auto plan = PlanForQuery(q, views);
+  auto plan = PlanForQuery(ctx, q, views);
   ASSERT_TRUE(plan.ok()) << plan.status();
   EXPECT_EQ(plan.value().kind, PlanKind::kFiniteUnion);
   Database db = Database::FromFacts("r(1, 2). r(3, 2).").value();
-  Database vdb = MaterializeViews(views, db).value();
-  auto ans = plan.value().Answer(vdb);
+  Database vdb = MaterializeViews(ctx, views, db).value();
+  auto ans = plan.value().Answer(ctx, vdb);
   ASSERT_TRUE(ans.ok());
   EXPECT_EQ(ans.value().size(), 1u);
 }
 
 TEST(AnswerTest, NoViewsEmptyPlan) {
+  EngineContext ctx;
   Query q = MustParseQuery("q(X) :- r(X), X < 2");
-  auto plan = PlanForQuery(q, ViewSet());
+  auto plan = PlanForQuery(ctx, q, ViewSet());
   ASSERT_TRUE(plan.ok());
   EXPECT_EQ(plan.value().kind, PlanKind::kEmpty);
-  auto ans = plan.value().Answer(Database());
+  auto ans = plan.value().Answer(ctx, Database());
   ASSERT_TRUE(ans.ok());
   EXPECT_TRUE(ans.value().empty());
 }
 
 TEST(AnswerTest, CertainAnswersAlwaysSound) {
   // The dispatcher's output is always a subset of the true answers.
+  EngineContext ctx;
   struct Case {
     Query q;
     ViewSet views;
@@ -82,10 +87,10 @@ TEST(AnswerTest, CertainAnswersAlwaysSound) {
                    "car(1, 10). loc(10, 99). color(1, red). color(2, red)."});
   for (const Case& c : cases) {
     Database db = Database::FromFacts(c.facts).value();
-    Database vdb = MaterializeViews(c.views, db).value();
-    auto certain = AnswerUsingViews(c.q, c.views, vdb);
+    Database vdb = MaterializeViews(ctx, c.views, db).value();
+    auto certain = AnswerUsingViews(ctx, c.q, c.views, vdb);
     ASSERT_TRUE(certain.ok()) << certain.status();
-    Relation truth = EvaluateQuery(c.q, db).value();
+    Relation truth = EvaluateQuery(ctx, c.q, db).value();
     for (const Tuple& t : certain.value())
       EXPECT_TRUE(truth.count(t)) << c.q.ToString();
   }

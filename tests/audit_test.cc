@@ -63,6 +63,21 @@ TEST(AuditReportTest, ExitCodeIsTheKindOfTheFirstFailure) {
             static_cast<int>(ObligationKind::kMinimizeUnion));
 }
 
+TEST(AuditReportTest, JsonEscapesLabelsAndMessages) {
+  // Labels and messages render through the shared RFC 8259 escaper
+  // (JsonQuote): short escapes for quote, backslash, \n, \r and \t, and
+  // \u00XX for the other control characters.
+  const std::string nasty = std::string("q\"\\\n\r\t") + '\x01';
+  audit::AuditReport report;
+  report.obligations.push_back(
+      {ObligationKind::kEval, nasty, Status::InvalidArgument(nasty)});
+  EXPECT_EQ(report.ToJson(),
+            R"({"obligations":[{"kind":"eval","code":9,)"
+            R"("label":"q\"\\\n\r\t\u0001","verdict":"rejected",)"
+            R"("message":"q\"\\\n\r\t\u0001"}],)"
+            R"("failures":1,"skipped":0,"exit_code":9})");
+}
+
 // ---- Classification evidence -----------------------------------------------
 
 TEST(AuditClassificationTest, HonestEvidenceCertifies) {
@@ -218,7 +233,8 @@ struct UnfoldFixture {
 
   UnfoldFixture() {
     EXPECT_TRUE(views.Add(MustParseQuery("v(A, B) :- e(A, B).")).ok());
-    auto m = RewriteSiQueryDatalog(q, views);
+    EngineContext setup;  // the rewrite runs apart from the audited context
+    auto m = RewriteSiQueryDatalog(setup, q, views);
     EXPECT_TRUE(m.ok()) << m.status();
     mcr = m.ValueOr(SiMcr());
   }

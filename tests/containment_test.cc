@@ -11,7 +11,8 @@ namespace cqac {
 namespace {
 
 bool Contained(const std::string& q2, const std::string& q1) {
-  auto r = IsContained(MustParseQuery(q2), MustParseQuery(q1));
+  EngineContext ctx;
+  auto r = IsContained(ctx, MustParseQuery(q2), MustParseQuery(q1));
   EXPECT_TRUE(r.ok()) << r.status();
   return r.ValueOr(false);
 }
@@ -33,37 +34,41 @@ TEST(ContainmentTest, LsiTheorem23Examples) {
 }
 
 TEST(ContainmentTest, Example51TwoMappingsNeeded) {
-  auto r = IsContained(workloads::Example51Q2(), workloads::Example51Q1());
+  EngineContext ctx;
+  auto r = IsContained(ctx, workloads::Example51Q2(), workloads::Example51Q1());
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_TRUE(r.value());
   // The reverse direction fails.
-  auto rev = IsContained(workloads::Example51Q1(), workloads::Example51Q2());
+  auto rev =
+      IsContained(ctx, workloads::Example51Q1(), workloads::Example51Q2());
   ASSERT_TRUE(rev.ok());
   EXPECT_FALSE(rev.value());
 }
 
 TEST(ContainmentTest, Example51ChainsEvenLengthContained) {
+  EngineContext ctx;
   const Query q1 = workloads::Example51Q1();
   for (int n = 2; n <= 8; n += 2) {
     Query chain = workloads::Example51Chain(n, Rational(6), Rational(7));
-    auto r = IsContained(chain, q1);
+    auto r = IsContained(ctx, chain, q1);
     ASSERT_TRUE(r.ok()) << r.status();
     EXPECT_TRUE(r.value()) << "even chain length " << n;
   }
   // Odd-length chains are not contained (the coupling parity breaks).
   for (int n = 3; n <= 7; n += 2) {
     Query chain = workloads::Example51Chain(n, Rational(6), Rational(7));
-    auto r = IsContained(chain, q1);
+    auto r = IsContained(ctx, chain, q1);
     ASSERT_TRUE(r.ok()) << r.status();
     EXPECT_FALSE(r.value()) << "odd chain length " << n;
   }
 }
 
 TEST(ContainmentTest, Example51BoundsMatter) {
+  EngineContext ctx;
   const Query q1 = workloads::Example51Q1();
   // Ends must actually imply the query's bounds: > 4 does not imply > 5.
   Query weak = workloads::Example51Chain(4, Rational(4), Rational(7));
-  auto r = IsContained(weak, q1);
+  auto r = IsContained(ctx, weak, q1);
   ASSERT_TRUE(r.ok());
   EXPECT_FALSE(r.value());
 }
@@ -71,9 +76,10 @@ TEST(ContainmentTest, Example51BoundsMatter) {
 TEST(ContainmentTest, Section2EquivalentPairWithDifferentAcs) {
   // Queries with the same subgoals can be equivalent under different ACs
   // because the ACs are equivalent after equality collapse.
+  EngineContext ctx;
   Query a = MustParseQuery("q(X) :- r(X, Y), X <= Y, Y <= X, X < 5");
   Query b = MustParseQuery("q(X) :- r(X, X), X < 5");
-  auto r = IsEquivalent(a, b);
+  auto r = IsEquivalent(ctx, a, b);
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_TRUE(r.value());
 }
@@ -84,7 +90,8 @@ TEST(ContainmentTest, InconsistentQueryIsContainedEverywhere) {
 }
 
 TEST(ContainmentTest, ArityMismatchRejected) {
-  auto r = IsContained(MustParseQuery("q(X) :- r(X)"),
+  EngineContext ctx;
+  auto r = IsContained(ctx, MustParseQuery("q(X) :- r(X)"),
                        MustParseQuery("q(X, Y) :- r(X), s(Y)"));
   EXPECT_FALSE(r.ok());
 }
@@ -108,14 +115,16 @@ TEST(ContainmentTest, GeneralAcs) {
 TEST(ContainmentTest, DisjunctionRequiredEvenForCqRhs) {
   // A union-style argument: q2 needs two mappings into q1's single pattern
   // depending on the order of A and B — classic Theorem 2.1 necessity.
+  EngineContext ctx;
   Query q1 = MustParseQuery("q() :- e(X, Y), X <= Y");
   Query q2 = MustParseQuery("q() :- e(A, B), e(B, A)");
-  auto r = IsContained(q2, q1);
+  auto r = IsContained(ctx, q2, q1);
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r.value());  // either A <= B or B <= A holds in a total order
 }
 
 TEST(ContainmentTest, CanonicalDatabaseProcedureAgreesOnPaperCases) {
+  EngineContext ctx;
   struct Case {
     Query q2;
     Query q1;
@@ -130,7 +139,7 @@ TEST(ContainmentTest, CanonicalDatabaseProcedureAgreesOnPaperCases) {
   cases.push_back({MustParseQuery("q(X) :- r(X), X < 4"),
                    MustParseQuery("q(X) :- r(X), X < 3")});
   for (size_t i = 0; i < cases.size(); ++i) {
-    auto fast = IsContained(cases[i].q2, cases[i].q1);
+    auto fast = IsContained(ctx, cases[i].q2, cases[i].q1);
     auto slow = IsContainedByCanonicalDatabases(cases[i].q2, cases[i].q1);
     ASSERT_TRUE(fast.ok()) << fast.status();
     ASSERT_TRUE(slow.ok()) << slow.status();
@@ -141,6 +150,7 @@ TEST(ContainmentTest, CanonicalDatabaseProcedureAgreesOnPaperCases) {
 // Property test: the homomorphism+implication procedure (Theorem 2.1) and
 // the canonical-database procedure agree on random CQAC pairs.
 TEST(ContainmentTest, ProceduresAgreeOnRandomPairs) {
+  EngineContext ctx;
   Rng rng(42);
   int agreements = 0;
   for (int iter = 0; iter < 120; ++iter) {
@@ -158,7 +168,7 @@ TEST(ContainmentTest, ProceduresAgreeOnRandomPairs) {
     Query b = gen::RandomQuery(rng, spec, "q");
     if (a.head().args.size() != b.head().args.size()) continue;
 
-    auto fast = IsContained(a, b);
+    auto fast = IsContained(ctx, a, b);
     auto slow = IsContainedByCanonicalDatabases(a, b);
     ASSERT_TRUE(fast.ok()) << fast.status() << "\n"
                            << a.ToString() << "\n"
@@ -173,6 +183,7 @@ TEST(ContainmentTest, ProceduresAgreeOnRandomPairs) {
 
 // The LSI fast path agrees with the general procedure on LSI inputs.
 TEST(ContainmentTest, FastPathAgreesWithGeneralOnLsi) {
+  EngineContext ctx;
   Rng rng(7);
   for (int iter = 0; iter < 150; ++iter) {
     gen::QuerySpec spec;
@@ -187,8 +198,8 @@ TEST(ContainmentTest, FastPathAgreesWithGeneralOnLsi) {
 
     ContainmentOptions general;
     general.use_single_mapping_fast_path = false;
-    auto fast = IsContained(a, b);
-    auto slow = IsContained(a, b, general);
+    auto fast = IsContained(ctx, a, b);
+    auto slow = IsContained(ctx, a, b, general);
     ASSERT_TRUE(fast.ok()) << fast.status();
     ASSERT_TRUE(slow.ok()) << slow.status();
     ASSERT_EQ(fast.value(), slow.value())
@@ -197,38 +208,40 @@ TEST(ContainmentTest, FastPathAgreesWithGeneralOnLsi) {
 }
 
 TEST(ContainmentTest, UnionContainment) {
+  EngineContext ctx;
   UnionQuery u;
   u.disjuncts.push_back(MustParseQuery("q(X) :- r(X), X < 3"));
   u.disjuncts.push_back(MustParseQuery("q(X) :- r(X), X > 1"));
   // X < 3 v X > 1 covers everything.
-  auto r = IsContainedInUnion(MustParseQuery("q(X) :- r(X)"), u);
+  auto r = IsContainedInUnion(ctx, MustParseQuery("q(X) :- r(X)"), u);
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_TRUE(r.value());
 
   UnionQuery gap;
   gap.disjuncts.push_back(MustParseQuery("q(X) :- r(X), X < 1"));
   gap.disjuncts.push_back(MustParseQuery("q(X) :- r(X), X > 3"));
-  auto r2 = IsContainedInUnion(MustParseQuery("q(X) :- r(X)"), gap);
+  auto r2 = IsContainedInUnion(ctx, MustParseQuery("q(X) :- r(X)"), gap);
   ASSERT_TRUE(r2.ok());
   EXPECT_FALSE(r2.value());
 
   // No disjunct alone contains the query (Sagiv-Yannakakis does not apply
   // once comparisons are present).
   for (const Query& d : u.disjuncts) {
-    auto one = IsContained(MustParseQuery("q(X) :- r(X)"), d);
+    auto one = IsContained(ctx, MustParseQuery("q(X) :- r(X)"), d);
     ASSERT_TRUE(one.ok());
     EXPECT_FALSE(one.value());
   }
 }
 
 TEST(ContainmentTest, UnionIsContainedDirection) {
+  EngineContext ctx;
   UnionQuery u;
   u.disjuncts.push_back(MustParseQuery("q(X) :- r(X), X < 2"));
   u.disjuncts.push_back(MustParseQuery("q(X) :- r(X), X < 3"));
-  auto r = UnionIsContained(u, MustParseQuery("q(X) :- r(X), X < 4"));
+  auto r = UnionIsContained(ctx, u, MustParseQuery("q(X) :- r(X), X < 4"));
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r.value());
-  auto r2 = UnionIsContained(u, MustParseQuery("q(X) :- r(X), X < 2.5"));
+  auto r2 = UnionIsContained(ctx, u, MustParseQuery("q(X) :- r(X), X < 2.5"));
   ASSERT_TRUE(r2.ok());
   EXPECT_FALSE(r2.value());
 }

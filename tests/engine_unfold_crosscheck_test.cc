@@ -17,6 +17,7 @@ namespace {
 // For NON-recursive programs, full unfolding is exact: engine(db) must
 // equal the evaluation of the unfolded union.
 TEST(EngineUnfoldCrossCheck, NonRecursiveProgramsAgree) {
+  EngineContext ctx;
   std::vector<Program> programs;
   programs.emplace_back("q", MustParseRules(
                                  "q(X) :- a(X, Y), h(Y).\n"
@@ -41,7 +42,7 @@ TEST(EngineUnfoldCrossCheck, NonRecursiveProgramsAgree) {
       Database db = gen::RandomDatabase(
           rng, {{"a", 2}, {"b", 1}, {"c", 1}}, spec);
       Relation via_engine = engine.Query(db).value();
-      Relation via_unfold = EvaluateUnion(unfolded, db).value();
+      Relation via_unfold = EvaluateUnion(ctx, unfolded, db).value();
       ASSERT_EQ(via_engine, via_unfold) << p.ToString();
     }
   }
@@ -51,6 +52,7 @@ TEST(EngineUnfoldCrossCheck, NonRecursiveProgramsAgree) {
 // unfolded union's answers are a subset of the engine's, and they converge
 // as depth grows past the data's diameter.
 TEST(EngineUnfoldCrossCheck, RecursiveProgramsConverge) {
+  EngineContext ctx;
   Program p("t", MustParseRules(
                      "t(X, Y) :- e(X, Y).\n"
                      "t(X, Z) :- e(X, Y), t(Y, Z)."));
@@ -67,7 +69,7 @@ TEST(EngineUnfoldCrossCheck, RecursiveProgramsConverge) {
     datalog::UnfoldOptions opts;
     opts.max_depth = depth;
     UnionQuery u = datalog::UnfoldProgram(p, opts).value();
-    Relation approx = EvaluateUnion(u, db).value();
+    Relation approx = EvaluateUnion(ctx, u, db).value();
     for (const Tuple& t : approx) ASSERT_TRUE(full.count(t));
     ASSERT_GE(approx.size(), prev);  // monotone in depth
     prev = approx.size();
@@ -77,6 +79,7 @@ TEST(EngineUnfoldCrossCheck, RecursiveProgramsConverge) {
 
 // Comparison guards are honored identically on both paths.
 TEST(EngineUnfoldCrossCheck, ComparisonsAgree) {
+  EngineContext ctx;
   Program p("q", MustParseRules(
                      "q(X) :- step(X).\n"
                      "step(X) :- a(X, Y), X < Y, Y <= 6."));
@@ -88,12 +91,13 @@ TEST(EngineUnfoldCrossCheck, ComparisonsAgree) {
   spec.value_max = 10;
   for (int iter = 0; iter < 10; ++iter) {
     Database db = gen::RandomDatabase(rng, {{"a", 2}}, spec);
-    ASSERT_EQ(engine.Query(db).value(), EvaluateUnion(u, db).value());
+    ASSERT_EQ(engine.Query(db).value(), EvaluateUnion(ctx, u, db).value());
   }
 }
 
 // Random nonrecursive two-layer programs.
 TEST(EngineUnfoldCrossCheck, RandomLayeredPrograms) {
+  EngineContext ctx;
   Rng rng(2718);
   for (int iter = 0; iter < 15; ++iter) {
     // Layer 1: h defined by 1-2 rules over base preds; layer 2: q over h.
@@ -123,7 +127,7 @@ TEST(EngineUnfoldCrossCheck, RandomLayeredPrograms) {
     spec.value_max = 8;
     Database db = gen::RandomDatabase(rng, {{"p0", 2}, {"p1", 2}}, spec);
     auto via_engine = engine.Query(db);
-    auto via_unfold = EvaluateUnion(u, db);
+    auto via_unfold = EvaluateUnion(ctx, u, db);
     ASSERT_TRUE(via_engine.ok()) << via_engine.status() << p.ToString();
     ASSERT_TRUE(via_unfold.ok());
     ASSERT_EQ(via_engine.value(), via_unfold.value()) << p.ToString();

@@ -1,5 +1,5 @@
-// Differential tests for the columnar batch join engine: EvaluateQuery (and
-// its context-aware, fanned-out variant) must match the pre-columnar
+// Differential tests for the columnar batch join engine: EvaluateQuery
+// (serial in written order, and fanned out) must match the pre-columnar
 // tuple-at-a-time EvaluateQueryReference byte-for-byte at every thread
 // count, including on inputs that defeat the small-integer column fast path
 // (non-integral rationals, symbols, magnitudes near INT64_MAX).
@@ -39,7 +39,10 @@ void ExpectMatchesReference(const Query& q, const Database& db,
   ASSERT_TRUE(ref.ok()) << what << ": " << ref.status().ToString();
   const std::string expected = RenderRelation(ref.value());
 
-  Result<Relation> plain = EvaluateQuery(q, db);
+  // The plain join: serial (no pool) and in the written atom order.
+  EngineContext serial;
+  Result<Relation> plain = EvaluateQuery(
+      serial, q, db, EvalOptions{EvalOptions::JoinOrder::kSyntactic});
   ASSERT_TRUE(plain.ok()) << what << ": " << plain.status().ToString();
   EXPECT_EQ(RenderRelation(plain.value()), expected) << what << " (plain)";
 

@@ -14,12 +14,13 @@ TEST(ExpansionTest, Example11Expansion) {
   // Expanding P(A) :- v1(A, A), A < 4 must produce
   // r(X), s(A, A), A <= X, X <= A, A < 4 — which is contained in
   // q1(A) :- r(A), A < 4 after collapsing X = A.
+  EngineContext ctx;
   ViewSet views = workloads::Example11Views();
   Query p = workloads::Example11Rewriting();
   auto exp = ExpandRewriting(p, views);
   ASSERT_TRUE(exp.ok()) << exp.status();
 
-  auto contained = IsContained(exp.value(), workloads::Example11Query());
+  auto contained = IsContained(ctx, exp.value(), workloads::Example11Query());
   ASSERT_TRUE(contained.ok()) << contained.status();
   EXPECT_TRUE(contained.value());
 }
@@ -91,6 +92,7 @@ TEST(ExpansionTest, ConstantsInRewritingAtoms) {
 TEST(ExpansionTest, ExpansionOfPkChains) {
   // Example 1.2 reconstruction: P_k expands to an even chain with end
   // comparisons; each expansion is contained in the query.
+  EngineContext ctx;
   ViewSet views = workloads::Example12Views();
   Query q = workloads::Example12Query();
   for (int k = 0; k <= 3; ++k) {
@@ -98,7 +100,7 @@ TEST(ExpansionTest, ExpansionOfPkChains) {
     auto exp = ExpandRewriting(pk, views);
     ASSERT_TRUE(exp.ok()) << exp.status();
     EXPECT_EQ(exp.value().body().size(), static_cast<size_t>(2 * k + 2));
-    auto contained = IsContained(exp.value(), q);
+    auto contained = IsContained(ctx, exp.value(), q);
     ASSERT_TRUE(contained.ok()) << contained.status();
     EXPECT_TRUE(contained.value()) << "P_" << k;
   }
@@ -107,6 +109,7 @@ TEST(ExpansionTest, ExpansionOfPkChains) {
 TEST(ExpansionTest, PkChainsArePairwiseIncomparable) {
   // No P_j contains P_k for j != k — the reason no finite union is an MCR
   // (Proposition 5.1's engine).
+  EngineContext ctx;
   ViewSet views = workloads::Example12Views();
   std::vector<Query> expansions;
   for (int k = 0; k <= 3; ++k) {
@@ -117,7 +120,7 @@ TEST(ExpansionTest, PkChainsArePairwiseIncomparable) {
   for (size_t a = 0; a < expansions.size(); ++a) {
     for (size_t b = 0; b < expansions.size(); ++b) {
       if (a == b) continue;
-      auto r = IsContained(expansions[a], expansions[b]);
+      auto r = IsContained(ctx, expansions[a], expansions[b]);
       ASSERT_TRUE(r.ok()) << r.status();
       EXPECT_FALSE(r.value()) << "P_" << a << " in P_" << b;
     }

@@ -12,6 +12,7 @@ namespace cqac {
 namespace {
 
 TEST(IntegrationTest, InformationIntegrationScenario) {
+  EngineContext ctx;
   Query q = MustParseQuery(
       "q(C) :- car(C, D), loc(D, irvine), price(C, P), P < 30");
   ViewSet sources(MustParseRules(
@@ -20,7 +21,7 @@ TEST(IntegrationTest, InformationIntegrationScenario) {
       "pricing_api(C, P) :- price(C, P).\n"
       "luxury_cars(C) :- price(C, P), P > 80."));
 
-  auto mcr = RewriteLsiQuery(q, sources);
+  auto mcr = RewriteLsiQuery(ctx, q, sources);
   ASSERT_TRUE(mcr.ok()) << mcr.status();
   ASSERT_EQ(mcr.value().disjuncts.size(), 2u) << mcr.value().ToString();
   bool used_budget = false, used_pricing = false, used_luxury = false;
@@ -42,9 +43,9 @@ TEST(IntegrationTest, InformationIntegrationScenario) {
           "price(camry, 28). price(accord, 24). price(model3, 45). "
           "price(phantom, 400).")
           .value();
-  Database vdb = MaterializeViews(sources, world).value();
-  Relation certain = EvaluateUnion(mcr.value(), vdb).value();
-  Relation truth = EvaluateQuery(q, world).value();
+  Database vdb = MaterializeViews(ctx, sources, world).value();
+  Relation certain = EvaluateUnion(ctx, mcr.value(), vdb).value();
+  Relation truth = EvaluateQuery(ctx, q, world).value();
   // Here the sources happen to be lossless for this query.
   EXPECT_EQ(certain, truth);
   EXPECT_EQ(certain.size(), 2u);
@@ -53,6 +54,7 @@ TEST(IntegrationTest, InformationIntegrationScenario) {
 }
 
 TEST(IntegrationTest, ViewSelectionScenario) {
+  EngineContext ctx;
   ViewSet mviews(MustParseRules(
       "small_sales(I, S, A) :- sales(I, S, A), A < 100.\n"
       "large_sales(I, S, A) :- sales(I, S, A), 100 <= A.\n"
@@ -61,13 +63,13 @@ TEST(IntegrationTest, ViewSelectionScenario) {
 
   // Q1: single-view equivalent plan.
   auto er1 = FindEquivalentRewriting(
-      MustParseQuery("q(I, A) :- sales(I, S, A), A < 50"), mviews);
+      ctx, MustParseQuery("q(I, A) :- sales(I, S, A), A < 50"), mviews);
   ASSERT_TRUE(er1.ok()) << er1.status();
   ASSERT_TRUE(er1.value().single.has_value());
 
   // Q2: equivalence requires the union of the partitions.
   auto er2 = FindEquivalentRewriting(
-      MustParseQuery("q(I, A) :- sales(I, S, A), A < 100000"), mviews);
+      ctx, MustParseQuery("q(I, A) :- sales(I, S, A), A < 100000"), mviews);
   ASSERT_TRUE(er2.ok()) << er2.status();
   EXPECT_TRUE(er2.value().found());
   EXPECT_FALSE(er2.value().single.has_value());
@@ -75,10 +77,10 @@ TEST(IntegrationTest, ViewSelectionScenario) {
 
   // Q4: store directory — only a contained plan.
   Query q4 = MustParseQuery("q(S, R) :- stores(S, R)");
-  auto er4 = FindEquivalentRewriting(q4, mviews);
+  auto er4 = FindEquivalentRewriting(ctx, q4, mviews);
   ASSERT_TRUE(er4.ok()) << er4.status();
   EXPECT_FALSE(er4.value().found());
-  auto mcr4 = RewriteLsiQuery(q4, mviews);
+  auto mcr4 = RewriteLsiQuery(ctx, q4, mviews);
   ASSERT_TRUE(mcr4.ok());
   ASSERT_FALSE(mcr4.value().empty());
   // The contained plan pins the region to west.
@@ -88,15 +90,16 @@ TEST(IntegrationTest, ViewSelectionScenario) {
 
 TEST(IntegrationTest, LossyViewsStayContained) {
   // Certain answers through lossy sources are a strict subset.
+  EngineContext ctx;
   Query q = MustParseQuery("q(X) :- r(X)");
   ViewSet views(MustParseRules("v(X) :- r(X), X < 5."));
-  auto mcr = RewriteLsiQuery(q, views);
+  auto mcr = RewriteLsiQuery(ctx, q, views);
   ASSERT_TRUE(mcr.ok());
   ASSERT_EQ(mcr.value().disjuncts.size(), 1u);
   Database db = Database::FromFacts("r(1). r(9).").value();
-  Database vdb = MaterializeViews(views, db).value();
-  Relation certain = EvaluateUnion(mcr.value(), vdb).value();
-  Relation truth = EvaluateQuery(q, db).value();
+  Database vdb = MaterializeViews(ctx, views, db).value();
+  Relation certain = EvaluateUnion(ctx, mcr.value(), vdb).value();
+  Relation truth = EvaluateQuery(ctx, q, db).value();
   EXPECT_EQ(certain.size(), 1u);
   EXPECT_EQ(truth.size(), 2u);
   for (const Tuple& t : certain) EXPECT_TRUE(truth.count(t));

@@ -100,7 +100,7 @@ std::string RunStream(const Workload& w, uint64_t seed, Mode mode,
     auto summary = store.Apply(ctx, delta, options);
     EXPECT_TRUE(summary.ok()) << summary.status();
 
-    auto reference = MaterializeViews(views, store.base());
+    auto reference = MaterializeViews(ctx, views, store.base());
     EXPECT_TRUE(reference.ok()) << reference.status();
     EXPECT_EQ(store.views().ToString(), reference.value().ToString())
         << w.name << " seed=" << seed << " step=" << step;
@@ -181,7 +181,7 @@ TEST(IvmEquivalenceSweep, SingleFactStreamStaysExact) {
     }
     auto summary = store.Apply(ctx, delta, incremental);
     ASSERT_TRUE(summary.ok()) << summary.status();
-    auto reference = MaterializeViews(views, store.base());
+    auto reference = MaterializeViews(ctx, views, store.base());
     ASSERT_TRUE(reference.ok()) << reference.status();
     ASSERT_EQ(store.views().ToString(), reference.value().ToString())
         << "step=" << step;

@@ -102,13 +102,13 @@ TEST(MaterializedViewSetTest, SelfJoinBatchMatchesFromScratch) {
 
   ViewSet views;
   ASSERT_TRUE(views.Add(view).ok());
-  auto expect = MaterializeViews(views, store.base());
+  auto expect = MaterializeViews(ctx, views, store.base());
   ASSERT_TRUE(expect.ok()) << expect.status();
   EXPECT_EQ(store.views().ToString(), expect.value().ToString());
 
   ASSERT_TRUE(
       store.ApplyRetract(ctx, Db("r(2, 3). r(3, 3)."), incremental).ok());
-  auto expect2 = MaterializeViews(views, store.base());
+  auto expect2 = MaterializeViews(ctx, views, store.base());
   ASSERT_TRUE(expect2.ok()) << expect2.status();
   EXPECT_EQ(store.views().ToString(), expect2.value().ToString());
 }

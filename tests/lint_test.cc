@@ -5,6 +5,8 @@
 
 #include <filesystem>
 #include <fstream>
+#include <regex>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -389,6 +391,37 @@ TEST(LintGoldenTest, FixLeavesCleanCorpusUntouched) {
   FixResult r = FixFileText(buf.str());
   EXPECT_FALSE(r.changed());
   EXPECT_EQ(r.text, buf.str());
+}
+
+// ---- shell vocabulary -------------------------------------------------------
+
+// cqac_shell dispatches exactly the words of kShellCommands: script
+// auto-detection then knows every command, and the shell's `help` (which
+// prints kShellCommands) lists every one.
+TEST(ShellVocabularyTest, DispatchMatchesShellCommands) {
+  std::filesystem::path file =
+      std::filesystem::path(CQAC_SOURCE_DIR) / "tools" / "cqac_shell.cc";
+  std::ifstream in(file);
+  ASSERT_TRUE(in.good()) << file;
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  const std::string src = buf.str();
+  // Dispatch's body runs from its signature to the unknown-command reply.
+  const size_t begin = src.find("bool Dispatch(");
+  ASSERT_NE(begin, std::string::npos);
+  const size_t end = src.find("unknown command", begin);
+  ASSERT_NE(end, std::string::npos);
+
+  std::set<std::string> dispatched;
+  const std::regex word(R"re(cmd == "([^"]*)")re");
+  for (std::sregex_iterator it(src.begin() + begin, src.begin() + end, word),
+       last;
+       it != last; ++it)
+    dispatched.insert((*it)[1].str());
+  std::set<std::string> listed;
+  for (std::string_view cmd : kShellCommands) listed.emplace(cmd);
+  EXPECT_EQ(listed.size(), std::size(kShellCommands)) << "duplicate word";
+  EXPECT_EQ(dispatched, listed);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@ namespace {
 
 std::vector<Mcd> Build(const Query& q, const ViewSet& raw_views,
                        ViewSet* prepped_out = nullptr) {
+  EngineContext ctx;
   Query qp = Preprocess(q).value();
   ViewSet prepped;
   for (const Query& v : raw_views.views()) {
@@ -21,7 +22,7 @@ std::vector<Mcd> Build(const Query& q, const ViewSet& raw_views,
   }
   std::vector<ExportAnalysis> analyses;
   for (const Query& v : prepped.views()) analyses.emplace_back(v);
-  auto r = ConstructMcds(qp, prepped, analyses);
+  auto r = ConstructMcds(ctx, qp, prepped, analyses);
   EXPECT_TRUE(r.ok()) << r.status();
   if (prepped_out != nullptr) *prepped_out = prepped;
   return r.ValueOr({});

@@ -1,4 +1,4 @@
-#include "src/eval/mirror.h"
+#include "tests/support/mirror.h"
 
 #include <gtest/gtest.h>
 
@@ -30,6 +30,7 @@ TEST(MirrorTest, Involutive) {
 }
 
 TEST(MirrorTest, EvaluationCommutes) {
+  EngineContext ctx;
   Rng rng(55);
   Query q = MustParseQuery("q(X, Y) :- e(X, Y), X < 4, Y >= 2");
   gen::DatabaseSpec spec;
@@ -38,9 +39,9 @@ TEST(MirrorTest, EvaluationCommutes) {
   spec.value_max = 10;
   Database db = gen::RandomDatabase(rng, {{"e", 2}}, spec);
 
-  Relation direct = EvaluateQuery(q, db).value();
+  Relation direct = EvaluateQuery(ctx, q, db).value();
   Relation mirrored =
-      EvaluateQuery(MirrorQuery(q), MirrorDatabase(db)).value();
+      EvaluateQuery(ctx, MirrorQuery(q), MirrorDatabase(db)).value();
   // Mirrors of the direct answers must equal the mirrored evaluation.
   Relation expected;
   for (const Tuple& t : direct) {
@@ -53,6 +54,7 @@ TEST(MirrorTest, EvaluationCommutes) {
 }
 
 TEST(MirrorTest, ContainmentCommutes) {
+  EngineContext ctx;
   Rng rng(77);
   for (int iter = 0; iter < 60; ++iter) {
     gen::QuerySpec spec;
@@ -65,8 +67,8 @@ TEST(MirrorTest, ContainmentCommutes) {
     spec.const_max = 5;
     Query a = gen::RandomQuery(rng, spec);
     Query b = gen::RandomQuery(rng, spec);
-    auto direct = IsContained(a, b);
-    auto mirrored = IsContained(MirrorQuery(a), MirrorQuery(b));
+    auto direct = IsContained(ctx, a, b);
+    auto mirrored = IsContained(ctx, MirrorQuery(a), MirrorQuery(b));
     ASSERT_TRUE(direct.ok()) << direct.status();
     ASSERT_TRUE(mirrored.ok()) << mirrored.status();
     ASSERT_EQ(direct.value(), mirrored.value())
@@ -77,13 +79,14 @@ TEST(MirrorTest, ContainmentCommutes) {
 TEST(MirrorTest, RewritingCommutes) {
   // The RSI path of RewriteLsiQuery is exactly the mirror of the LSI path:
   // rewriting the mirrored workload yields the mirrored MCR.
+  EngineContext ctx;
   Query q = MustParseQuery("q(A) :- p(A, B), r(C), A > 5, B > 3");
   ViewSet views(MustParseRules(
       "v1(X1, X2, X3) :- p(X, Y), s(X1, X2, X3), "
       "X3 <= X, X <= X1, X <= X2, X3 <= Y.\n"
       "v2(U) :- r(U)."));
-  auto direct = RewriteLsiQuery(q, views);
-  auto mirrored = RewriteLsiQuery(MirrorQuery(q), MirrorViews(views));
+  auto direct = RewriteLsiQuery(ctx, q, views);
+  auto mirrored = RewriteLsiQuery(ctx, MirrorQuery(q), MirrorViews(views));
   ASSERT_TRUE(direct.ok()) << direct.status();
   ASSERT_TRUE(mirrored.ok()) << mirrored.status();
   ASSERT_EQ(direct.value().disjuncts.size(),
@@ -93,7 +96,7 @@ TEST(MirrorTest, RewritingCommutes) {
   for (const Query& md : mirrored.value().disjuncts) {
     bool matched = false;
     for (const Query& d : direct.value().disjuncts) {
-      auto eq = IsEquivalent(md, MirrorQuery(d));
+      auto eq = IsEquivalent(ctx, md, MirrorQuery(d));
       if (eq.ok() && eq.value()) matched = true;
     }
     EXPECT_TRUE(matched) << md.ToString();

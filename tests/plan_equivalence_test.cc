@@ -242,7 +242,7 @@ TEST(PlanEquivalence, SubsetPositionCapCrossesBothWays) {
     ASSERT_TRUE(
         views.Add(MustParseQuery("t(X, W) :- r(X, Y), r(Y, Z), r(Z, W)."))
             .ok());
-    Result<Database> reference = MaterializeViews(views, store.base());
+    Result<Database> reference = MaterializeViews(ctx, views, store.base());
     ASSERT_TRUE(reference.ok());
     EXPECT_EQ(store.views().ToString(), reference.value().ToString());
   }

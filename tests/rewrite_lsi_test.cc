@@ -14,9 +14,10 @@ namespace {
 // the expected rewriting text.
 bool ContainsEquivalentDisjunct(const UnionQuery& u,
                                 const std::string& expected) {
+  EngineContext ctx;
   Query e = MustParseQuery(expected);
   for (const Query& d : u.disjuncts) {
-    auto r = IsEquivalent(d, e);
+    auto r = IsEquivalent(ctx, d, e);
     if (r.ok() && r.value()) return true;
   }
   return false;
@@ -25,7 +26,8 @@ bool ContainsEquivalentDisjunct(const UnionQuery& u,
 TEST(RewriteLsiTest, Example11FindsExportRewriting) {
   // The paper's P(A) :- v1(A, A), A < 4 must be produced (up to
   // equivalence), and nothing via v2.
-  auto mcr = RewriteLsiQuery(workloads::Example11Query(),
+  EngineContext ctx;
+  auto mcr = RewriteLsiQuery(ctx, workloads::Example11Query(),
                              workloads::Example11Views());
   ASSERT_TRUE(mcr.ok()) << mcr.status();
   ASSERT_FALSE(mcr.value().disjuncts.empty());
@@ -38,7 +40,8 @@ TEST(RewriteLsiTest, Example11FindsExportRewriting) {
 
 TEST(RewriteLsiTest, CarDealerMatchesMiniCon) {
   // Section 4.1: q(C, L) :- v1(C, L), v2(C, red).
-  auto mcr = RewriteLsiQuery(workloads::CarDealerQuery(),
+  EngineContext ctx;
+  auto mcr = RewriteLsiQuery(ctx, workloads::CarDealerQuery(),
                              workloads::CarDealerViews());
   ASSERT_TRUE(mcr.ok()) << mcr.status();
   ASSERT_EQ(mcr.value().disjuncts.size(), 1u) << mcr.value().ToString();
@@ -51,7 +54,8 @@ TEST(RewriteLsiTest, Sec44SatisfactionCases) {
   // Cases (1)-(3) usable; v4 unusable. The boolean variant is used because
   // with a distinguished head variable only v2 could return it (the paper's
   // example discusses the satisfaction step in isolation).
-  auto mcr = RewriteLsiQuery(workloads::Sec44CaseBooleanQuery(),
+  EngineContext ctx;
+  auto mcr = RewriteLsiQuery(ctx, workloads::Sec44CaseBooleanQuery(),
                              workloads::Sec44CaseViews());
   ASSERT_TRUE(mcr.ok()) << mcr.status();
   const UnionQuery& u = mcr.value();
@@ -75,7 +79,8 @@ TEST(RewriteLsiTest, Sec44CaseQueryHiddenHeadNeedsExport) {
   // (which hide X1) can participate only if A's value is exported; v1/v3
   // hide X1 entirely, so the *distinguished* A cannot map there. The MCR
   // disjuncts must all return A from an exposed position.
-  auto mcr = RewriteLsiQuery(workloads::Sec44CaseQuery(),
+  EngineContext ctx;
+  auto mcr = RewriteLsiQuery(ctx, workloads::Sec44CaseQuery(),
                              workloads::Sec44CaseViews());
   ASSERT_TRUE(mcr.ok());
   for (const Query& d : mcr.value().disjuncts) {
@@ -86,7 +91,8 @@ TEST(RewriteLsiTest, Sec44CaseQueryHiddenHeadNeedsExport) {
 TEST(RewriteLsiTest, Sec44FullAlgorithmExample) {
   // The paper derives P1: q(A) :- v1(A, X2, A), v2(C), A > 5, A > 3
   //                   P2: q(A) :- v1(X1, A, A), v2(C), A > 5, A > 3.
-  auto mcr = RewriteLsiQuery(workloads::Sec44FullQuery(),
+  EngineContext ctx;
+  auto mcr = RewriteLsiQuery(ctx, workloads::Sec44FullQuery(),
                              workloads::Sec44FullViews());
   ASSERT_TRUE(mcr.ok()) << mcr.status();
   EXPECT_TRUE(ContainsEquivalentDisjunct(
@@ -107,12 +113,13 @@ TEST(RewriteLsiTest, EveryEmittedRewritingIsContained) {
                        workloads::Sec44CaseViews()),
         std::make_pair(workloads::Sec44FullQuery(),
                        workloads::Sec44FullViews())}) {
-    auto mcr = RewriteLsiQuery(q, views);
+    EngineContext ctx;
+    auto mcr = RewriteLsiQuery(ctx, q, views);
     ASSERT_TRUE(mcr.ok()) << mcr.status();
     for (const Query& d : mcr.value().disjuncts) {
       auto exp = ExpandRewriting(d, views);
       ASSERT_TRUE(exp.ok()) << exp.status();
-      auto contained = IsContained(exp.value(), q);
+      auto contained = IsContained(ctx, exp.value(), q);
       ASSERT_TRUE(contained.ok()) << contained.status();
       EXPECT_TRUE(contained.value()) << d.ToString();
     }
@@ -122,12 +129,13 @@ TEST(RewriteLsiTest, EveryEmittedRewritingIsContained) {
 TEST(RewriteLsiTest, RsiQueriesMirror) {
   // RSI query through the same machinery (boolean so hidden-variable views
   // participate).
+  EngineContext ctx;
   Query q = MustParseQuery("q() :- p(A), A > 7");
   ViewSet views(MustParseRules(
       "v1(X2) :- p(X1), s(X2), X1 > 9.\n"
       "v2(X1) :- p(X1).\n"
       "v3(X2, X3) :- p(X1), r(X2, X3, X4), X3 <= X1."));
-  auto mcr = RewriteLsiQuery(q, views);
+  auto mcr = RewriteLsiQuery(ctx, q, views);
   ASSERT_TRUE(mcr.ok()) << mcr.status();
   bool used_v1 = false, used_v2 = false, used_v3 = false;
   for (const Query& d : mcr.value().disjuncts)
@@ -142,45 +150,50 @@ TEST(RewriteLsiTest, RsiQueriesMirror) {
 }
 
 TEST(RewriteLsiTest, MixedSiRejected) {
+  EngineContext ctx;
   Query q = MustParseQuery("q(A) :- p(A, B), A < 3, B > 5");
   ViewSet views(MustParseRules("v(X, Y) :- p(X, Y)."));
-  auto mcr = RewriteLsiQuery(q, views);
+  auto mcr = RewriteLsiQuery(ctx, q, views);
   EXPECT_FALSE(mcr.ok());
   EXPECT_EQ(mcr.status().code(), StatusCode::kUnsupported);
 }
 
 TEST(RewriteLsiTest, InconsistentQueryGivesEmptyMcr) {
+  EngineContext ctx;
   Query q = MustParseQuery("q(A) :- p(A), A < 3, A < 1, 5 <= A");
   ViewSet views(MustParseRules("v(X) :- p(X)."));
-  auto mcr = RewriteLsiQuery(q, views);
+  auto mcr = RewriteLsiQuery(ctx, q, views);
   ASSERT_TRUE(mcr.ok()) << mcr.status();
   EXPECT_TRUE(mcr.value().empty());
 }
 
 TEST(RewriteLsiTest, NoViewsNoRewritings) {
-  auto mcr = RewriteLsiQuery(workloads::Example11Query(), ViewSet());
+  EngineContext ctx;
+  auto mcr = RewriteLsiQuery(ctx, workloads::Example11Query(), ViewSet());
   ASSERT_TRUE(mcr.ok());
   EXPECT_TRUE(mcr.value().empty());
 }
 
 TEST(RewriteLsiTest, PureCqBehavesLikeMiniCon) {
   // Without comparisons, shared variables must be covered inside one MCD.
+  EngineContext ctx;
   Query q = MustParseQuery("q(C) :- car(C, A), loc(A, L)");
   ViewSet only_car(MustParseRules("v(X) :- car(X, D)."));
-  auto mcr = RewriteLsiQuery(q, only_car);
+  auto mcr = RewriteLsiQuery(ctx, q, only_car);
   ASSERT_TRUE(mcr.ok());
   // A is shared and hidden in v: no rewriting exists.
   EXPECT_TRUE(mcr.value().empty()) << mcr.value().ToString();
 
   ViewSet pair(MustParseRules("v(X) :- car(X, D), loc(D, L)."));
-  auto mcr2 = RewriteLsiQuery(q, pair);
+  auto mcr2 = RewriteLsiQuery(ctx, q, pair);
   ASSERT_TRUE(mcr2.ok());
   ASSERT_EQ(mcr2.value().disjuncts.size(), 1u);
 }
 
 TEST(RewriteLsiTest, StatsPopulated) {
+  EngineContext ctx;
   RewriteStats stats;
-  auto mcr = RewriteLsiQuery(workloads::Sec44FullQuery(),
+  auto mcr = RewriteLsiQuery(ctx, workloads::Sec44FullQuery(),
                              workloads::Sec44FullViews(), RewriteOptions{},
                              &stats);
   ASSERT_TRUE(mcr.ok());
@@ -190,11 +203,12 @@ TEST(RewriteLsiTest, StatsPopulated) {
 }
 
 TEST(RewriteLsiTest, PruneRedundantKeepsUnionEquivalent) {
+  EngineContext ctx;
   RewriteOptions opts;
   opts.prune_redundant = true;
-  auto pruned = RewriteLsiQuery(workloads::Sec44CaseQuery(),
+  auto pruned = RewriteLsiQuery(ctx, workloads::Sec44CaseQuery(),
                                 workloads::Sec44CaseViews(), opts);
-  auto full = RewriteLsiQuery(workloads::Sec44CaseQuery(),
+  auto full = RewriteLsiQuery(ctx, workloads::Sec44CaseQuery(),
                               workloads::Sec44CaseViews());
   ASSERT_TRUE(pruned.ok());
   ASSERT_TRUE(full.ok());
@@ -203,7 +217,7 @@ TEST(RewriteLsiTest, PruneRedundantKeepsUnionEquivalent) {
   for (const Query& d : full.value().disjuncts) {
     bool covered = false;
     for (const Query& s : pruned.value().disjuncts) {
-      auto c = IsContained(d, s);
+      auto c = IsContained(ctx, d, s);
       if (c.ok() && c.value()) covered = true;
     }
     EXPECT_TRUE(covered) << d.ToString();

@@ -50,6 +50,7 @@ Workload DrawWorkload(Rng& rng, gen::AcMode query_mode,
 void CheckEmpiricalContainment(const Query& q, const ViewSet& views,
                                const UnionQuery& rewritings, Rng& rng,
                                int databases) {
+  EngineContext ctx;
   std::map<std::string, int> schema = gen::SchemaOf(q);
   for (const auto& [pred, arity] : gen::SchemaOf(views))
     schema.emplace(pred, arity);
@@ -59,11 +60,11 @@ void CheckEmpiricalContainment(const Query& q, const ViewSet& views,
     spec.value_min = 0;
     spec.value_max = 11;
     Database db = gen::RandomDatabase(rng, schema, spec);
-    auto vdb = MaterializeViews(views, db);
+    auto vdb = MaterializeViews(ctx, views, db);
     ASSERT_TRUE(vdb.ok()) << vdb.status();
-    auto q_ans = EvaluateQuery(q, db);
+    auto q_ans = EvaluateQuery(ctx, q, db);
     ASSERT_TRUE(q_ans.ok()) << q_ans.status();
-    auto p_ans = EvaluateUnion(rewritings, vdb.value());
+    auto p_ans = EvaluateUnion(ctx, rewritings, vdb.value());
     ASSERT_TRUE(p_ans.ok()) << p_ans.status();
     for (const Tuple& t : p_ans.value()) {
       ASSERT_TRUE(q_ans.value().count(t))
@@ -94,7 +95,7 @@ TEST(RewritingPropertyTest, RewriteLsiSoundOnRandomLsiWorkloads) {
     for (const Query& d : mcr.value().disjuncts) {
       auto exp = ExpandRewriting(d, w.views);
       ASSERT_TRUE(exp.ok()) << exp.status();
-      auto c = IsContained(exp.value(), w.q);
+      auto c = IsContained(ctx, exp.value(), w.q);
       ASSERT_TRUE(c.ok()) << c.status();
       EXPECT_TRUE(c.value())
           << "query: " << w.q.ToString() << "\nrewriting: " << d.ToString();
@@ -108,10 +109,11 @@ TEST(RewritingPropertyTest, RewriteLsiSoundOnRandomLsiWorkloads) {
 }
 
 TEST(RewritingPropertyTest, RewriteLsiSoundOnRandomRsiWorkloads) {
+  EngineContext ctx;
   Rng rng(2002);
   for (int iter = 0; iter < 25; ++iter) {
     Workload w = DrawWorkload(rng, gen::AcMode::kRsi, gen::AcMode::kSi);
-    auto mcr = RewriteLsiQuery(w.q, w.views);
+    auto mcr = RewriteLsiQuery(ctx, w.q, w.views);
     if (!mcr.ok()) continue;
     if (!mcr.value().disjuncts.empty())
       CheckEmpiricalContainment(w.q, w.views, mcr.value(), rng, 2);
@@ -139,15 +141,16 @@ TEST(RewritingPropertyTest, BucketSoundOnRandomWorkloads) {
 TEST(RewritingPropertyTest, RewriteLsiSubsumesBucketOnLsiWorkloads) {
   // Completeness (relative): every bucket rewriting is contained in the
   // RewriteLSIQuery MCR (Theorem 4.2's guarantee, tested via the union).
+  EngineContext ctx;
   Rng rng(4004);
   int comparisons = 0;
   for (int iter = 0; iter < 20; ++iter) {
     Workload w = DrawWorkload(rng, gen::AcMode::kLsi, gen::AcMode::kSi);
-    auto mcr = RewriteLsiQuery(w.q, w.views);
-    auto bucket = BucketRewrite(w.q, w.views);
+    auto mcr = RewriteLsiQuery(ctx, w.q, w.views);
+    auto bucket = BucketRewrite(ctx, w.q, w.views);
     if (!mcr.ok() || !bucket.ok()) continue;
     for (const Query& b : bucket.value().disjuncts) {
-      auto covered = IsContainedInUnion(b, mcr.value());
+      auto covered = IsContainedInUnion(ctx, b, mcr.value());
       ASSERT_TRUE(covered.ok()) << covered.status();
       EXPECT_TRUE(covered.value())
           << "bucket rewriting not covered by the MCR\nquery: "

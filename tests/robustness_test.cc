@@ -62,9 +62,10 @@ TEST(RobustnessTest, ParserSurvivesMutatedValidInput) {
 
 TEST(RobustnessTest, ValidationGuardsEvaluation) {
   // Unsafe queries are rejected by evaluation, not silently mis-answered.
+  EngineContext ctx;
   Query unsafe = MustParseQuery("q(X, W) :- r(X)");
   Database db = Database::FromFacts("r(1).").value();
-  EXPECT_FALSE(EvaluateQuery(unsafe, db).ok());
+  EXPECT_FALSE(EvaluateQuery(ctx, unsafe, db).ok());
 }
 
 TEST(RobustnessTest, HomomorphismCapSurfaces) {
@@ -140,30 +141,33 @@ TEST(RobustnessTest, ViewHeadConstantsExpand) {
 }
 
 TEST(RobustnessTest, EmptyViewSetEverywhere) {
+  EngineContext ctx;
   Query q = MustParseQuery("q(X) :- r(X), X < 2");
   ViewSet none;
-  EXPECT_TRUE(RewriteLsiQuery(q, none).value().empty());
+  EXPECT_TRUE(RewriteLsiQuery(ctx, q, none).value().empty());
   auto exp = ExpandRewriting(q, none);
   EXPECT_FALSE(exp.ok());  // r is not a view
 }
 
 TEST(RobustnessTest, ZeroArityPredicates) {
+  EngineContext ctx;
   Query q = MustParseQuery("q() :- flag(), r(X)");
   Database db = Database::FromFacts("flag(). r(1).").value();
-  auto r = EvaluateQuery(q, db);
+  auto r = EvaluateQuery(ctx, q, db);
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_EQ(r.value().size(), 1u);
 }
 
 TEST(RobustnessTest, LargeConstantsStayExact) {
+  EngineContext ctx;
   Query a = MustParseQuery(
       "q(X) :- r(X), X < 4611686018427387904");  // 2^62
   Query b = MustParseQuery(
       "q(X) :- r(X), X < 4611686018427387905");
-  auto r = IsContained(a, b);
+  auto r = IsContained(ctx, a, b);
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r.value());
-  auto r2 = IsContained(b, a);
+  auto r2 = IsContained(ctx, b, a);
   ASSERT_TRUE(r2.ok());
   EXPECT_FALSE(r2.value());
 }

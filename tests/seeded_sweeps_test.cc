@@ -8,10 +8,10 @@
 #include "src/containment/containment.h"
 #include "src/containment/si_reduction.h"
 #include "src/eval/evaluate.h"
-#include "src/eval/mirror.h"
 #include "src/gen/generators.h"
 #include "src/ir/expansion.h"
 #include "src/rewriting/rewrite_lsi.h"
+#include "tests/support/mirror.h"
 
 namespace cqac {
 namespace {
@@ -20,6 +20,7 @@ class SeededSweep : public ::testing::TestWithParam<uint64_t> {};
 
 // --- Containment: production procedure vs canonical databases. -------------
 TEST_P(SeededSweep, ContainmentProceduresAgree) {
+  EngineContext ctx;
   Rng rng(GetParam());
   for (int iter = 0; iter < 12; ++iter) {
     gen::QuerySpec spec;
@@ -31,7 +32,7 @@ TEST_P(SeededSweep, ContainmentProceduresAgree) {
     spec.boolean_head = true;
     Query a = gen::RandomQuery(rng, spec);
     Query b = gen::RandomQuery(rng, spec);
-    auto fast = IsContained(a, b);
+    auto fast = IsContained(ctx, a, b);
     auto slow = IsContainedByCanonicalDatabases(a, b);
     ASSERT_TRUE(fast.ok()) << fast.status();
     ASSERT_TRUE(slow.ok()) << slow.status();
@@ -42,6 +43,7 @@ TEST_P(SeededSweep, ContainmentProceduresAgree) {
 
 // --- Preprocessing preserves semantics on random databases. ----------------
 TEST_P(SeededSweep, PreprocessPreservesAnswers) {
+  EngineContext ctx;
   Rng rng(GetParam() * 31 + 5);
   gen::QuerySpec spec;
   spec.num_subgoals = 2;
@@ -57,14 +59,14 @@ TEST_P(SeededSweep, PreprocessPreservesAnswers) {
   dbspec.value_max = 8;
   for (int d = 0; d < 3; ++d) {
     Database db = gen::RandomDatabase(rng, gen::SchemaOf(q), dbspec);
-    Relation direct = EvaluateQuery(q, db).value();
+    Relation direct = EvaluateQuery(ctx, q, db).value();
     if (!p.ok()) {
       ASSERT_EQ(p.status().code(), StatusCode::kInconsistent);
       ASSERT_TRUE(direct.empty())
           << "inconsistent query produced answers: " << q.ToString();
       continue;
     }
-    Relation processed = EvaluateQuery(p.value(), db).value();
+    Relation processed = EvaluateQuery(ctx, p.value(), db).value();
     ASSERT_EQ(direct, processed) << q.ToString() << "\n-> "
                                  << p.value().ToString();
   }
@@ -72,6 +74,7 @@ TEST_P(SeededSweep, PreprocessPreservesAnswers) {
 
 // --- Rewriting soundness, symbolic and empirical. ---------------------------
 TEST_P(SeededSweep, RewritingsSound) {
+  EngineContext ctx;
   Rng rng(GetParam() * 97 + 1);
   gen::QuerySpec qspec;
   qspec.num_subgoals = 2;
@@ -86,7 +89,7 @@ TEST_P(SeededSweep, RewritingsSound) {
   vspec.ac_mode = gen::AcMode::kSi;
   ViewSet views = gen::RandomViewsForQuery(rng, q, vspec);
 
-  auto mcr = RewriteLsiQuery(q, views);
+  auto mcr = RewriteLsiQuery(ctx, q, views);
   ASSERT_TRUE(mcr.ok()) << mcr.status();
   std::map<std::string, int> schema = gen::SchemaOf(q);
   gen::DatabaseSpec dbspec;
@@ -95,15 +98,15 @@ TEST_P(SeededSweep, RewritingsSound) {
     auto exp = ExpandRewriting(d, views);
     ASSERT_TRUE(exp.ok());
     // Preprocess may flag empty expansions, which are vacuously fine.
-    auto c = IsContained(exp.value(), q);
+    auto c = IsContained(ctx, exp.value(), q);
     ASSERT_TRUE(c.ok()) << c.status();
     EXPECT_TRUE(c.value()) << d.ToString();
   }
   if (!mcr.value().disjuncts.empty()) {
     Database db = gen::RandomDatabase(rng, schema, dbspec);
-    Database vdb = MaterializeViews(views, db).value();
-    Relation truth = EvaluateQuery(q, db).value();
-    Relation certain = EvaluateUnion(mcr.value(), vdb).value();
+    Database vdb = MaterializeViews(ctx, views, db).value();
+    Relation truth = EvaluateQuery(ctx, q, db).value();
+    Relation certain = EvaluateUnion(ctx, mcr.value(), vdb).value();
     for (const Tuple& t : certain)
       ASSERT_TRUE(truth.count(t)) << "unsound tuple " << TupleToString(t);
   }
@@ -111,6 +114,7 @@ TEST_P(SeededSweep, RewritingsSound) {
 
 // --- Theorem 5.1's reduction agrees with general containment. ---------------
 TEST_P(SeededSweep, SiReductionAgrees) {
+  EngineContext ctx;
   Rng rng(GetParam() * 13 + 7);
   for (int iter = 0; iter < 8; ++iter) {
     gen::QuerySpec spec;
@@ -123,9 +127,9 @@ TEST_P(SeededSweep, SiReductionAgrees) {
     Query q1 = gen::RandomQuery(rng, spec);
     spec.ac_mode = gen::AcMode::kSi;
     Query q2 = gen::RandomQuery(rng, spec);
-    auto red = IsContainedSiReduction(q2, q1);
+    auto red = IsContainedSiReduction(ctx, q2, q1);
     if (!red.ok()) continue;  // preprocessing changed the class; skip draw
-    auto gen_result = IsContained(q2, q1);
+    auto gen_result = IsContained(ctx, q2, q1);
     ASSERT_TRUE(gen_result.ok());
     ASSERT_EQ(red.value(), gen_result.value())
         << "q2 = " << q2.ToString() << "\nq1 = " << q1.ToString();
@@ -134,6 +138,7 @@ TEST_P(SeededSweep, SiReductionAgrees) {
 
 // --- Mirror symmetry of containment. ----------------------------------------
 TEST_P(SeededSweep, MirrorCommutesWithContainment) {
+  EngineContext ctx;
   Rng rng(GetParam() * 3 + 11);
   gen::QuerySpec spec;
   spec.num_subgoals = 2;
@@ -145,8 +150,8 @@ TEST_P(SeededSweep, MirrorCommutesWithContainment) {
   spec.boolean_head = true;
   Query a = gen::RandomQuery(rng, spec);
   Query b = gen::RandomQuery(rng, spec);
-  auto direct = IsContained(a, b);
-  auto mirrored = IsContained(MirrorQuery(a), MirrorQuery(b));
+  auto direct = IsContained(ctx, a, b);
+  auto mirrored = IsContained(ctx, MirrorQuery(a), MirrorQuery(b));
   ASSERT_TRUE(direct.ok());
   ASSERT_TRUE(mirrored.ok());
   EXPECT_EQ(direct.value(), mirrored.value())

@@ -54,8 +54,9 @@ TEST(SiFormTest, Coupling) {
 
 TEST(SiReductionTest, PcqConstruction) {
   // Q2^CQ of Example 5.1: U_gt_5(A) and U_lt_8(E) added.
+  EngineContext ctx;
   Query pcq_q = workloads::Example51Q2();
-  auto pcq = BuildPcq(pcq_q, workloads::Example51Q1());
+  auto pcq = BuildPcq(ctx, pcq_q, workloads::Example51Q1());
   ASSERT_TRUE(pcq.ok()) << pcq.status();
   const Query& p = pcq.value();
   EXPECT_TRUE(p.IsConjunctiveOnly());
@@ -128,48 +129,52 @@ TEST(SiReductionTest, NoCouplingRulesWhenConstantsDoNotCouple) {
 }
 
 TEST(SiReductionTest, Theorem51OnExample51) {
-  auto r = IsContainedSiReduction(workloads::Example51Q2(),
+  EngineContext ctx;
+  auto r = IsContainedSiReduction(ctx, workloads::Example51Q2(),
                                   workloads::Example51Q1());
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_TRUE(r.value());
 }
 
 TEST(SiReductionTest, Theorem51OnChains) {
+  EngineContext ctx;
   const Query q1 = workloads::Example51Q1();
   for (int n = 2; n <= 10; n += 2) {
     Query chain = workloads::Example51Chain(n, Rational(6), Rational(7));
-    auto r = IsContainedSiReduction(chain, q1);
+    auto r = IsContainedSiReduction(ctx, chain, q1);
     ASSERT_TRUE(r.ok()) << r.status();
     EXPECT_TRUE(r.value()) << "even chain " << n;
   }
   for (int n = 3; n <= 9; n += 2) {
     Query chain = workloads::Example51Chain(n, Rational(6), Rational(7));
-    auto r = IsContainedSiReduction(chain, q1);
+    auto r = IsContainedSiReduction(ctx, chain, q1);
     ASSERT_TRUE(r.ok()) << r.status();
     EXPECT_FALSE(r.value()) << "odd chain " << n;
   }
   // Weak lower bound: not contained.
   auto weak = IsContainedSiReduction(
-      workloads::Example51Chain(4, Rational(4), Rational(7)), q1);
+      ctx, workloads::Example51Chain(4, Rational(4), Rational(7)), q1);
   ASSERT_TRUE(weak.ok());
   EXPECT_FALSE(weak.value());
 }
 
 TEST(SiReductionTest, RequiresCqacSi) {
   // Two LSI + two RSI comparisons: not CQAC-SI.
+  EngineContext ctx;
   Query bad = MustParseQuery(
       "q() :- r(A, B, C, D), A < 1, B < 2, C > 3, D > 4");
   Query si = MustParseQuery("q() :- r(A, B, C, D), A > 1");
   EXPECT_FALSE(BuildQdatalog(bad).ok());
-  EXPECT_FALSE(IsContainedSiReduction(si, bad).ok());
+  EXPECT_FALSE(IsContainedSiReduction(ctx, si, bad).ok());
   // Non-SI Q2 also rejected.
   Query varvar = MustParseQuery("q() :- r(A, B, C, D), A <= B");
-  EXPECT_FALSE(IsContainedSiReduction(varvar, si).ok());
+  EXPECT_FALSE(IsContainedSiReduction(ctx, varvar, si).ok());
 }
 
 // Property test (Theorem 5.1): on random CQAC-SI pairs the reduction agrees
 // with the general containment procedure.
 TEST(SiReductionTest, ReductionAgreesWithGeneralContainment) {
+  EngineContext ctx;
   Rng rng(20020601);  // PODS 2002
   int tested = 0;
   for (int iter = 0; iter < 150; ++iter) {
@@ -186,13 +191,13 @@ TEST(SiReductionTest, ReductionAgreesWithGeneralContainment) {
     spec.ac_mode = gen::AcMode::kSi;
     Query q2 = gen::RandomQuery(rng, spec, "q");
 
-    auto reduction = IsContainedSiReduction(q2, q1);
+    auto reduction = IsContainedSiReduction(ctx, q2, q1);
     if (!reduction.ok()) {
       // Preprocessing may reveal the query is not CQAC-SI (e.g. equality
       // collapse) or inconsistent; skip those draws.
       continue;
     }
-    auto general = IsContained(q2, q1);
+    auto general = IsContained(ctx, q2, q1);
     ASSERT_TRUE(general.ok()) << general.status();
     ASSERT_EQ(reduction.value(), general.value())
         << "q2 = " << q2.ToString() << "\nq1 = " << q1.ToString();

@@ -17,6 +17,10 @@
 //   eval                   evaluate the query over the base database
 //   answers                certain answers: materialize views, run the MCR
 //   contained <rule>       is <rule> contained in the current query?
+//   explain <rule>         why <rule> is (or is not) contained in the
+//                          current query: mappings and implied comparisons
+//   intervals              print the interval each query variable is
+//                          confined to by the query's comparisons
 //   lint                   run the semantic linter over the views + query
 //   verify                 recompute the rewriting with witnesses and
 //                          re-validate it with the certificate checker
@@ -34,7 +38,7 @@
 //                          rematerialization, the snapshot carries the
 //                          maintained state (src/store)
 //   reset                  clear all state
-//   help                   print this summary
+//   help                   print the command words (lint's kShellCommands)
 //
 // Exit status is nonzero if any command failed (parse error, engine error),
 // making scripts usable as smoke tests.
@@ -49,6 +53,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/analysis/audit/audit.h"
@@ -127,19 +132,24 @@ class Shell {
     if (cmd == "explain") return Explain(rest);
     if (cmd == "plan") return PlanCmd();
     if (cmd == "intervals") return Intervals();
-    if (cmd == "stats" || cmd == "\\stats") return Stats();
+    if (cmd == "stats") return Stats();
     if (cmd == "save") return Save(rest);
     if (cmd == "load") return Load(rest);
     return Fail("unknown command '" + cmd + "' (try: help)");
   }
 
+  // The command words are lint's kShellCommands, the list script
+  // auto-detection keys on (lint_test checks Dispatch against it).
   bool Help() {
-    std::printf(
-        "commands: view <rule> | query <rule> | fact <atom> |\n"
-        "          retract <atom> | classify | rewrite | er | minimize |\n"
-        "          eval | answers | contained <rule> | explain <rule> |\n"
-        "          intervals | lint | verify | audit | plan | stats |\n"
-        "          save <dir> | load <dir> | reset | help\n");
+    std::string line = "commands:";
+    for (std::string_view cmd : kShellCommands) {
+      if (line.size() + cmd.size() > 72) {
+        std::printf("%s\n", line.c_str());
+        line = "         ";
+      }
+      line += StrCat(" ", cmd);
+    }
+    std::printf("%s\n", line.c_str());
     return true;
   }
 
@@ -399,7 +409,8 @@ class Shell {
     if (!NeedQuery()) return false;
     Result<Query> p = ParseQuery(text);
     if (!p.ok()) return Fail(p.status().ToString());
-    Result<ContainmentExplanation> e = ExplainContainment(p.value(), query_);
+    Result<ContainmentExplanation> e =
+        ExplainContainment(*ctx_, p.value(), query_);
     if (!e.ok()) return Fail(e.status().ToString());
     std::printf("%s\n", e.value().ToString().c_str());
     return true;
