@@ -20,14 +20,6 @@ namespace {
 using std::chrono::milliseconds;
 using std::chrono::steady_clock;
 
-// A chain query r(X0,X1), r(X1,X2), ..., of `n` subgoals.
-Query Chain(int n, const std::string& name) {
-  std::string def = StrCat(name, "(X0) :- ");
-  for (int i = 0; i < n; ++i)
-    def += StrCat(i ? ", " : "", "r(X", i, ", X", i + 1, ")");
-  return MustParseQuery(def);
-}
-
 // A complete digraph on `n` nodes as a single binary relation.
 Database CompleteGraph(int n) {
   Database db;
