@@ -655,7 +655,7 @@ Status AuditAll(EngineContext& ctx, const AuditInputs& inputs,
 
     if (q.IsCqacSi() && inputs.views.AllVariablesDistinguished()) {
       ErWitness ew;
-      Result<ErResult> er = FindEquivalentRewriting(ctx, q, inputs.views, {}, &ew);
+      Result<ErResult> er = FindEquivalentRewriting(ctx, q, inputs.views, &ew);
       if (er.ok() && er.value().found())
         run(ObligationKind::kEquivalentRewriting, name, [&] {
           return CheckErResult(q, inputs.views, er.value(), ew);

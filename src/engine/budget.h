@@ -3,8 +3,8 @@
 //
 // It replaces the scattered per-struct caps the options types used to carry
 // (ContainmentOptions::max_homomorphisms, HomomorphismOptions::max_results,
-// BucketOptions::max_candidates, McdOptions::max_mcds,
-// RewriteOptions::max_combinations, ...). Semantics:
+// BucketOptions::max_candidates, RewriteLSIQuery's MCD and combination
+// caps, ...). Semantics:
 //
 //  * max_homomorphisms — cap on containment mappings enumerated per
 //    homomorphism search (ForEachHomomorphism and everything above it);

@@ -4,6 +4,7 @@
 #include "src/containment/containment.h"
 #include "src/engine/parallel.h"
 #include "src/ir/expansion.h"
+#include "src/rewriting/answer.h"
 #include "src/rewriting/bucket.h"
 #include "src/rewriting/rewrite_lsi.h"
 
@@ -11,7 +12,6 @@ namespace cqac {
 
 Result<ErResult> FindEquivalentRewriting(EngineContext& ctx, const Query& q,
                                          const ViewSet& views,
-                                         const ErSearchOptions& options,
                                          ErWitness* witness) {
   ErResult result;
   if (witness != nullptr) *witness = ErWitness{};
@@ -30,9 +30,8 @@ Result<ErResult> FindEquivalentRewriting(EngineContext& ctx, const Query& q,
   }
 
   RewritingWitness* fw = witness != nullptr ? &witness->forward : nullptr;
-  AcClass cls = qp.value().Classify();
   UnionQuery crs;
-  if (cls == AcClass::kNone || cls == AcClass::kLsi || cls == AcClass::kRsi) {
+  if (ChooseRewriteAlgorithm(qp.value(), views) == RewriteAlgorithm::kLsiMcr) {
     CQAC_ASSIGN_OR_RETURN(
         crs, RewriteLsiQuery(ctx, qp.value(), views, {}, nullptr, fw));
   } else {
@@ -86,7 +85,7 @@ Result<ErResult> FindEquivalentRewriting(EngineContext& ctx, const Query& q,
     return result;
   }
 
-  if (options.try_union && !crs.disjuncts.empty()) {
+  if (!crs.disjuncts.empty()) {
     // Corollary 3.1: an ER may need to be a union. The CRs are contained by
     // construction; equivalence needs the query contained in the union of
     // expansions.

@@ -20,13 +20,6 @@
 
 namespace cqac {
 
-struct ErSearchOptions {
-  /// Also test whether the full union of contained rewritings is equivalent
-  /// (Corollary 3.1's language of finite unions). More expensive: uses the
-  /// canonical-database union-containment test.
-  bool try_union = true;
-};
-
 /// The result of an ER search.
 struct ErResult {
   /// A single-CQAC equivalent rewriting, when one exists in the searched
@@ -57,13 +50,14 @@ struct ErWitness {
   ContainmentWitness back;
 };
 
-/// Searches for an equivalent rewriting of `q` using `views`. The context
-/// shares one decision cache across the CR generation and the many two-way
-/// containment verifications. When `witness` is non-null the
+/// Searches for an equivalent rewriting of `q` using `views`: a single
+/// contained rewriting whose expansion contains `q`, else the union of all of
+/// them (Corollary 3.1, decided by the canonical-database union-containment
+/// test). The context shares one decision cache across the CR generation and
+/// the many two-way containment verifications. When `witness` is non-null the
 /// evidence behind a found ER is recorded for certificate checking.
 Result<ErResult> FindEquivalentRewriting(EngineContext& ctx, const Query& q,
                                          const ViewSet& views,
-                                         const ErSearchOptions& options = {},
                                          ErWitness* witness = nullptr);
 
 }  // namespace cqac

@@ -23,6 +23,11 @@ std::string Mcd::ToString(const Query& q, const Query& view) const {
 
 namespace {
 
+/// Cap on export-homomorphism combinations explored per MCD skeleton (a
+/// structural fan-out bound; the overall MCD count is charged to the
+/// context's Budget::max_mappings).
+constexpr size_t kMaxExportCombinations = 256;
+
 /// In-flight MCD construction state.
 struct BuildState {
   std::set<int> covered;
@@ -36,10 +41,10 @@ struct BuildState {
 class McdBuilder {
  public:
   McdBuilder(const Query& q, const Query& view, int view_index,
-             const ExportAnalysis& analysis, const McdOptions& options,
-             size_t max_mcds, std::vector<Mcd>* out)
+             const ExportAnalysis& analysis, size_t max_mcds,
+             std::vector<Mcd>* out)
       : q_(q), view_(view), view_index_(view_index), analysis_(analysis),
-        options_(options), max_mcds_(max_mcds), out_(out),
+        max_mcds_(max_mcds), out_(out),
         q_distinguished_(q.DistinguishedMask()),
         v_distinguished_(view.DistinguishedMask()) {
     // Precompute, per query variable, the subgoals it occurs in.
@@ -216,7 +221,7 @@ class McdBuilder {
       for (const HeadHomomorphism& base : combos)
         for (const HeadHomomorphism& h : alts) {
           next.push_back(HeadHomomorphism::Combine(base, h));
-          if (next.size() > options_.max_export_combinations) break;
+          if (next.size() > kMaxExportCombinations) break;
         }
       combos = std::move(next);
     }
@@ -267,7 +272,6 @@ class McdBuilder {
   const Query& view_;
   int view_index_;
   const ExportAnalysis& analysis_;
-  const McdOptions& options_;
   size_t max_mcds_;
   std::vector<Mcd>* out_;
   std::vector<bool> q_distinguished_;
@@ -279,14 +283,14 @@ class McdBuilder {
 
 Result<std::vector<Mcd>> ConstructMcds(
     EngineContext& ctx, const Query& q, const ViewSet& views,
-    const std::vector<ExportAnalysis>& analyses, const McdOptions& options) {
+    const std::vector<ExportAnalysis>& analyses) {
   if (analyses.size() != views.size())
     return Status::InvalidArgument("analyses must parallel views");
   const size_t max_mcds = ctx.budget().max_mappings;
   std::vector<Mcd> out;
   for (size_t vi = 0; vi < views.size(); ++vi) {
     McdBuilder builder(q, views[vi], static_cast<int>(vi), analyses[vi],
-                       options, max_mcds, &out);
+                       max_mcds, &out);
     for (size_t gi = 0; gi < q.body().size(); ++gi) {
       CQAC_RETURN_IF_ERROR(ctx.budget().CheckDeadline("MCD construction"));
       for (size_t vj = 0; vj < views[vi].body().size(); ++vj)

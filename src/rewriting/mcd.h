@@ -43,13 +43,6 @@ struct Mcd {
   std::string ToString(const Query& q, const Query& view) const;
 };
 
-struct McdOptions {
-  /// Cap on export-homomorphism combinations explored per MCD skeleton
-  /// (structural fan-out bound; the overall MCD count is charged to the
-  /// context's Budget::max_mappings).
-  size_t max_export_combinations = 256;
-};
-
 /// Builds all MCDs of `q` over `views` (both must be preprocessed; the
 /// analyses vector parallels the views). Each MCD is minimal in its covered
 /// set and carries a least restrictive head homomorphism. The MCD count is
@@ -57,8 +50,7 @@ struct McdOptions {
 /// between seeds; exceeding either returns ResourceExhausted.
 Result<std::vector<Mcd>> ConstructMcds(
     EngineContext& ctx, const Query& q, const ViewSet& views,
-    const std::vector<ExportAnalysis>& analyses,
-    const McdOptions& options = {});
+    const std::vector<ExportAnalysis>& analyses);
 
 }  // namespace cqac
 

@@ -7,10 +7,9 @@
 #include "src/base/strings.h"
 #include "src/constraints/implication.h"
 #include "src/constraints/preprocess.h"
-#include "src/containment/containment.h"
 #include "src/engine/parallel.h"
 #include "src/eval/evaluate.h"
-#include "src/ir/expansion.h"
+#include "src/rewriting/candidate.h"
 
 namespace cqac {
 namespace {
@@ -65,11 +64,10 @@ class QueryVarUnifier {
 class Combiner {
  public:
   Combiner(EngineContext& ctx, const Query& q, const ViewSet& views,
-           const std::vector<ExportAnalysis>& analyses,
            const std::vector<const Mcd*>& combo,
            const RewriteOptions& options)
-      : ctx_(ctx), q_(q), views_(views), analyses_(analyses), combo_(combo),
-        options_(options), uf_(q.num_vars()) {}
+      : ctx_(ctx), q_(q), views_(views), combo_(combo), options_(options),
+        uf_(q.num_vars()) {}
 
   /// Produces all candidate rewritings for this combination (empty when the
   /// combination is infeasible).
@@ -85,7 +83,6 @@ class Combiner {
   // ---- Step A: equalities forced by the MCDs. -----------------------------
   bool UnifyQueryVars() {
     for (const Mcd* m : combo_) {
-      const Query& view = views_[m->view_index];
       // Variables mapped to hh-equal view variables become equal; variables
       // mapped to constants (directly or through const_bindings) are pinned.
       std::vector<std::pair<int, int>> var_images;  // (q var, view var)
@@ -107,7 +104,6 @@ class Combiner {
           if (m->hh.Same(var_images[i].second, var_images[j].second))
             if (!uf_.Union(var_images[i].first, var_images[j].first))
               return false;
-      (void)view;
     }
     return true;
   }
@@ -229,7 +225,6 @@ class Combiner {
 
         // Cases (2) and (3): bound a realized class. For every view head
         // class with a P-term, check whether bounding it bounds w.
-        const Query& view = views_[m->view_index];
         for (const auto& [cls, pterm] : class_terms_[mi]) {
           if (pterm.is_const()) continue;
           Term y = Term::Var(cls);
@@ -265,7 +260,6 @@ class Combiner {
               AddWay(&ways, Comparison(Term::Const(bound), theta, pterm));
           }
         }
-        (void)view;
       }
       if (ways.empty()) return false;  // this comparison cannot be satisfied
       ac_ways_.push_back(std::move(ways));
@@ -311,7 +305,6 @@ class Combiner {
   EngineContext& ctx_;
   const Query& q_;
   const ViewSet& views_;
-  const std::vector<ExportAnalysis>& analyses_;
   const std::vector<const Mcd*>& combo_;
   const RewriteOptions& options_;
 
@@ -333,18 +326,12 @@ Result<UnionQuery> RewriteLsiQuery(EngineContext& ctx, const Query& q,
   RewriteStats local_stats;
   if (stats == nullptr) stats = &local_stats;
   *stats = RewriteStats{};
-  if (witness != nullptr) *witness = RewritingWitness{};
 
-  // Preprocess the query; an inconsistent query has the empty MCR.
-  Result<Query> qp_result = Preprocess(q);
-  if (!qp_result.ok()) {
-    if (qp_result.status().code() == StatusCode::kInconsistent)
-      return UnionQuery{};
-    return qp_result.status();
-  }
-  Query qp = std::move(qp_result).value();
+  CQAC_ASSIGN_OR_RETURN(std::optional<Query> prepared,
+                        PrepareQuery(q, witness));
+  if (!prepared.has_value()) return UnionQuery{};
+  const Query& qp = *prepared;
   CQAC_RETURN_IF_ERROR(qp.Validate());
-  if (witness != nullptr) witness->query = qp;
 
   AcClass cls = qp.Classify();
   if (cls != AcClass::kNone && cls != AcClass::kLsi && cls != AcClass::kRsi)
@@ -353,24 +340,14 @@ Result<UnionQuery> RewriteLsiQuery(EngineContext& ctx, const Query& q,
                AcClassName(cls),
                "' (use RewriteSiQueryDatalog for CQAC-SI queries)"));
 
-  // Preprocess the views; inconsistent views are unusable (always empty).
-  ViewSet prepped;
-  for (const Query& v : views.views()) {
-    Result<Query> vp = Preprocess(v);
-    if (!vp.ok()) {
-      if (vp.status().code() == StatusCode::kInconsistent) continue;
-      return vp.status();
-    }
-    CQAC_RETURN_IF_ERROR(prepped.Add(std::move(vp).value()));
-  }
-  if (witness != nullptr) witness->views = prepped.views();
+  CQAC_ASSIGN_OR_RETURN(ViewSet prepped, PrepareViews(views, witness));
 
   std::vector<ExportAnalysis> analyses;
   analyses.reserve(prepped.size());
   for (const Query& v : prepped.views()) analyses.emplace_back(v);
 
   CQAC_ASSIGN_OR_RETURN(std::vector<Mcd> mcds,
-                        ConstructMcds(ctx, qp, prepped, analyses, options.mcd));
+                        ConstructMcds(ctx, qp, prepped, analyses));
   stats->mcds = mcds.size();
 
   // Index MCDs by their smallest covered subgoal for the exact-cover search.
@@ -428,115 +405,49 @@ Result<UnionQuery> RewriteLsiQuery(EngineContext& ctx, const Query& q,
   // task pool. Combos are independent; only the merge below (dedup, witness
   // collection, error reporting) depends on cover order, so it walks the
   // outcomes in cover order and is deterministic at every thread count.
-  struct ComboOutcome {
-    Status error = Status::OK();
-    std::vector<Query> accepted;  // pre-dedup, in candidate order
-    std::vector<ContainmentWitness> witnesses;  // parallel to accepted
-    uint64_t candidates = 0;
-    uint64_t verified_rejects = 0;
-  };
-
-  auto process_combo = [&](size_t ci) -> ComboOutcome {
-    ComboOutcome out;
-    Combiner combiner(ctx, qp, prepped, analyses, combos[ci], options);
+  auto process_combo = [&](size_t ci) -> CandidateOutcome {
+    CandidateOutcome out;
+    Combiner combiner(ctx, qp, prepped, combos[ci], options);
     Result<std::vector<Query>> candidates = combiner.Build();
     if (!candidates.ok()) {
       out.error = candidates.status();
       return out;
     }
     for (Query& cand : candidates.value()) {
-      ++out.candidates;
       ++ctx.stats().rewrite_candidates;
-      ContainmentWitness cand_witness;
+      ContainmentWitness evidence;
       if (options.verify_rewritings || witness != nullptr) {
-        Result<Query> exp = ExpandRewriting(cand, prepped);
-        if (!exp.ok()) {
-          out.error = exp.status();
+        Result<bool> accepted =
+            VerifyCandidate(ctx, cand, qp, prepped,
+                            witness != nullptr ? &evidence : nullptr);
+        if (!accepted.ok()) {
+          out.error = accepted.status();
           return out;
         }
-        // An inconsistent expansion denotes the empty query: vacuously
-        // contained but useless; drop it.
-        Result<Query> expp = Preprocess(exp.value());
-        if (!expp.ok()) {
-          if (expp.status().code() == StatusCode::kInconsistent) {
-            ++out.verified_rejects;
-            ++ctx.stats().rewrite_verified_rejects;
-            continue;
-          }
-          out.error = expp.status();
-          return out;
-        }
-        Result<bool> contained =
-            IsContained(ctx, expp.value(), qp, {},
-                        witness != nullptr ? &cand_witness : nullptr);
-        if (!contained.ok()) {
-          out.error = contained.status();
-          return out;
-        }
-        if (!contained.value()) {
-          ++out.verified_rejects;
-          ++ctx.stats().rewrite_verified_rejects;
+        if (!accepted.value()) {
+          ++out.rejects;
           continue;
         }
       }
       out.accepted.push_back(std::move(cand));
-      out.witnesses.push_back(std::move(cand_witness));
+      out.witnesses.push_back(std::move(evidence));
     }
     return out;
   };
 
-  ParallelOutcomes<ComboOutcome> outcomes(
+  ParallelOutcomes<CandidateOutcome> outcomes(
       ctx, combos.size(), process_combo,
-      [](const ComboOutcome& o) { return !o.error.ok(); });
+      [](const CandidateOutcome& o) { return !o.error.ok(); });
 
-  UnionQuery result;
+  UnionCollector collector(witness);
   for (size_t ci = 0; ci < combos.size(); ++ci) {
-    ComboOutcome& o = outcomes.Get(ci);
+    CandidateOutcome& o = outcomes.Get(ci);
     CQAC_RETURN_IF_ERROR(o.error);
-    stats->candidates += o.candidates;
-    stats->verified_rejects += o.verified_rejects;
-    for (size_t k = 0; k < o.accepted.size(); ++k) {
-      // Deduplicate identical rewritings.
-      bool dup = false;
-      for (const Query& existing : result.disjuncts)
-        if (existing.ToString() == o.accepted[k].ToString()) dup = true;
-      if (!dup) {
-        result.disjuncts.push_back(std::move(o.accepted[k]));
-        if (witness != nullptr)
-          witness->disjuncts.push_back(std::move(o.witnesses[k]));
-      }
-    }
+    stats->candidates += o.accepted.size() + o.rejects;
+    stats->verified_rejects += o.rejects;
+    collector.Add(o);
   }
-
-  if (options.prune_redundant) {
-    // Drop rewritings contained (as queries over the view schema) in another.
-    UnionQuery pruned;
-    std::vector<ContainmentWitness> pruned_witnesses;
-    for (size_t i = 0; i < result.disjuncts.size(); ++i) {
-      bool dominated = false;
-      for (size_t j = 0; j < result.disjuncts.size() && !dominated; ++j) {
-        if (i == j) continue;
-        Result<bool> c =
-            IsContained(ctx, result.disjuncts[i], result.disjuncts[j]);
-        if (c.ok() && c.value()) {
-          // Break ties deterministically: prune i only if j is not itself
-          // pruned by an earlier equivalent (j < i when equivalent).
-          Result<bool> back =
-              IsContained(ctx, result.disjuncts[j], result.disjuncts[i]);
-          bool equivalent = back.ok() && back.value();
-          dominated = !equivalent || j < i;
-        }
-      }
-      if (!dominated) {
-        pruned.disjuncts.push_back(result.disjuncts[i]);
-        if (witness != nullptr)
-          pruned_witnesses.push_back(std::move(witness->disjuncts[i]));
-      }
-    }
-    result = std::move(pruned);
-    if (witness != nullptr) witness->disjuncts = std::move(pruned_witnesses);
-  }
-  return result;
+  return collector.Take();
 }
 
 }  // namespace cqac

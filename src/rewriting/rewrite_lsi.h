@@ -27,7 +27,6 @@
 namespace cqac {
 
 struct RewriteOptions {
-  McdOptions mcd;
   /// Cap on per-combination alternatives for satisfying the query's
   /// comparisons (cartesian across comparisons). A structural fan-out bound;
   /// the MCD-combination count is charged to Budget::max_mappings.
@@ -37,9 +36,6 @@ struct RewriteOptions {
   /// on in production. Off only for baseline experiments that demonstrate
   /// unsoundness of AC-blind rewriting.
   bool verify_rewritings = true;
-  /// Drop rewritings contained in another emitted rewriting (cosmetic
-  /// minimization of the union; the MCR is unchanged).
-  bool prune_redundant = false;
 };
 
 /// Statistics of one rewriting run (for the benchmark harness).

@@ -161,7 +161,7 @@ TEST(CertificateTest, ErResultValidates) {
   ViewSet views = MakeViews({"v1(X) :- r(X), s(X, Y), X < 3."});
   EngineContext ctx;
   ErWitness w;
-  Result<ErResult> er = FindEquivalentRewriting(ctx, q, views, {}, &w);
+  Result<ErResult> er = FindEquivalentRewriting(ctx, q, views, &w);
   ASSERT_TRUE(er.ok()) << er.status();
   ASSERT_TRUE(er.value().found());
   Status st = CheckErResult(q, views, er.value(), w);
@@ -173,7 +173,7 @@ TEST(CertificateTest, ErWithWrongBackWitnessRejected) {
   ViewSet views = MakeViews({"v1(X) :- r(X), s(X, Y), X < 3."});
   EngineContext ctx;
   ErWitness w;
-  Result<ErResult> er = FindEquivalentRewriting(ctx, q, views, {}, &w);
+  Result<ErResult> er = FindEquivalentRewriting(ctx, q, views, &w);
   ASSERT_TRUE(er.ok()) << er.status();
   ASSERT_TRUE(er.value().single.has_value());
   w.back.mappings.clear();
@@ -341,7 +341,7 @@ TEST_P(CertificateSweep, ErSearchAlwaysCertifies) {
 
   EngineContext ctx;
   ErWitness w;
-  Result<ErResult> er = FindEquivalentRewriting(ctx, q, views, {}, &w);
+  Result<ErResult> er = FindEquivalentRewriting(ctx, q, views, &w);
   ASSERT_TRUE(er.ok()) << er.status();
   Status st = CheckErResult(q, views, er.value(), w);
   ASSERT_TRUE(st.ok()) << st << "\nq = " << q.ToString() << "\nviews:\n"

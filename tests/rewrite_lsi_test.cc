@@ -202,27 +202,5 @@ TEST(RewriteLsiTest, StatsPopulated) {
   EXPECT_GE(stats.candidates, mcr.value().disjuncts.size());
 }
 
-TEST(RewriteLsiTest, PruneRedundantKeepsUnionEquivalent) {
-  EngineContext ctx;
-  RewriteOptions opts;
-  opts.prune_redundant = true;
-  auto pruned = RewriteLsiQuery(ctx, workloads::Sec44CaseQuery(),
-                                workloads::Sec44CaseViews(), opts);
-  auto full = RewriteLsiQuery(ctx, workloads::Sec44CaseQuery(),
-                              workloads::Sec44CaseViews());
-  ASSERT_TRUE(pruned.ok());
-  ASSERT_TRUE(full.ok());
-  EXPECT_LE(pruned.value().disjuncts.size(), full.value().disjuncts.size());
-  // Every dropped rewriting is contained in some survivor.
-  for (const Query& d : full.value().disjuncts) {
-    bool covered = false;
-    for (const Query& s : pruned.value().disjuncts) {
-      auto c = IsContained(ctx, d, s);
-      if (c.ok() && c.value()) covered = true;
-    }
-    EXPECT_TRUE(covered) << d.ToString();
-  }
-}
-
 }  // namespace
 }  // namespace cqac
