@@ -169,12 +169,7 @@ void BM_JoinOrderPlanned(benchmark::State& state) {
     answers = r.ValueOr(Relation{}).size();
     benchmark::DoNotOptimize(answers);
   }
-  auto rows = [&db](const std::string& p) { return db.Get(p).size(); };
-  auto distinct = [&db](const std::string& p, size_t c) {
-    return db.stats().DistinctEstimate(p, c);
-  };
-  plan::JoinOrderPlan jp =
-      plan::PlanJoinOrder(q, plan::Cardinalities{rows, distinct});
+  plan::JoinOrderPlan jp = plan::PlanJoinOrder(q, DatabaseCardinalities(db));
   state.counters["answers"] = static_cast<double>(answers);
   state.counters["planner_reordered"] = jp.reordered ? 1 : 0;
   bench::RecordParallelCounters(state, ctx);

@@ -119,7 +119,7 @@ std::string RewriteRequest(const std::string& session, int threshold) {
 
 ServerOptions MakeOptions() {
   ServerOptions options;
-  if (bench::ThreadsFlag() > 0) options.pool = &bench::GlobalPool();
+  options.threads_per_shard = static_cast<size_t>(bench::ThreadsFlag());
   return options;
 }
 

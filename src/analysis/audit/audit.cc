@@ -17,9 +17,7 @@
 #include "src/ir/json.h"
 #include "src/ivm/delta.h"
 #include "src/rewriting/answer.h"
-#include "src/rewriting/bucket.h"
 #include "src/rewriting/er_search.h"
-#include "src/rewriting/rewrite_lsi.h"
 #include "src/rewriting/witness.h"
 
 namespace cqac {
@@ -619,16 +617,19 @@ Status AuditAll(EngineContext& ctx, const AuditInputs& inputs,
   UnionQuery rewriting;
   bool have_union = false;
   if (inputs.views.size() > 0) {
-    // The same dispatch the serve layer uses (ChooseRewriteAlgorithm), so
-    // the audited path is the shipped path.
+    // The same dispatch and runner the serve layer uses
+    // (ChooseRewriteAlgorithm, RunRewriteAlgorithm), so the audited path is
+    // the shipped path.
     const RewriteAlgorithm algorithm =
         ChooseRewriteAlgorithm(q, inputs.views);
+    RewritingWitness w;
+    Result<ViewPlan> r =
+        RunRewriteAlgorithm(ctx, algorithm, q, inputs.views, &w);
     if (algorithm == RewriteAlgorithm::kSiDatalog) {
-      Result<SiMcr> r = RewriteSiQueryDatalog(ctx, q, inputs.views);
       if (!r.ok()) {
         run(ObligationKind::kSiMcrRules, name, [&] { return r.status(); });
       } else {
-        mcr = std::move(r.value());
+        mcr = std::move(r.value().datalog);
         run(ObligationKind::kSiMcrRules, name,
             [&] { return CheckSiMcr(q, inputs.views, *mcr); });
         run(ObligationKind::kSiMcrUnfold, name, [&] {
@@ -636,21 +637,14 @@ Status AuditAll(EngineContext& ctx, const AuditInputs& inputs,
                                      options.unfold);
         });
       }
+    } else if (!r.ok()) {
+      run(ObligationKind::kRewrite, name, [&] { return r.status(); });
     } else {
-      RewritingWitness w;
-      Result<UnionQuery> r =
-          algorithm == RewriteAlgorithm::kLsiMcr
-              ? RewriteLsiQuery(ctx, q, inputs.views, {}, nullptr, &w)
-              : BucketRewrite(ctx, q, inputs.views, {}, nullptr, &w);
-      if (!r.ok()) {
-        run(ObligationKind::kRewrite, name, [&] { return r.status(); });
-      } else {
-        rewriting = std::move(r.value());
-        have_union = true;
-        run(ObligationKind::kRewrite, name, [&] {
-          return CheckRewritingWitness(q, inputs.views, rewriting, w);
-        });
-      }
+      rewriting = std::move(r.value().union_plan);
+      have_union = true;
+      run(ObligationKind::kRewrite, name, [&] {
+        return CheckRewritingWitness(q, inputs.views, rewriting, w);
+      });
     }
 
     if (q.IsCqacSi() && inputs.views.AllVariablesDistinguished()) {

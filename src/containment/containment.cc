@@ -84,15 +84,13 @@ void RecordMapping(ContainmentWitness* witness, const VarMap& mu) {
 Result<bool> DecideContainment(EngineContext& ctx, const Query& q2p,
                                const Query& q1p, bool fast_path,
                                ContainmentWitness* witness) {
-  HomomorphismOptions hopts;
-
   if (fast_path) {
     // Theorem 2.3 (and its RSI mirror): Q2 contained in Q1 iff some single
     // containment mapping mu has beta2 => mu(beta1).
     bool found = false;
     Status inner = Status::OK();
     EnumerationOutcome outcome =
-        ForEachHomomorphism(ctx, q1p, q2p, hopts, [&](const VarMap& mu) {
+        ForEachHomomorphism(ctx, q1p, q2p, [&](const VarMap& mu) {
           std::vector<Comparison> image =
               mu.ApplyToComparisons(q1p.comparisons());
           if (!SanitizeImage(&image)) return true;  // dead disjunct
@@ -125,7 +123,7 @@ Result<bool> DecideContainment(EngineContext& ctx, const Query& q2p,
   std::vector<std::vector<Comparison>> disjuncts;
   bool trivially_contained = false;
   EnumerationOutcome outcome =
-      ForEachHomomorphism(ctx, q1p, q2p, hopts, [&](const VarMap& mu) {
+      ForEachHomomorphism(ctx, q1p, q2p, [&](const VarMap& mu) {
         std::vector<Comparison> image =
             mu.ApplyToComparisons(q1p.comparisons());
         if (!SanitizeImage(&image)) return true;

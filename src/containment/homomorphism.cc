@@ -7,20 +7,16 @@ namespace {
 class HomSearch {
  public:
   HomSearch(EngineContext& ctx, const Query& from, const Query& to,
-            const HomomorphismOptions& options,
             FunctionRef<bool(const VarMap&)> cb)
-      : ctx_(ctx), from_(from), to_(to), options_(options), cb_(cb),
-        map_(from.num_vars()) {}
+      : ctx_(ctx), from_(from), to_(to), cb_(cb), map_(from.num_vars()) {}
 
   EnumerationOutcome Run() {
     ++ctx_.stats().hom_enumerations;
-    if (options_.match_heads) {
-      if (from_.head().args.size() != to_.head().args.size())
-        return EnumerationOutcome::kCompleted;
-      for (size_t i = 0; i < from_.head().args.size(); ++i)
-        if (!UnifyTerm(from_.head().args[i], to_.head().args[i]))
-          return EnumerationOutcome::kCompleted;  // heads cannot match
-    }
+    if (from_.head().args.size() != to_.head().args.size())
+      return EnumerationOutcome::kCompleted;
+    for (size_t i = 0; i < from_.head().args.size(); ++i)
+      if (!UnifyTerm(from_.head().args[i], to_.head().args[i]))
+        return EnumerationOutcome::kCompleted;  // heads cannot match
     bool completed = Match(0);
     if (outcome_ == EnumerationOutcome::kBudgetExhausted) {
       ++ctx_.stats().budget_exhaustions;
@@ -79,7 +75,6 @@ class HomSearch {
   EngineContext& ctx_;
   const Query& from_;
   const Query& to_;
-  const HomomorphismOptions& options_;
   FunctionRef<bool(const VarMap&)> cb_;
   VarMap map_;
   size_t found_ = 0;
@@ -91,18 +86,17 @@ class HomSearch {
 
 EnumerationOutcome ForEachHomomorphism(EngineContext& ctx, const Query& from,
                                        const Query& to,
-                                       const HomomorphismOptions& options,
                                        FunctionRef<bool(const VarMap&)> cb) {
-  HomSearch search(ctx, from, to, options, cb);
+  HomSearch search(ctx, from, to, cb);
   return search.Run();
 }
 
-Result<std::vector<VarMap>> FindHomomorphisms(
-    EngineContext& ctx, const Query& from, const Query& to,
-    const HomomorphismOptions& options) {
+Result<std::vector<VarMap>> FindHomomorphisms(EngineContext& ctx,
+                                              const Query& from,
+                                              const Query& to) {
   std::vector<VarMap> out;
   EnumerationOutcome outcome =
-      ForEachHomomorphism(ctx, from, to, options, [&out](const VarMap& m) {
+      ForEachHomomorphism(ctx, from, to, [&out](const VarMap& m) {
         out.push_back(m);
         return true;
       });
@@ -113,10 +107,9 @@ Result<std::vector<VarMap>> FindHomomorphisms(
 }
 
 Result<bool> HomomorphismExists(EngineContext& ctx, const Query& from,
-                                const Query& to,
-                                const HomomorphismOptions& options) {
+                                const Query& to) {
   EnumerationOutcome outcome = ForEachHomomorphism(
-      ctx, from, to, options, [](const VarMap&) { return false; });
+      ctx, from, to, [](const VarMap&) { return false; });
   if (outcome == EnumerationOutcome::kBudgetExhausted)
     return Status::ResourceExhausted(
         "homomorphism search exceeded the budget");

@@ -24,12 +24,6 @@
 
 namespace cqac {
 
-struct HomomorphismOptions {
-  /// Require mu(head(from)) == head(to) (position-wise). Disable to search
-  /// body-only mappings (used by rewriting internals).
-  bool match_heads = true;
-};
-
 /// How a bounded enumeration ended.
 enum class EnumerationOutcome {
   kCompleted,        // every mapping was visited
@@ -41,21 +35,19 @@ enum class EnumerationOutcome {
 /// charging the context's budget. `cb` returns true to continue.
 EnumerationOutcome ForEachHomomorphism(EngineContext& ctx, const Query& from,
                                        const Query& to,
-                                       const HomomorphismOptions& options,
                                        FunctionRef<bool(const VarMap&)> cb);
 
 /// Collects all containment mappings; ResourceExhausted if the context's
 /// budget cut the enumeration short.
-Result<std::vector<VarMap>> FindHomomorphisms(
-    EngineContext& ctx, const Query& from, const Query& to,
-    const HomomorphismOptions& options = {});
+Result<std::vector<VarMap>> FindHomomorphisms(EngineContext& ctx,
+                                              const Query& from,
+                                              const Query& to);
 
 /// True iff at least one containment mapping exists — the Chandra-Merlin
 /// containment test for pure CQs (`to` contained in `from`).
 /// ResourceExhausted if the budget ran out before any mapping was found.
 Result<bool> HomomorphismExists(EngineContext& ctx, const Query& from,
-                                const Query& to,
-                                const HomomorphismOptions& options = {});
+                                const Query& to);
 
 }  // namespace cqac
 

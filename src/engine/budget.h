@@ -1,10 +1,5 @@
 // Budget: the single resource-limit object threaded through the rewriting
-// stack via EngineContext (src/engine/context.h).
-//
-// It replaces the scattered per-struct caps the options types used to carry
-// (ContainmentOptions::max_homomorphisms, HomomorphismOptions::max_results,
-// BucketOptions::max_candidates, RewriteLSIQuery's MCD and combination
-// caps, ...). Semantics:
+// stack via EngineContext (src/engine/context.h). Semantics:
 //
 //  * max_homomorphisms — cap on containment mappings enumerated per
 //    homomorphism search (ForEachHomomorphism and everything above it);

@@ -127,20 +127,6 @@ size_t Database::TotalTuples() const {
   return n;
 }
 
-plan::StatsView Database::PlanStats() const {
-  plan::StatsView view;
-  for (const auto& [name, rel] : relations_) {
-    plan::StatsView::RelStat stat;
-    stat.rows = rel.size();
-    const size_t arity = rel.empty() ? 0 : rel.begin()->size();
-    stat.distinct.reserve(arity);
-    for (size_t c = 0; c < arity; ++c)
-      stat.distinct.push_back(stats_.DistinctEstimate(name, c));
-    view.Set(name, std::move(stat));
-  }
-  return view;
-}
-
 Status Database::Merge(const Database& other) {
   for (const auto& [name, rel] : other.relations_)
     for (const Tuple& t : rel) CQAC_RETURN_IF_ERROR(Insert(name, t));

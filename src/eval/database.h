@@ -16,6 +16,7 @@
 
 #include "src/base/status.h"
 #include "src/ir/term.h"
+#include "src/plan/planner.h"
 #include "src/plan/stats.h"
 
 namespace cqac {
@@ -83,10 +84,6 @@ class Database {
   /// leave them as upper bounds on the live distinct counts (src/plan).
   const plan::RelationStats& stats() const { return stats_; }
 
-  /// Snapshots rows + distinct estimates for every relation into a
-  /// deterministic StatsView (the shell `plan` / serve `plan` surface).
-  plan::StatsView PlanStats() const;
-
   /// Replaces the planner sketches wholesale. Durability recovery
   /// (src/store) restores tuples via Insert — which rebuilds sketches from
   /// the live tuples only — then overwrites them with the recorded state,
@@ -134,6 +131,22 @@ class Database {
   plan::RelationStats stats_;
   mutable IndexTable indexes_;
   static const Relation kEmpty;
+};
+
+/// The planner's view of `db`: exact row counts and the sketches' distinct
+/// estimates. The plan::Cardinalities it converts to refers to this object,
+/// so pass it straight in: plan::PlanJoinOrder(q, DatabaseCardinalities(db)).
+class DatabaseCardinalities {
+ public:
+  explicit DatabaseCardinalities(const Database& db) : db_(db) {}
+  size_t operator()(const std::string& p) const { return db_.Get(p).size(); }
+  size_t operator()(const std::string& p, size_t column) const {
+    return db_.stats().DistinctEstimate(p, column);
+  }
+  operator plan::Cardinalities() const { return {*this, *this}; }
+
+ private:
+  const Database& db_;
 };
 
 /// Renders a tuple as "(a, b, c)".

@@ -472,12 +472,8 @@ Result<Relation> EvaluateQuery(EngineContext& ctx, const Query& qin,
   const Query* pq = &qin;
   if (options.join_order == EvalOptions::JoinOrder::kPlanned &&
       qin.body().size() > 1) {
-    auto rows = [&db](const std::string& p) { return db.Get(p).size(); };
-    auto distinct = [&db](const std::string& p, size_t c) {
-      return db.stats().DistinctEstimate(p, c);
-    };
     plan::JoinOrderPlan jp =
-        plan::PlanJoinOrder(qin, plan::Cardinalities{rows, distinct});
+        plan::PlanJoinOrder(qin, DatabaseCardinalities(db));
     ++ctx.stats().plan_decisions;
     if (jp.reordered) {
       ++ctx.stats().plan_join_reorders;

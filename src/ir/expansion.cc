@@ -5,8 +5,7 @@
 
 namespace cqac {
 
-Result<Query> ExpandRewriting(const Query& p, const ViewSet& views,
-                              const ExpansionOptions& options) {
+Result<Query> ExpandRewriting(const Query& p, const ViewSet& views) {
   Query out;
   out.head() = p.head();
   for (const std::string& name : p.var_names()) out.FindOrAddVariable(name);
@@ -14,14 +13,10 @@ Result<Query> ExpandRewriting(const Query& p, const ViewSet& views,
 
   for (const Atom& atom : p.body()) {
     const Query* view = views.Find(atom.predicate);
-    if (view == nullptr) {
-      if (!options.allow_base_atoms)
-        return Status::InvalidArgument(
-            StrCat("subgoal '", atom.predicate,
-                   "' is not a view; rewritings must use only views"));
-      out.AddBodyAtom(atom);
-      continue;
-    }
+    if (view == nullptr)
+      return Status::InvalidArgument(
+          StrCat("subgoal '", atom.predicate,
+                 "' is not a view; rewritings must use only views"));
     if (view->head().args.size() != atom.args.size())
       return Status::InvalidArgument(
           StrCat("arity mismatch for view '", atom.predicate, "': used with ",

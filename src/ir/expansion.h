@@ -13,22 +13,14 @@
 
 namespace cqac {
 
-/// Options for ExpandRewriting.
-struct ExpansionOptions {
-  /// When true, body atoms whose predicate is not a view name are kept as
-  /// base-relation atoms instead of causing an error. Rewritings in the
-  /// paper's sense use only view atoms, so the default is strict.
-  bool allow_base_atoms = false;
-};
-
 /// Computes P^exp for rewriting `p` over `views`.
 ///
 /// The result keeps `p`'s head and variables; view bodies are inlined with
 /// fresh variables for nondistinguished view variables. Comparisons of `p`
 /// and of the inlined views are concatenated. Returns InvalidArgument for
-/// unknown predicates (unless allow_base_atoms) or arity mismatches.
-Result<Query> ExpandRewriting(const Query& p, const ViewSet& views,
-                              const ExpansionOptions& options = {});
+/// a body atom that is not a view (rewritings in the paper's sense use only
+/// view atoms) or an arity mismatch.
+Result<Query> ExpandRewriting(const Query& p, const ViewSet& views);
 
 }  // namespace cqac
 

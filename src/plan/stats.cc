@@ -1,7 +1,5 @@
 #include "src/plan/stats.h"
 
-#include "src/base/strings.h"
-
 namespace cqac {
 namespace plan {
 
@@ -63,19 +61,6 @@ size_t StatsView::DistinctEstimate(const std::string& predicate,
   auto it = rels_.find(predicate);
   if (it == rels_.end() || column >= it->second.distinct.size()) return 0;
   return it->second.distinct[column];
-}
-
-std::string StatsView::ToString() const {
-  std::vector<std::string> lines;
-  lines.reserve(rels_.size());
-  for (const auto& [name, stat] : rels_) {
-    std::vector<std::string> ds;
-    ds.reserve(stat.distinct.size());
-    for (size_t d : stat.distinct) ds.push_back(StrCat(d));
-    lines.push_back(
-        StrCat(name, ": rows=", stat.rows, " distinct=[", Join(ds, ", "), "]"));
-  }
-  return Join(lines, "\n");
 }
 
 }  // namespace plan

@@ -10,8 +10,9 @@
 //     duplicated here; the owning Database's relation sets are exact.
 //
 //   * StatsView — a plain, deterministic snapshot of rows + distinct
-//     estimates per relation, safe to hold across later writes. The shell's
-//     `plan` command and the serve `plan` response render from it.
+//     estimates per relation, safe to hold across later writes. Planner
+//     tests build one by hand; live callers plan over a Database through
+//     DatabaseCardinalities (src/eval/database.h) instead.
 //
 // Sketches are insert-monotone: retractions do not decrement them, so after
 // deletes an estimate is an upper bound on the live distinct count. That is
@@ -100,11 +101,6 @@ class StatsView {
   }
   size_t Rows(const std::string& predicate) const;
   size_t DistinctEstimate(const std::string& predicate, size_t column) const;
-
-  const std::map<std::string, RelStat>& relations() const { return rels_; }
-
-  /// One `name: rows=N distinct=[a, b]` line per relation, sorted by name.
-  std::string ToString() const;
 
  private:
   std::map<std::string, RelStat> rels_;

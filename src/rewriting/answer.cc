@@ -3,6 +3,7 @@
 #include "src/base/strings.h"
 #include "src/containment/containment.h"
 #include "src/eval/evaluate.h"
+#include "src/ir/expansion.h"
 #include "src/rewriting/bucket.h"
 #include "src/rewriting/rewrite_lsi.h"
 
@@ -38,20 +39,8 @@ Result<Relation> ViewPlan::Answer(EngineContext& ctx,
       break;
   }
 
-  // Price the union over this view instance, then let the planner choose
-  // between evaluating it directly and pruning contained disjuncts first.
-  auto rows = [&view_instance](const std::string& p) {
-    return view_instance.Get(p).size();
-  };
-  auto distinct = [&view_instance](const std::string& p, size_t c) {
-    return view_instance.stats().DistinctEstimate(p, c);
-  };
-  const plan::Cardinalities cards{rows, distinct};
-  double est_eval = 0;
-  for (const Query& d : union_plan.disjuncts)
-    est_eval += plan::EstimateEvalCost(d, cards);
-  const plan::UnionEvalChoice choice = plan::ChooseUnionEval(
-      ctx, union_plan.disjuncts.size(), est_eval, options.union_eval);
+  const plan::UnionEvalChoice choice =
+      PriceUnionEval(ctx, view_instance, options.union_eval);
   if (plan_out) plan_out->decisions.push_back(choice.ToDecision());
   if (!choice.prune) return EvaluateUnion(ctx, union_plan, view_instance);
 
@@ -77,6 +66,19 @@ Result<Relation> ViewPlan::Answer(EngineContext& ctx,
       ctx, union_plan.disjuncts.size(),
       union_plan.disjuncts.size() - pruned.disjuncts.size());
   return EvaluateUnion(ctx, pruned, view_instance);
+}
+
+plan::UnionEvalChoice ViewPlan::PriceUnionEval(EngineContext& ctx,
+                                               const Database& view_instance,
+                                               plan::UnionEvalPin pin) const {
+  // Price the union over this view instance, then let the planner choose
+  // between evaluating it directly and pruning contained disjuncts first.
+  const DatabaseCardinalities cards(view_instance);
+  double est_eval = 0;
+  for (const Query& d : union_plan.disjuncts)
+    est_eval += plan::EstimateEvalCost(d, cards);
+  return plan::ChooseUnionEval(ctx, union_plan.disjuncts.size(), est_eval,
+                               pin);
 }
 
 std::string ViewPlan::ToString() const {
@@ -113,28 +115,35 @@ RewriteAlgorithm ChooseRewriteAlgorithm(const Query& q, const ViewSet& views) {
   return RewriteAlgorithm::kBucket;
 }
 
+Result<ViewPlan> RunRewriteAlgorithm(EngineContext& ctx,
+                                     RewriteAlgorithm algorithm,
+                                     const Query& q, const ViewSet& views,
+                                     RewritingWitness* witness) {
+  ViewPlan plan;
+  plan.algorithm = algorithm;
+  if (algorithm == RewriteAlgorithm::kSiDatalog) {
+    CQAC_ASSIGN_OR_RETURN(plan.datalog, RewriteSiQueryDatalog(ctx, q, views));
+    plan.kind = PlanKind::kDatalog;
+    return plan;
+  }
+  CQAC_ASSIGN_OR_RETURN(
+      plan.union_plan,
+      algorithm == RewriteAlgorithm::kLsiMcr
+          ? RewriteLsiQuery(ctx, q, views, {}, nullptr, witness)
+          : BucketRewrite(ctx, q, views, {}, nullptr, witness));
+  if (!plan.union_plan.empty()) plan.kind = PlanKind::kFiniteUnion;
+  return plan;
+}
+
 Result<ViewPlan> PlanForQuery(EngineContext& ctx, const Query& q,
                               const ViewSet& views) {
-  ViewPlan plan;
   ++ctx.stats().plan_decisions;
-  plan.algorithm = ChooseRewriteAlgorithm(q, views);
-  size_t plan_size = 0;
-  if (plan.algorithm == RewriteAlgorithm::kSiDatalog) {
-    CQAC_ASSIGN_OR_RETURN(SiMcr mcr, RewriteSiQueryDatalog(ctx, q, views));
-    plan.kind = PlanKind::kDatalog;
-    plan.datalog = std::move(mcr);
-    plan_size = plan.datalog->rules.size();
-  } else {
-    CQAC_ASSIGN_OR_RETURN(UnionQuery u,
-                          plan.algorithm == RewriteAlgorithm::kLsiMcr
-                              ? RewriteLsiQuery(ctx, q, views)
-                              : BucketRewrite(ctx, q, views));
-    if (!u.empty()) {
-      plan.kind = PlanKind::kFiniteUnion;
-      plan.union_plan = std::move(u);
-    }
-    plan_size = plan.union_plan.disjuncts.size();
-  }
+  CQAC_ASSIGN_OR_RETURN(
+      ViewPlan plan,
+      RunRewriteAlgorithm(ctx, ChooseRewriteAlgorithm(q, views), q, views));
+  const size_t plan_size = plan.kind == PlanKind::kDatalog
+                               ? plan.datalog->rules.size()
+                               : plan.union_plan.disjuncts.size();
   plan.plan.decisions.push_back(AlgorithmDecision(
       RewriteAlgorithmName(plan.algorithm), q.Classify(), plan_size));
   return plan;
@@ -145,6 +154,39 @@ Result<Relation> AnswerUsingViews(EngineContext& ctx, const Query& q,
                                   const Database& view_instance) {
   CQAC_ASSIGN_OR_RETURN(ViewPlan plan, PlanForQuery(ctx, q, views));
   return plan.Answer(ctx, view_instance);
+}
+
+Result<Relation> CertainAnswers(EngineContext& ctx, const Query& q,
+                                const ViewSet& views,
+                                const Database& view_instance,
+                                size_t* rewriting_count) {
+  const RewriteAlgorithm algorithm = ChooseRewriteAlgorithm(q, views);
+  if (algorithm == RewriteAlgorithm::kSiDatalog)
+    return Status::Unsupported(
+        "certain answers for a recursive Datalog MCR are not served over the "
+        "wire; use rewrite + a local datalog::Engine");
+  CQAC_ASSIGN_OR_RETURN(ViewPlan plan,
+                        RunRewriteAlgorithm(ctx, algorithm, q, views));
+  if (plan.union_plan.empty())
+    return Status::NotFound(
+        "no contained rewriting exists for this query over the session's "
+        "views");
+  if (rewriting_count != nullptr)
+    *rewriting_count = plan.union_plan.disjuncts.size();
+  return EvaluateUnion(ctx, plan.union_plan, view_instance);
+}
+
+Result<bool> IsContainedThroughExpansion(EngineContext& ctx,
+                                         const Query& candidate,
+                                         const Query& q, const ViewSet& views,
+                                         bool* via_expansion) {
+  bool uses_views = !candidate.body().empty();
+  for (const Atom& a : candidate.body())
+    if (views.Find(a.predicate) == nullptr) uses_views = false;
+  if (via_expansion != nullptr) *via_expansion = uses_views;
+  if (!uses_views) return IsContained(ctx, candidate, q);
+  CQAC_ASSIGN_OR_RETURN(Query expanded, ExpandRewriting(candidate, views));
+  return IsContained(ctx, expanded, q);
 }
 
 }  // namespace cqac

@@ -1,11 +1,12 @@
-// One-call certain-answer computation.
+// One-call certain-answer computation, and the read ops the shell, the
+// server and the auditor share.
 //
 // Bundles the full pipeline: classify the query, pick the right rewriting
 // engine (RewriteLSIQuery for CQ/LSI/RSI, the recursive Datalog construction
 // for CQAC-SI with SI views, the verified bucket algorithm otherwise),
 // evaluate the rewriting over a view instance, and return the certain
-// answers. This is the API a mediator or optimizer embeds; the lower-level
-// pieces remain available for callers that cache rewritings across queries.
+// answers. RunRewriteAlgorithm is the one caller of the three rewriters
+// outside their own files.
 #ifndef CQAC_REWRITING_ANSWER_H_
 #define CQAC_REWRITING_ANSWER_H_
 
@@ -19,6 +20,7 @@
 #include "src/ir/view.h"
 #include "src/plan/planner.h"
 #include "src/rewriting/si_mcr.h"
+#include "src/rewriting/witness.h"
 
 namespace cqac {
 
@@ -41,7 +43,7 @@ enum class RewriteAlgorithm {
 const char* RewriteAlgorithmName(RewriteAlgorithm a);
 
 /// The one class-to-algorithm dispatch every front end uses (PlanForQuery,
-/// serve `rewrite`/`answers`, the shell's `rewrite`/`verify`, AuditAll).
+/// CertainAnswers, the shell's `rewrite`/`verify`, AuditAll, the ER search).
 /// Pure: it bumps no counter.
 RewriteAlgorithm ChooseRewriteAlgorithm(const Query& q, const ViewSet& views);
 
@@ -73,14 +75,43 @@ struct ViewPlan {
                           const AnswerOptions& options = {},
                           plan::Plan* plan_out = nullptr) const;
 
+  /// Answer's union-eval decision over `view_instance` (ChooseUnionEval).
+  plan::UnionEvalChoice PriceUnionEval(EngineContext& ctx,
+                                       const Database& view_instance,
+                                       plan::UnionEvalPin pin) const;
+
   std::string ToString() const;
 };
 
-/// Compiles the best available plan for `q` over `views`. The context
-/// carries the budget and collects stats; planning many queries against one
-/// context shares the containment/implication memo across them.
+/// Runs `algorithm` (RewriteSiQueryDatalog, RewriteLsiQuery or
+/// BucketRewrite) for `q` over `views`; the plan record stays empty. A
+/// finite-union rewriter fills `witness` when it is non-null.
+Result<ViewPlan> RunRewriteAlgorithm(EngineContext& ctx,
+                                     RewriteAlgorithm algorithm,
+                                     const Query& q, const ViewSet& views,
+                                     RewritingWitness* witness = nullptr);
+
+/// Compiles the best available plan for `q` over `views`: runs the chosen
+/// algorithm and records it as a forced `algorithm` Decision. Planning many
+/// queries against one context shares its containment memo across them.
 Result<ViewPlan> PlanForQuery(EngineContext& ctx, const Query& q,
                               const ViewSet& views);
+
+/// `answers`: the finite-union rewriting of `q` evaluated over
+/// `view_instance`, the views' extents. Unsupported for a Datalog MCR,
+/// NotFound when no rewriting exists; `rewriting_count` gets its size.
+Result<Relation> CertainAnswers(EngineContext& ctx, const Query& q,
+                                const ViewSet& views,
+                                const Database& view_instance,
+                                size_t* rewriting_count = nullptr);
+
+/// `contain`: is `candidate` contained in `q`? A candidate over views only
+/// is compared through its expansion (Definition 2.1), and `via_expansion`
+/// says so.
+Result<bool> IsContainedThroughExpansion(EngineContext& ctx,
+                                         const Query& candidate,
+                                         const Query& q, const ViewSet& views,
+                                         bool* via_expansion = nullptr);
 
 /// Convenience: compile + evaluate in one call.
 Result<Relation> AnswerUsingViews(EngineContext& ctx, const Query& q,

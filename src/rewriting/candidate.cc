@@ -148,13 +148,15 @@ Status VerifyProduct(EngineContext& ctx,
       }
       if (gi == 0) exhausted_product = true;
     }
-    if (block.empty()) break;
+    // A block cut short by the budget or the deadline is discarded with
+    // the whole product, so it is not verified.
+    if (block.empty() || !status.ok()) break;
 
     // Verify it in parallel; merge in pick order.
     ParallelOutcomes<CandidateOutcome> outcomes(
         ctx, block.size(), [&](size_t i) { return verify(block[i]); },
         [](const CandidateOutcome& o) { return !o.error.ok(); });
-    for (size_t i = 0; i < block.size() && status.ok(); ++i) {
+    for (size_t i = 0; i < block.size(); ++i) {
       CandidateOutcome& o = outcomes.Get(i);
       if (!o.error.ok()) {
         status = o.error;

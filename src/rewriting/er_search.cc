@@ -5,8 +5,6 @@
 #include "src/engine/parallel.h"
 #include "src/ir/expansion.h"
 #include "src/rewriting/answer.h"
-#include "src/rewriting/bucket.h"
-#include "src/rewriting/rewrite_lsi.h"
 
 namespace cqac {
 
@@ -29,15 +27,15 @@ Result<ErResult> FindEquivalentRewriting(EngineContext& ctx, const Query& q,
     return qp.status();
   }
 
-  RewritingWitness* fw = witness != nullptr ? &witness->forward : nullptr;
-  UnionQuery crs;
-  if (ChooseRewriteAlgorithm(qp.value(), views) == RewriteAlgorithm::kLsiMcr) {
-    CQAC_ASSIGN_OR_RETURN(
-        crs, RewriteLsiQuery(ctx, qp.value(), views, {}, nullptr, fw));
-  } else {
-    CQAC_ASSIGN_OR_RETURN(
-        crs, BucketRewrite(ctx, qp.value(), views, {}, nullptr, fw));
-  }
+  // A Datalog MCR has no finite CRs to test: the bucket supplies them.
+  const bool lsi =
+      ChooseRewriteAlgorithm(qp.value(), views) == RewriteAlgorithm::kLsiMcr;
+  CQAC_ASSIGN_OR_RETURN(
+      ViewPlan plan,
+      RunRewriteAlgorithm(
+          ctx, lsi ? RewriteAlgorithm::kLsiMcr : RewriteAlgorithm::kBucket,
+          qp.value(), views, witness != nullptr ? &witness->forward : nullptr));
+  const UnionQuery& crs = plan.union_plan;
   if (witness != nullptr) witness->crs = crs;
 
   // A single CR whose expansion contains the query is an ER. The per-CR

@@ -55,9 +55,7 @@ Server::Server(ServerOptions options) : options_(std::move(options)) {
   for (size_t i = 0; i < options_.shards; ++i) {
     auto shard = std::make_unique<Shard>();
     shard->index = i;
-    if (options_.shards == 1 && options_.pool != nullptr) {
-      shard->ctx.set_task_pool(options_.pool);
-    } else if (options_.threads_per_shard > 0) {
+    if (options_.threads_per_shard > 0) {
       shard->owned_pool =
           std::make_unique<TaskPool>(options_.threads_per_shard);
       shard->ctx.set_task_pool(shard->owned_pool.get());

@@ -103,12 +103,9 @@ struct ServerOptions {
   /// ShardForSession.
   size_t shards = 1;
   /// TaskPool workers per shard for intra-request fan-out (0 = serial).
-  /// Ignored when an external `pool` is supplied (single-shard only).
+  /// Each shard owns its pool: a TaskPool has a single caller slot, so
+  /// independent shard engine threads each need their own.
   size_t threads_per_shard = 0;
-  /// Optional external fan-out pool (not owned; may be null). Honored
-  /// only when shards == 1 — a TaskPool has a single caller slot, so
-  /// independent shard engine threads each need their own pool.
-  TaskPool* pool = nullptr;
   ServiceOptions service;
   /// When non-empty, sessions are durable: every shard logs its commits to
   /// `<data_dir>/shard-<i>` and writes compact snapshots, and startup
@@ -216,7 +213,7 @@ class Server {
   struct Shard {
     size_t index = 0;
     EngineContext ctx;
-    std::unique_ptr<TaskPool> owned_pool;  // null when external/serial
+    std::unique_ptr<TaskPool> owned_pool;  // null when serial
     std::unique_ptr<Service> service;
 
     std::mutex queue_mu;

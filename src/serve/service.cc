@@ -10,16 +10,11 @@
 #include "src/analysis/classify.h"
 #include "src/analysis/lint.h"
 #include "src/base/strings.h"
-#include "src/containment/containment.h"
 #include "src/eval/evaluate.h"
-#include "src/ir/expansion.h"
 #include "src/ir/json.h"
 #include "src/ir/parser.h"
 #include "src/plan/planner.h"
 #include "src/rewriting/answer.h"
-#include "src/rewriting/bucket.h"
-#include "src/rewriting/rewrite_lsi.h"
-#include "src/rewriting/si_mcr.h"
 
 namespace cqac {
 namespace serve {
@@ -354,25 +349,14 @@ std::string Service::HandleContain(const Request& req) {
   Result<Query> c = ParseQuery(ctext.value());
   if (!c.ok()) return ErrorResponse(req, c.status());
 
-  // As in the shell: a candidate written over view predicates is compared
-  // through its expansion (the contained-rewriting test of Definition 2.1).
-  const ViewSet& views = session.value()->views;
-  Query candidate = std::move(c).value();
-  bool uses_views = !candidate.body().empty();
-  for (const Atom& a : candidate.body())
-    if (views.Find(a.predicate) == nullptr) uses_views = false;
-  if (uses_views) {
-    Result<Query> expanded = ExpandRewriting(candidate, views);
-    if (!expanded.ok()) return ErrorResponse(req, expanded.status());
-    candidate = std::move(expanded).value();
-  }
-
-  Result<bool> contained = IsContained(ctx_, candidate, q.value());
+  bool via_expansion = false;
+  Result<bool> contained = IsContainedThroughExpansion(
+      ctx_, c.value(), q.value(), session.value()->views, &via_expansion);
   if (!contained.ok()) return ErrorResponse(req, contained.status());
 
   std::string out = BeginResponse(req);
   JsonField(&out, "contained", contained.value() ? "true" : "false");
-  JsonField(&out, "via_expansion", uses_views ? "true" : "false");
+  JsonField(&out, "via_expansion", via_expansion ? "true" : "false");
   JsonClose(&out);
   return out;
 }
@@ -394,13 +378,9 @@ std::string Service::HandleEval(const Request& req) {
   // The same join-order decision EvaluateQuery just made (it plans from
   // the database alone, so recomputing it here is exact), surfaced as an
   // explicit plan record.
-  auto rows = [&base](const std::string& p) { return base.Get(p).size(); };
-  auto distinct = [&base](const std::string& p, size_t c) {
-    return base.stats().DistinctEstimate(p, c);
-  };
   plan::Plan eval_plan;
   eval_plan.decisions.push_back(
-      plan::PlanJoinOrder(q.value(), plan::Cardinalities{rows, distinct})
+      plan::PlanJoinOrder(q.value(), DatabaseCardinalities(base))
           .ToDecision());
 
   std::string out = BeginResponse(req);
@@ -441,35 +421,28 @@ std::string Service::HandleAnswers(const Request& req) {
   Status valid = q.value().Validate();
   if (!valid.ok()) return ErrorResponse(req, valid);
 
-  const Query& query = q.value();
-  const ViewSet& views = session.value()->views;
-  const RewriteAlgorithm algorithm = ChooseRewriteAlgorithm(query, views);
-  if (algorithm == RewriteAlgorithm::kSiDatalog)
-    return ErrorResponse(&req, ServeErrorCode::kUnsupported,
-                         "certain answers for a recursive Datalog MCR are "
-                         "not served over the wire; use rewrite + a local "
-                         "datalog::Engine");
-
-  Result<UnionQuery> mcr = algorithm == RewriteAlgorithm::kLsiMcr
-                               ? RewriteLsiQuery(ctx_, query, views)
-                               : BucketRewrite(ctx_, query, views);
-  if (!mcr.ok()) return ErrorResponse(req, mcr.status());
-  if (mcr.value().empty())
-    return ErrorResponse(&req, ServeErrorCode::kNotFound,
-                         "no contained rewriting exists for this query over "
-                         "the session's views");
-
   // The session's store keeps the view database maintained under fact /
   // retract, so answers read warm state instead of rematerializing every
   // view per request.
+  size_t rewriting_count = 0;
   Result<Relation> r =
-      EvaluateUnion(ctx_, mcr.value(), session.value()->store.views());
-  if (!r.ok()) return ErrorResponse(req, r.status());
+      CertainAnswers(ctx_, q.value(), session.value()->views,
+                     session.value()->store.views(), &rewriting_count);
+  if (!r.ok()) {
+    // CertainAnswers' own refusals (a Datalog MCR, no rewriting) go out
+    // as bare messages, without the status-code prefix.
+    const Status& st = r.status();
+    if (st.code() == StatusCode::kUnsupported ||
+        st.code() == StatusCode::kNotFound)
+      return ErrorResponse(&req, ServeErrorCodeFromStatus(st.code()),
+                           st.message());
+    return ErrorResponse(req, st);
+  }
 
   std::string out = BeginResponse(req);
   JsonField(&out, "count", StrCat(r.value().size()));
   JsonField(&out, "tuples", RelationToJson(r.value()));
-  JsonField(&out, "rewriting_count", StrCat(mcr.value().disjuncts.size()));
+  JsonField(&out, "rewriting_count", StrCat(rewriting_count));
   JsonField(&out, "maintained",
             session.value()->store.maintained() ? "true" : "false");
   JsonClose(&out);

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
+
 #include "src/eval/evaluate.h"
 #include "src/gen/paper_workloads.h"
 #include "src/ir/parser.h"
@@ -93,6 +98,70 @@ TEST(AnswerTest, CertainAnswersAlwaysSound) {
     Relation truth = EvaluateQuery(ctx, c.q, db).value();
     for (const Tuple& t : certain.value())
       EXPECT_TRUE(truth.count(t)) << c.q.ToString();
+  }
+}
+
+TEST(AnswerTest, CertainAnswersRefusesWhatItCannotEvaluate) {
+  EngineContext ctx;
+  size_t count = 0;
+  // A CQAC-SI query over SI views has a recursive Datalog MCR.
+  auto datalog =
+      CertainAnswers(ctx, workloads::Example12Query(),
+                     workloads::Example12Views(), Database(), &count);
+  EXPECT_EQ(datalog.status().code(), StatusCode::kUnsupported);
+  // No view covers the query: no contained rewriting.
+  ViewSet unrelated(MustParseRules("v(X) :- s(X)."));
+  auto none = CertainAnswers(ctx, MustParseQuery("q(X) :- r(X)."), unrelated,
+                             Database(), &count);
+  EXPECT_EQ(none.status().code(), StatusCode::kNotFound);
+
+  ViewSet views = workloads::Example11Views();
+  Database db = Database::FromFacts("r(2). s(2, 2).").value();
+  Database vdb = MaterializeViews(ctx, views, db).value();
+  auto ans =
+      CertainAnswers(ctx, workloads::Example11Query(), views, vdb, &count);
+  ASSERT_TRUE(ans.ok()) << ans.status();
+  EXPECT_EQ(ans.value(), (Relation{{Value(Rational(2))}}));
+  EXPECT_EQ(count, 1u);
+}
+
+// Code with comments and string literals blanked out, so a comment may
+// name a function the code never calls.
+std::string CodeOnly(const std::string& src) {
+  std::string out;
+  size_t i = 0;
+  while (i < src.size()) {
+    if (src.compare(i, 2, "//") == 0) {
+      i = src.find('\n', i);
+    } else if (src.compare(i, 2, "/*") == 0) {
+      i = src.find("*/", i);
+      if (i != std::string::npos) i += 2;
+    } else if (src[i] == '"' || src[i] == '\'') {
+      const char quote = src[i++];
+      while (i < src.size() && src[i] != quote) i += src[i] == '\\' ? 2 : 1;
+      ++i;
+    } else {
+      out += src[i++];
+    }
+  }
+  return out;
+}
+
+// The shell, the server, the auditor and the ER search reach the rewriters
+// only through RunRewriteAlgorithm (answer.h), so whatever sits in front of
+// it (a rewriting memo, a span) covers every read op.
+TEST(ReadOpDispatchTest, FrontEndsReachTheRewritersOnlyThroughAnswer) {
+  for (const char* file :
+       {"src/serve/service.cc", "tools/cqac_shell.cc",
+        "src/analysis/audit/audit.cc", "src/rewriting/er_search.cc"}) {
+    std::ifstream in(std::filesystem::path(CQAC_SOURCE_DIR) / file);
+    ASSERT_TRUE(in.good()) << file;
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    const std::string code = CodeOnly(buf.str());
+    for (const char* call :
+         {"RewriteLsiQuery(", "BucketRewrite(", "RewriteSiQueryDatalog("})
+      EXPECT_EQ(code.find(call), std::string::npos) << file << " calls " << call;
   }
 }
 

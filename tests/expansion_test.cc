@@ -69,9 +69,6 @@ TEST(ExpansionTest, UnknownPredicateRejectedByDefault) {
   ViewSet views(MustParseRules("v(X) :- r(X)."));
   Query p = MustParseQuery("p(A) :- w(A)");
   EXPECT_FALSE(ExpandRewriting(p, views).ok());
-  ExpansionOptions allow;
-  allow.allow_base_atoms = true;
-  EXPECT_TRUE(ExpandRewriting(p, views, allow).ok());
 }
 
 TEST(ExpansionTest, ArityMismatchRejected) {

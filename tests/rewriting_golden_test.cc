@@ -8,9 +8,11 @@
 // (or its status) and that call's rewrite_candidates,
 // rewrite_verified_rejects, containment_calls and budget_exhaustions deltas
 // at threads=0. The LSI and bucket witness paths also record the disjunct
-// count and the certificate checker's verdict. The results (not the
-// counters) must be the same at threads=4. On a mismatch the test prints its
-// whole rendering, which is how the expected file is produced.
+// count and the certificate checker's verdict. The results must be the same
+// at threads=4, and so must the counters of the tight bucket and
+// all-distinguished cases: a block the budget cuts short is never verified,
+// at any thread count. On a mismatch the test prints its whole rendering,
+// which is how the expected file is produced.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -134,6 +136,8 @@ struct Case {
   std::string label;
   Budget budget;
   std::function<std::string(EngineContext&)> call;
+  // The counters, not only the result, must match at threads=4.
+  bool same_counters = false;
 };
 
 void AddCalls(const std::string& name, const Query& q, const ViewSet& views,
@@ -190,27 +194,34 @@ std::vector<Case> Cases() {
                      return Render(RewriteLsiQuery(ctx, q, views));
                    }});
   tight.max_mappings = 5;
-  cases.push_back({"tight bucket", tight, [q, views](EngineContext& ctx) {
+  cases.push_back({"tight bucket", tight,
+                   [q, views](EngineContext& ctx) {
                      return Render(BucketRewrite(ctx, q, views));
-                   }});
+                   },
+                   true});
   cases.push_back(
-      {"tight all-distinguished", tight, [q, views](EngineContext& ctx) {
+      {"tight all-distinguished", tight,
+       [q, views](EngineContext& ctx) {
          return Render(RewriteAllDistinguished(ctx, q, views));
-       }});
+       },
+       true});
   // Past the first block of 64 picks: 4 subgoals x 3 views = 81 picks.
   Query wide = MustParseQuery("q(A, B, C, D) :- p(A), p(B), p(C), p(D).");
   ViewSet three = Views(
       {"v1(X) :- p(X).", "v2(X) :- p(X), X < 4.", "v3(X) :- p(X), X > 2."});
   tight.max_mappings = 70;
   cases.push_back(
-      {"tight bucket wide", tight, [wide, three](EngineContext& ctx) {
+      {"tight bucket wide", tight,
+       [wide, three](EngineContext& ctx) {
          return Render(BucketRewrite(ctx, wide, three));
-       }});
+       },
+       true});
   cases.push_back(
       {"tight all-distinguished wide", tight,
        [wide, three](EngineContext& ctx) {
          return Render(RewriteAllDistinguished(ctx, wide, three));
-       }});
+       },
+       true});
   return cases;
 }
 
@@ -221,33 +232,44 @@ std::string ReadFile(const std::string& path) {
   return ss.str();
 }
 
+// Runs one case in a fresh context on `pool`; `*counters` receives the
+// call's counter deltas as the golden renders them.
+std::string RunCase(const Case& c, TaskPool* pool, std::string* counters) {
+  EngineContext ctx(c.budget);
+  ctx.set_task_pool(pool);
+  const StatsSnapshot before = ctx.stats().Snapshot();
+  std::string result = c.call(ctx);
+  const StatsSnapshot d = ctx.stats().Snapshot() - before;
+  *counters = StrCat("[candidates ", d.rewrite_candidates, ", rejects ",
+                     d.rewrite_verified_rejects, ", containment ",
+                     d.containment_calls, ", exhaustions ",
+                     d.budget_exhaustions, "]");
+  return result;
+}
+
 TEST(RewritingGoldenTest, MatchesExpectedAtEveryThreadCount) {
   const std::vector<Case> cases = Cases();
-  std::vector<std::string> serial;
+  std::vector<std::string> serial, serial_counters(cases.size());
   std::string rendering;
   {
     TaskPool pool(0);
-    for (const Case& c : cases) {
-      EngineContext ctx(c.budget);
-      ctx.set_task_pool(&pool);
-      const StatsSnapshot before = ctx.stats().Snapshot();
-      std::string result = c.call(ctx);
-      const StatsSnapshot d = ctx.stats().Snapshot() - before;
-      rendering += StrCat(c.label, ": ", result, " [candidates ",
-                          d.rewrite_candidates, ", rejects ",
-                          d.rewrite_verified_rejects, ", containment ",
-                          d.containment_calls, ", exhaustions ",
-                          d.budget_exhaustions, "]\n");
+    for (size_t i = 0; i < cases.size(); ++i) {
+      std::string result = RunCase(cases[i], &pool, &serial_counters[i]);
+      rendering += StrCat(cases[i].label, ": ", result, " ",
+                          serial_counters[i], "\n");
       serial.push_back(std::move(result));
     }
   }
   {
     TaskPool pool(4);
     for (size_t i = 0; i < cases.size(); ++i) {
-      EngineContext ctx(cases[i].budget);
-      ctx.set_task_pool(&pool);
-      EXPECT_EQ(cases[i].call(ctx), serial[i])
+      std::string counters;
+      EXPECT_EQ(RunCase(cases[i], &pool, &counters), serial[i])
           << cases[i].label << " diverged at threads=4";
+      if (cases[i].same_counters) {
+        EXPECT_EQ(counters, serial_counters[i])
+            << cases[i].label << " counted differently at threads=4";
+      }
     }
   }
   const std::string path =

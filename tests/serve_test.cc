@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "src/base/strings.h"
-#include "src/base/task_pool.h"
 #include "src/ir/json.h"
 #include "src/ir/parser.h"
 #include "src/ir/view.h"
@@ -205,9 +204,8 @@ TEST(ServeTest, ConcurrentClientsMatchSerialReplayByteForByte) {
   // program. Requests are serialized on the engine thread and sessions are
   // isolated, so every client must receive exactly the byte sequence a
   // serial single-client replay produces — and zero protocol errors.
-  TaskPool pool(4);
   ServerOptions options;
-  options.pool = &pool;
+  options.threads_per_shard = 4;
   Server server(std::move(options));
   ASSERT_TRUE(server.Start().ok());
 

@@ -15,7 +15,9 @@
 //   er                     search for an equivalent rewriting
 //   minimize               minimize the current query
 //   eval                   evaluate the query over the base database
-//   answers                certain answers: materialize views, run the MCR
+//   answers                certain answers: rewrite the current query over
+//                          the current views and evaluate the rewriting
+//                          over the maintained view database
 //   contained <rule>       is <rule> contained in the current query?
 //   explain <rule>         why <rule> is (or is not) contained in the
 //                          current query: mappings and implied comparisons
@@ -60,20 +62,15 @@
 #include "src/analysis/certificate.h"
 #include "src/analysis/lint.h"
 #include "src/base/strings.h"
-#include "src/containment/containment.h"
 #include "src/constraints/intervals.h"
 #include "src/containment/explain.h"
 #include "src/containment/minimize.h"
 #include "src/eval/evaluate.h"
-#include "src/ir/expansion.h"
 #include "src/ir/parser.h"
 #include "src/ivm/maintain.h"
 #include "src/plan/planner.h"
 #include "src/rewriting/answer.h"
-#include "src/rewriting/bucket.h"
 #include "src/rewriting/er_search.h"
-#include "src/rewriting/rewrite_lsi.h"
-#include "src/rewriting/si_mcr.h"
 #include "src/store/snapshot.h"
 
 namespace cqac {
@@ -124,7 +121,7 @@ class Shell {
     if (cmd == "er") return FindEr();
     if (cmd == "minimize") return Minimize();
     if (cmd == "eval") return Evaluate();
-    if (cmd == "answers") return CertainAnswers();
+    if (cmd == "answers") return Answers();
     if (cmd == "contained") return Contained(rest);
     if (cmd == "lint") return Lint();
     if (cmd == "verify") return Verify();
@@ -202,24 +199,22 @@ class Shell {
 
   bool Rewrite() {
     if (!NeedQuery()) return false;
-    const ViewSet& views = state_.views;
-    const RewriteAlgorithm algorithm = ChooseRewriteAlgorithm(query_, views);
-    if (algorithm == RewriteAlgorithm::kSiDatalog) {
-      Result<SiMcr> mcr = RewriteSiQueryDatalog(*ctx_, query_, views);
-      if (!mcr.ok()) return Fail(mcr.status().ToString());
+    const RewriteAlgorithm algorithm =
+        ChooseRewriteAlgorithm(query_, state_.views);
+    Result<ViewPlan> mcr =
+        RunRewriteAlgorithm(*ctx_, algorithm, query_, state_.views);
+    if (!mcr.ok()) return Fail(mcr.status().ToString());
+    const ViewPlan& plan = mcr.value();
+    if (plan.kind == PlanKind::kDatalog) {
       std::printf("recursive datalog mcr (%zu rules):\n%s\n",
-                  mcr.value().rules.size(), mcr.value().ToString().c_str());
+                  plan.datalog->rules.size(), plan.datalog->ToString().c_str());
       return true;
     }
-    const bool lsi = algorithm == RewriteAlgorithm::kLsiMcr;
-    Result<UnionQuery> mcr = lsi ? RewriteLsiQuery(*ctx_, query_, views)
-                                 : BucketRewrite(*ctx_, query_, views);
-    if (!mcr.ok()) return Fail(mcr.status().ToString());
-    last_mcr_ = std::move(mcr).value();
-    have_mcr_ = !last_mcr_.empty();
-    std::printf(lsi ? "mcr (%zu contained rewritings):\n%s\n"
+    std::printf(algorithm == RewriteAlgorithm::kLsiMcr
+                    ? "mcr (%zu contained rewritings):\n%s\n"
                     : "contained rewritings (bucket, %zu):\n%s\n",
-                last_mcr_.disjuncts.size(), last_mcr_.ToString().c_str());
+                plan.union_plan.disjuncts.size(),
+                plan.union_plan.ToString().c_str());
     return true;
   }
 
@@ -257,16 +252,12 @@ class Shell {
     return true;
   }
 
-  bool CertainAnswers() {
+  // Serve's `answers` over the store's maintained view database, which is
+  // exactly MaterializeViews(views, base), kept current by fact/retract.
+  bool Answers() {
     if (!NeedQuery()) return false;
-    if (!have_mcr_) {
-      if (!Rewrite()) return false;
-      if (!have_mcr_) return Fail("no rewriting available");
-    }
-    // The store's maintained view database is exactly
-    // MaterializeViews(views, base) — kept current by fact/retract, so no
-    // per-command rematerialization.
-    Result<Relation> r = EvaluateUnion(*ctx_, last_mcr_, state_.store.views());
+    Result<Relation> r =
+        CertainAnswers(*ctx_, query_, state_.views, state_.store.views());
     if (!r.ok()) return Fail(r.status().ToString());
     PrintRelation(r.value());
     return true;
@@ -276,21 +267,12 @@ class Shell {
     if (!NeedQuery()) return false;
     Result<Query> p = ParseQuery(text);
     if (!p.ok()) return Fail(p.status().ToString());
-    // A rule over view predicates is compared through its expansion
-    // (the contained-rewriting test of Definition 2.1).
-    Query candidate = std::move(p).value();
-    bool uses_views = !candidate.body().empty();
-    for (const Atom& a : candidate.body())
-      if (state_.views.Find(a.predicate) == nullptr) uses_views = false;
-    if (uses_views) {
-      Result<Query> exp = ExpandRewriting(candidate, state_.views);
-      if (!exp.ok()) return Fail(exp.status().ToString());
-      candidate = std::move(exp).value();
-    }
-    Result<bool> c = IsContained(*ctx_, candidate, query_);
+    bool via_expansion = false;
+    Result<bool> c = IsContainedThroughExpansion(*ctx_, p.value(), query_,
+                                                 state_.views, &via_expansion);
     if (!c.ok()) return Fail(c.status().ToString());
     std::printf("contained: %s%s\n", c.value() ? "yes" : "no",
-                uses_views ? " (checked via expansion)" : "");
+                via_expansion ? " (checked via expansion)" : "");
     return true;
   }
 
@@ -320,27 +302,23 @@ class Shell {
   bool Verify() {
     if (!NeedQuery()) return false;
     const ViewSet& views = state_.views;
-    const RewriteAlgorithm algorithm = ChooseRewriteAlgorithm(query_, views);
-    if (algorithm == RewriteAlgorithm::kSiDatalog) {
-      Result<SiMcr> mcr = RewriteSiQueryDatalog(*ctx_, query_, views);
-      if (!mcr.ok()) return Fail(mcr.status().ToString());
-      Status st = CheckSiMcr(query_, views, mcr.value());
+    RewritingWitness w;
+    Result<ViewPlan> mcr = RunRewriteAlgorithm(
+        *ctx_, ChooseRewriteAlgorithm(query_, views), query_, views, &w);
+    if (!mcr.ok()) return Fail(mcr.status().ToString());
+    const ViewPlan& plan = mcr.value();
+    if (plan.kind == PlanKind::kDatalog) {
+      Status st = CheckSiMcr(query_, views, *plan.datalog);
       if (!st.ok()) return Fail(StrCat("certificate: ", st.ToString()));
       std::printf("certificate: valid (datalog mcr, %zu rules checked)\n",
-                  mcr.value().rules.size());
+                  plan.datalog->rules.size());
       return true;
     }
-    RewritingWitness w;
-    Result<UnionQuery> mcr =
-        algorithm == RewriteAlgorithm::kLsiMcr
-            ? RewriteLsiQuery(*ctx_, query_, views, {}, nullptr, &w)
-            : BucketRewrite(*ctx_, query_, views, {}, nullptr, &w);
-    if (!mcr.ok()) return Fail(mcr.status().ToString());
-    Status st = CheckRewritingWitness(query_, views, mcr.value(), w);
+    const size_t n = plan.union_plan.disjuncts.size();
+    Status st = CheckRewritingWitness(query_, views, plan.union_plan, w);
     if (!st.ok()) return Fail(StrCat("certificate: ", st.ToString()));
-    std::printf("certificate: valid (%zu disjunct%s checked)\n",
-                mcr.value().disjuncts.size(),
-                mcr.value().disjuncts.size() == 1 ? "" : "s");
+    std::printf("certificate: valid (%zu disjunct%s checked)\n", n,
+                n == 1 ? "" : "s");
     return true;
   }
 
@@ -373,32 +351,15 @@ class Shell {
     if (!vp.ok()) return Fail(vp.status().ToString());
     std::printf("plan:\n%s", vp.value().plan.ToString().c_str());
 
-    auto rows = [this](const std::string& p) {
-      return state_.store.base().Get(p).size();
-    };
-    auto distinct = [this](const std::string& p, size_t c) {
-      return state_.store.base().stats().DistinctEstimate(p, c);
-    };
-    plan::JoinOrderPlan jp =
-        plan::PlanJoinOrder(query_, plan::Cardinalities{rows, distinct});
-    plan::Decision jd = jp.ToDecision();
+    plan::Decision jd =
+        plan::PlanJoinOrder(query_, DatabaseCardinalities(state_.store.base()))
+            .ToDecision();
     jd.detail = "direct eval over base facts";
     std::printf("  %s\n", jd.ToString().c_str());
 
     if (vp.value().kind == PlanKind::kFiniteUnion) {
-      auto vrows = [this](const std::string& p) {
-        return state_.store.views().Get(p).size();
-      };
-      auto vdistinct = [this](const std::string& p, size_t c) {
-        return state_.store.views().stats().DistinctEstimate(p, c);
-      };
-      const plan::Cardinalities vcards{vrows, vdistinct};
-      double est = 0;
-      for (const Query& d : vp.value().union_plan.disjuncts)
-        est += plan::EstimateEvalCost(d, vcards);
-      plan::UnionEvalChoice c = plan::ChooseUnionEval(
-          *ctx_, vp.value().union_plan.disjuncts.size(), est,
-          plan::UnionEvalPin::kAuto);
+      plan::UnionEvalChoice c = vp.value().PriceUnionEval(
+          *ctx_, state_.store.views(), plan::UnionEvalPin::kAuto);
       std::printf("  %s\n", c.ToDecision().ToString().c_str());
     }
     std::printf("adaptive:\n%s\n", ctx_->adaptive().ToString().c_str());
@@ -479,8 +440,6 @@ class Shell {
   Query query_;
   ParsedQuery query_source_;
   bool have_query_ = false;
-  UnionQuery last_mcr_;
-  bool have_mcr_ = false;
 };
 
 }  // namespace
