@@ -9,12 +9,10 @@
 #include "bench/bench_threads.h"
 
 #include "src/base/rng.h"
-#include "src/base/strings.h"
 #include "src/eval/evaluate.h"
 #include "src/gen/generators.h"
 #include "src/ir/parser.h"
 #include "src/plan/planner.h"
-#include "src/rewriting/answer.h"
 #include "src/rewriting/rewrite_lsi.h"
 
 namespace cqac {
@@ -179,65 +177,6 @@ BENCHMARK(BM_JoinOrderPlanned)
     ->Args({1000, 1})
     ->Args({20000, 0})
     ->Args({20000, 1})
-    ->Unit(benchmark::kMicrosecond);
-
-// E17: the union-eval strategy flip by instance size.
-//
-// A 6-disjunct union over one view relation where every disjunct after the
-// first is contained in it. The containment checks cost a fixed ~n^2/2
-// probes while the redundant evaluation cost grows with the instance, so
-// the planner answers directly on small instances and flips to
-// containment-pruning past the break-even. arg1 pins the strategy
-// (0 = auto, 1 = force-direct, 2 = force-prune); the auto row matches the
-// direct row at the small size and the prune row at the large one
-// (EXPERIMENTS.md E17).
-void BM_UnionPruneBySize(benchmark::State& state) {
-  const int64_t n = state.range(0);
-  UnionQuery u;
-  u.disjuncts.push_back(MustParseQuery("q(X, Y) :- v(X, Y), X <= 1000000."));
-  for (int64_t i = 1; i < 6; ++i)
-    u.disjuncts.push_back(MustParseQuery(
-        StrCat("q(X, Y) :- v(X, Y), X <= ", 1000000 - i * 7, ".")));
-  ViewPlan plan;
-  plan.kind = PlanKind::kFiniteUnion;
-  plan.union_plan = std::move(u);
-
-  Rng rng(11);
-  Database instance;
-  for (int64_t i = 0; i < n; ++i) {
-    Status st = instance.Insert(
-        "v", {Value(Rational(rng.Uniform(0, 100000))), Value(Rational(i))});
-    if (!st.ok()) std::abort();
-  }
-
-  AnswerOptions options;
-  options.union_eval = state.range(1) == 0   ? plan::UnionEvalPin::kAuto
-                       : state.range(1) == 1 ? plan::UnionEvalPin::kForceDirect
-                                             : plan::UnionEvalPin::kForcePrune;
-  EngineContext ctx;
-  bench::AttachPool(ctx);
-  size_t answers = 0;
-  bool pruned = false;
-  for (auto _ : state) {
-    plan::Plan record;
-    auto r = plan.Answer(ctx, instance, options, &record);
-    if (!r.ok()) state.SkipWithError(r.status().ToString().c_str());
-    answers = r.ValueOr(Relation{}).size();
-    pruned = !record.decisions.empty() &&
-             record.decisions.back().choice == "prune";
-    benchmark::DoNotOptimize(answers);
-  }
-  state.counters["answers"] = static_cast<double>(answers);
-  state.counters["strategy_prune"] = pruned ? 1 : 0;
-  bench::RecordParallelCounters(state, ctx);
-}
-BENCHMARK(BM_UnionPruneBySize)
-    ->Args({200, 0})
-    ->Args({200, 1})
-    ->Args({200, 2})
-    ->Args({20000, 0})
-    ->Args({20000, 1})
-    ->Args({20000, 2})
     ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

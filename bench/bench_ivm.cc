@@ -8,8 +8,7 @@
 //
 // Also measured: the batch-size sweep that locates the incremental/rebuild
 // crossover (and records which path the default heuristic picks at each
-// size), and the DRed maintainer on a recursive transitive-closure program
-// under an edge insert/retract stream.
+// size).
 //
 // Run at --threads 0 / 4 / 8: Apply fans delta chunks out over the
 // context's pool, and the maintained state is byte-identical at every
@@ -24,7 +23,6 @@
 #include "bench/bench_threads.h"
 #include "src/analysis/audit/audit.h"
 #include "src/base/rng.h"
-#include "src/base/strings.h"
 #include "src/eval/database.h"
 #include "src/gen/generators.h"
 #include "src/ir/parser.h"
@@ -253,71 +251,6 @@ void BM_IvmCertifiedApply(benchmark::State& state) {
 BENCHMARK(BM_IvmCertifiedApply)
     ->Arg(500)
     ->Arg(2000)
-    ->Unit(benchmark::kMillisecond);
-
-// ---- DRed: recursive transitive closure under an edge stream --------------
-
-void BM_IvmDredEdgeStream(benchmark::State& state) {
-  const int64_t kNodes = state.range(0);
-  Program program("tc", MustParseRules(
-                            "tc(X, Y) :- e(X, Y).\n"
-                            "tc(X, Z) :- e(X, Y), tc(Y, Z)."));
-  // A chain with some shortcuts: deep recursion, nontrivial re-derivation
-  // when a chain edge goes away.
-  Database edb;
-  for (int64_t i = 0; i + 1 < kNodes; ++i)
-    edb.Insert("e", {Value(i), Value(i + 1)});
-  for (int64_t i = 0; i + 10 < kNodes; i += 10)
-    edb.Insert("e", {Value(i), Value(i + 10)});
-
-  EngineContext ctx;
-  bench::AttachPool(ctx);
-  ivm::MaintainedProgram prog{datalog::Engine(program)};
-  if (!prog.Initialize(ctx, edb).ok()) {
-    state.SkipWithError("initialize failed");
-    return;
-  }
-
-  ivm::MaintainOptions incremental;
-  incremental.force_incremental = true;
-  double insert_total = 0, retract_total = 0, rebuild_total = 0;
-  int64_t rounds = 0;
-  for (auto _ : state) {
-    // A shortcut edge near the middle: inserting derives O(n) new pairs,
-    // retracting over-deletes and rescues them back.
-    Tuple edge = {Value(kNodes / 3), Value(kNodes / 3 + 5)};
-    ivm::DeltaDatabase plus(&prog.edb());
-    if (!plus.StageInsert("e", edge).ok()) std::abort();
-    insert_total += bench::TimeOnceMs([&] {
-      if (!prog.Apply(ctx, plus, incremental).ok()) std::abort();
-    });
-    ivm::DeltaDatabase minus(&prog.edb());
-    if (!minus.StageRetract("e", edge).ok()) std::abort();
-    retract_total += bench::TimeOnceMs([&] {
-      if (!prog.Apply(ctx, minus, incremental).ok()) std::abort();
-    });
-    // Baseline: rerunning the program from scratch on the same EDB.
-    rebuild_total += bench::TimeOnceMs([&] {
-      ivm::MaintainedProgram fresh{datalog::Engine(program)};
-      if (!fresh.Initialize(ctx, prog.edb()).ok()) std::abort();
-    });
-    ++rounds;
-  }
-  state.counters["insert_ms"] = insert_total / static_cast<double>(rounds);
-  state.counters["retract_ms"] = retract_total / static_cast<double>(rounds);
-  state.counters["rebuild_ms"] = rebuild_total / static_cast<double>(rounds);
-  state.counters["speedup_insert"] =
-      insert_total > 0 ? rebuild_total / insert_total : 0;
-  state.counters["idb_tuples"] = static_cast<double>(prog.idb().TotalTuples());
-  state.counters["overdeletions"] =
-      static_cast<double>(uint64_t{ctx.stats().ivm_overdeletions});
-  state.counters["rederivations"] =
-      static_cast<double>(uint64_t{ctx.stats().ivm_rederivations});
-  bench::RecordParallelCounters(state, ctx);
-}
-BENCHMARK(BM_IvmDredEdgeStream)
-    ->Arg(100)
-    ->Arg(300)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <map>
-#include <optional>
 #include <set>
 #include <utility>
 
@@ -15,7 +14,6 @@
 #include "src/ir/canonical.h"
 #include "src/ir/expansion.h"
 #include "src/ir/json.h"
-#include "src/ivm/delta.h"
 #include "src/rewriting/answer.h"
 #include "src/rewriting/er_search.h"
 #include "src/rewriting/witness.h"
@@ -140,14 +138,13 @@ Result<int64_t> CountDerivations(const Query& view, const Database& db,
   return count;
 }
 
-/// The shared shape/summary/presence checks of both maintenance checkers.
-/// `derived_count(pred, tuple)` supplies the independent post-state count;
-/// `present(pred, tuple)` the post-state membership claim to compare with.
+/// The per-tuple and summary checks of CheckMaintenance: every touched
+/// tuple's post-count is re-derived by CountDerivations over `post_base`,
+/// and its presence in `post_views` must agree with that count.
 Status CheckDeltasAndSummary(
     EngineContext& ctx, const ivm::MaintenanceCertificate& cert,
-    FunctionRef<Result<int64_t>(const std::string&, const Tuple&)>
-        derived_count,
-    FunctionRef<bool(const std::string&, const Tuple&)> present) {
+    const std::map<std::string, const Query*>& by_pred,
+    const Database& post_base, const Database& post_views) {
   size_t net_added = 0, net_removed = 0, replayed = 0;
   for (const ivm::ViewDelta& vd : cert.views) {
     for (size_t i = 0; i < vd.deltas.size(); ++i) {
@@ -161,13 +158,14 @@ Status CheckDeltasAndSummary(
       if (d.old_count < 0 || d.new_count < 0)
         return Invalid("negative derivation count on ",
                        TupleToString(d.tuple), " of '", vd.predicate, "'");
-      CQAC_ASSIGN_OR_RETURN(int64_t truth,
-                            derived_count(vd.predicate, d.tuple));
+      CQAC_ASSIGN_OR_RETURN(
+          int64_t truth,
+          CountDerivations(*by_pred.at(vd.predicate), post_base, d.tuple));
       if (truth != d.new_count)
         return Invalid("post-count of ", TupleToString(d.tuple), " in '",
                        vd.predicate, "' is ", d.new_count,
                        " but the independent re-derivation counts ", truth);
-      if ((d.new_count > 0) != present(vd.predicate, d.tuple))
+      if ((d.new_count > 0) != post_views.Contains(vd.predicate, d.tuple))
         return Invalid("presence of ", TupleToString(d.tuple), " in '",
                        vd.predicate,
                        "' disagrees with its claimed post-count");
@@ -504,8 +502,6 @@ Status CheckMaintenance(EngineContext& ctx,
                         const ivm::MaintenanceCertificate& cert,
                         const Database& post_base,
                         const Database& post_views) {
-  if (!cert.counting)
-    return Invalid("a counting maintainer must emit a counting certificate");
   std::map<std::string, const Query*> by_pred;
   for (const Query& v : view_queries)
     by_pred[v.head().predicate] = &v;
@@ -516,14 +512,8 @@ Status CheckMaintenance(EngineContext& ctx,
     if (!by_pred.count(vd.predicate))
       return Invalid("certificate names unknown view '", vd.predicate, "'");
 
-  CQAC_RETURN_IF_ERROR(CheckDeltasAndSummary(
-      ctx, cert,
-      [&](const std::string& pred, const Tuple& t) -> Result<int64_t> {
-        return CountDerivations(*by_pred.at(pred), post_base, t);
-      },
-      [&](const std::string& pred, const Tuple& t) {
-        return post_views.Contains(pred, t);
-      }));
+  CQAC_RETURN_IF_ERROR(
+      CheckDeltasAndSummary(ctx, cert, by_pred, post_base, post_views));
 
   // Whole-state audit: every maintained view extension equals a from-scratch
   // reference evaluation over the post-commit base.
@@ -533,37 +523,6 @@ Status CheckMaintenance(EngineContext& ctx,
       return Invalid("maintained extension of '", v.head().predicate,
                      "' differs from the reference evaluation");
   }
-  return Status::OK();
-}
-
-Status CheckProgramMaintenance(EngineContext& ctx,
-                               const datalog::Engine& engine,
-                               const ivm::MaintenanceCertificate& cert,
-                               const Database& post_edb,
-                               const Database& post_idb) {
-  if (cert.counting)
-    return Invalid("a DRed maintainer must emit a presence certificate");
-  for (const ivm::ViewDelta& vd : cert.views)
-    for (const ivm::TupleCountDelta& d : vd.deltas)
-      if (d.old_count > 1 || d.new_count > 1)
-        return Invalid("presence counts must be 0/1, got ", d.old_count,
-                       " -> ", d.new_count, " on ", TupleToString(d.tuple));
-
-  CQAC_ASSIGN_OR_RETURN(Database fresh, engine.Evaluate(post_edb));
-  CQAC_RETURN_IF_ERROR(CheckDeltasAndSummary(
-      ctx, cert,
-      [&](const std::string& pred, const Tuple& t) -> Result<int64_t> {
-        return fresh.Contains(pred, t) ? 1 : 0;
-      },
-      [&](const std::string& pred, const Tuple& t) {
-        return post_idb.Contains(pred, t);
-      }));
-
-  // Whole-state audit: the maintained IDB equals a fresh fixpoint.
-  for (const std::string& pred : engine.IdbPredicates())
-    if (fresh.Get(pred) != post_idb.Get(pred))
-      return Invalid("maintained IDB relation '", pred,
-                     "' differs from a fresh fixpoint");
   return Status::OK();
 }
 
@@ -613,7 +572,6 @@ Status AuditAll(EngineContext& ctx, const AuditInputs& inputs,
     return CheckClassification(q, ClassifyQueryWithEvidence(q));
   });
 
-  std::optional<SiMcr> mcr;
   UnionQuery rewriting;
   bool have_union = false;
   if (inputs.views.size() > 0) {
@@ -629,11 +587,11 @@ Status AuditAll(EngineContext& ctx, const AuditInputs& inputs,
       if (!r.ok()) {
         run(ObligationKind::kSiMcrRules, name, [&] { return r.status(); });
       } else {
-        mcr = std::move(r.value().datalog);
+        const SiMcr& mcr = *r.value().datalog;
         run(ObligationKind::kSiMcrRules, name,
-            [&] { return CheckSiMcr(q, inputs.views, *mcr); });
+            [&] { return CheckSiMcr(q, inputs.views, mcr); });
         run(ObligationKind::kSiMcrUnfold, name, [&] {
-          return CheckSiMcrUnfolding(ctx, q, inputs.views, *mcr,
+          return CheckSiMcrUnfolding(ctx, q, inputs.views, mcr,
                                      options.unfold);
         });
       }
@@ -717,23 +675,6 @@ Status AuditAll(EngineContext& ctx, const AuditInputs& inputs,
         return CheckMaintenance(ctx, mvs.view_queries(), cert, mvs.base(),
                                 mvs.views());
       });
-    }
-
-    if (mcr.has_value() && !mcr->rules.empty()) {
-      run(ObligationKind::kIvmCommit, StrCat(name, " datalog retract"),
-          [&]() -> Status {
-            CQAC_ASSIGN_OR_RETURN(
-                Database vext,
-                MaterializeViews(ctx, inputs.views, inputs.facts));
-            ivm::MaintainedProgram prog(mcr->MakeEngine());
-            CQAC_RETURN_IF_ERROR(prog.Initialize(ctx, vext));
-            ivm::DeltaDatabase delta(&prog.edb());
-            CQAC_RETURN_IF_ERROR(delta.StageRetractAll(EveryOtherTuple(vext)));
-            ivm::MaintenanceCertificate cert;
-            CQAC_RETURN_IF_ERROR(prog.Apply(ctx, delta, {}, &cert).status());
-            return CheckProgramMaintenance(ctx, prog.engine(), cert,
-                                           prog.edb(), prog.idb());
-          });
     }
   }
   return Status::OK();

@@ -39,7 +39,6 @@
 #include "src/base/status.h"
 #include "src/containment/containment.h"
 #include "src/containment/minimize.h"
-#include "src/datalog/engine.h"
 #include "src/engine/context.h"
 #include "src/eval/database.h"
 #include "src/ir/query.h"
@@ -123,7 +122,7 @@ Status CheckSiMcrUnfolding(EngineContext& ctx, const Query& q,
                            const ViewSet& views, const SiMcr& mcr,
                            const UnfoldOptions& options = {});
 
-/// Replays a counting maintenance certificate from MaterializedViewSet:
+/// Replays a maintenance certificate from MaterializedViewSet:
 /// summary consistency, per-touched-tuple derivation counts re-derived by
 /// an independent backtracking counter over `post_base`, presence agreement
 /// with `post_views`, and whole-state equality of every view against
@@ -132,15 +131,6 @@ Status CheckMaintenance(EngineContext& ctx,
                         const std::vector<Query>& view_queries,
                         const ivm::MaintenanceCertificate& cert,
                         const Database& post_base, const Database& post_views);
-
-/// Replays a presence maintenance certificate from MaintainedProgram: the
-/// fresh fixpoint of `engine` over `post_edb` must equal `post_idb`, and
-/// every touched tuple's 0/1 transition must agree with it.
-Status CheckProgramMaintenance(EngineContext& ctx,
-                               const datalog::Engine& engine,
-                               const ivm::MaintenanceCertificate& cert,
-                               const Database& post_edb,
-                               const Database& post_idb);
 
 // ---- The whole-program pass -----------------------------------------------
 

@@ -86,40 +86,6 @@ Status InstantiateHead(const EngineRule& er, const Batch& b,
 
 }  // namespace
 
-std::set<std::string> Engine::IdbPredicates() const {
-  std::set<std::string> idb;
-  for (const EngineRule& er : rules_) idb.insert(er.rule.head().predicate);
-  return idb;
-}
-
-Status Engine::FireRule(
-    size_t rule_index, const std::vector<const Relation*>& relations,
-    FunctionRef<void(const std::string&, Tuple)> emit) const {
-  if (rule_index >= rules_.size())
-    return Status::InvalidArgument("rule index out of range");
-  const EngineRule& er = rules_[rule_index];
-  if (relations.size() != er.rule.body().size())
-    return Status::InvalidArgument(
-        "FireRule: one relation required per body atom");
-  std::vector<JoinInput> inputs;
-  inputs.reserve(relations.size());
-  for (const Relation* rel : relations) inputs.push_back(JoinInput::Bare(*rel));
-  Status fire_status = Status::OK();
-  Tuple head;
-  JoinBodyBatches(
-      er.rule, inputs,
-      [&](const Batch& b, const std::vector<int>& var_col) {
-        for (size_t row = 0; row < b.rows; ++row) {
-          fire_status = InstantiateHead(er, b, var_col, row, &head);
-          if (!fire_status.ok()) return false;
-          emit(er.rule.head().predicate, head);
-        }
-        return true;
-      },
-      [] { return true; });
-  return fire_status;
-}
-
 Status Engine::ValidateRules() const {
   for (const EngineRule& er : rules_) {
     const Rule& r = er.rule;

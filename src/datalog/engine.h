@@ -11,10 +11,9 @@
 #define CQAC_DATALOG_ENGINE_H_
 
 #include <map>
-#include <set>
+#include <string>
 #include <vector>
 
-#include "src/base/function_ref.h"
 #include "src/base/status.h"
 #include "src/eval/database.h"
 #include "src/ir/program.h"
@@ -70,24 +69,9 @@ class Engine {
   const std::vector<EngineRule>& rules() const { return rules_; }
   const std::string& query_predicate() const { return query_predicate_; }
 
-  /// The set of predicates defined by rule heads (the IDB).
-  std::set<std::string> IdbPredicates() const;
-
-  /// Joins the body of rule `rule_index` with body atom i reading
-  /// `*relations[i]` and calls `emit(head_predicate, tuple)` once per
-  /// satisfying assignment, instantiating Skolem head terms exactly as
-  /// `Evaluate` does. Deduplication is the caller's business — this is the
-  /// single-rule firing primitive incremental maintainers (src/ivm) build
-  /// their delta rounds from.
-  Status FireRule(size_t rule_index,
-                  const std::vector<const Relation*>& relations,
-                  FunctionRef<void(const std::string&, Tuple)> emit) const;
-
-  /// Validates rule safety (every head variable body-bound or Skolemized).
-  /// Exposed so callers driving `FireRule` can fail fast up front.
-  Status ValidateRules() const;
-
  private:
+  /// Validates rule safety (every head variable body-bound or Skolemized).
+  Status ValidateRules() const;
 
   std::vector<EngineRule> rules_;
   std::string query_predicate_;

@@ -63,10 +63,7 @@ std::string ArmCalibration::ToString() const {
 
 std::string AdaptiveState::ToString() const {
   return StrCat("ivm-counting incremental ", ivm_incremental.ToString(),
-                ", rebuild ", ivm_rebuild.ToString(), "\n",
-                "ivm-dred incremental ", dred_incremental.ToString(),
-                ", rebuild ", dred_rebuild.ToString(), "\n",
-                "union-prune fraction ", union_prune.ToString());
+                ", rebuild ", ivm_rebuild.ToString());
 }
 
 void StreamingHistogram::SerializeTo(std::string* out) const {
@@ -97,15 +94,10 @@ bool ArmCalibration::RestoreFrom(wire::Cursor* c) {
 void AdaptiveState::SerializeTo(std::string* out) const {
   ivm_incremental.SerializeTo(out);
   ivm_rebuild.SerializeTo(out);
-  dred_incremental.SerializeTo(out);
-  dred_rebuild.SerializeTo(out);
-  union_prune.SerializeTo(out);
 }
 
 bool AdaptiveState::RestoreFrom(wire::Cursor* c) {
-  return ivm_incremental.RestoreFrom(c) && ivm_rebuild.RestoreFrom(c) &&
-         dred_incremental.RestoreFrom(c) && dred_rebuild.RestoreFrom(c) &&
-         union_prune.RestoreFrom(c);
+  return ivm_incremental.RestoreFrom(c) && ivm_rebuild.RestoreFrom(c);
 }
 
 }  // namespace cqac

@@ -11,12 +11,11 @@
 // cheap, O(1) per observation, no stored samples.
 //
 // Determinism. Adaptation state lives in the EngineContext and is mutated
-// only by the coordinating thread at deterministic points (after an Apply
-// commits, after a union evaluation finishes), never from inside a parallel
-// section. The observed metrics themselves are thread-count-invariant
-// (tuple counts, never batch or task counts), so a fixed command sequence
-// produces byte-identical factors — and therefore byte-identical plans — at
-// every thread count.
+// only by the coordinating thread at a deterministic point (after an Apply
+// commits), never from inside a parallel section. The observed metrics
+// themselves are thread-count-invariant (tuple counts, never batch or task
+// counts), so a fixed command sequence produces byte-identical factors —
+// and therefore byte-identical plans — at every thread count.
 #ifndef CQAC_ENGINE_ADAPTIVE_H_
 #define CQAC_ENGINE_ADAPTIVE_H_
 
@@ -86,21 +85,17 @@ struct ArmCalibration {
   double initial_;
 };
 
-/// Every self-tuning constant the planner consults, one ArmCalibration per
-/// (decision kind, arm). The IVM entries calibrate observed/estimated work
-/// ratios for whichever path ran; union_prune tracks the observed fraction
-/// of disjuncts pruned by containment before evaluation.
+/// Every self-tuning constant the planner consults: one ArmCalibration per
+/// arm of the IVM incremental-vs-rebuild decision, each calibrating the
+/// observed/estimated work ratio of its path.
 struct AdaptiveState {
   ArmCalibration ivm_incremental{1.0};
   ArmCalibration ivm_rebuild{1.0};
-  ArmCalibration dred_incremental{1.0};
-  ArmCalibration dred_rebuild{1.0};
-  ArmCalibration union_prune{0.5};
 
-  /// Deterministic multi-line rendering (the shell's `plan` command).
+  /// Deterministic one-line rendering (the shell's `plan` command).
   std::string ToString() const;
 
-  /// Durability snapshot surface (src/store): all five arms in declaration
+  /// Durability snapshot surface (src/store): both arms in declaration
   /// order. RestoreFrom returns false on malformed input and leaves the
   /// state partially overwritten (callers restore into a fresh instance).
   void SerializeTo(std::string* out) const;

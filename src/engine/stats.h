@@ -159,7 +159,12 @@ struct EngineStats {
   // Cost-based planner (src/plan).
   StatCounter plan_decisions;      // cost comparisons made
   StatCounter plan_join_reorders;  // evaluations that left syntactic order
-  StatCounter plan_unions_pruned;  // union disjuncts pruned before eval
+  // Always 0: nothing prunes a union before evaluating it. The counter
+  // stays, like ivm_overdeletions and ivm_rederivations below, because
+  // perfbench's frozen DeterministicCounters list (perfbench/replay.cc)
+  // reads it by name from every `stats` reply, and a missing name makes
+  // every benchmark run report "correct": false.
+  StatCounter plan_unions_pruned;
   StatCounter plan_retunes;        // adaptive-threshold re-estimations
 
   // Rewriting layer.
@@ -177,8 +182,10 @@ struct EngineStats {
   StatCounter ivm_rebuild_fallbacks;    // ... that fell back to rebuild
   StatCounter ivm_base_delta_tuples;    // base tuples inserted + retracted
   StatCounter ivm_view_delta_tuples;    // view tuples added + removed
-  StatCounter ivm_overdeletions;        // DRed tuples speculatively deleted
-  StatCounter ivm_rederivations;        // DRed tuples rescued by re-derive
+  // Always 0 (the counting maintainer never over-deletes); kept for
+  // perfbench, see plan_unions_pruned.
+  StatCounter ivm_overdeletions;
+  StatCounter ivm_rederivations;
 
   // Independent audit pass (src/analysis/audit).
   StatCounter audit_obligations;       // proof obligations checked

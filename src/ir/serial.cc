@@ -1,8 +1,5 @@
 #include "src/ir/serial.h"
 
-#include "src/base/strings.h"
-#include "src/ir/parser.h"
-
 namespace cqac {
 
 namespace {
@@ -48,18 +45,6 @@ std::vector<Value> DeserializeTuple(wire::Cursor* c) {
   for (uint32_t i = 0; i < arity && c->ok(); ++i)
     tuple.push_back(DeserializeValue(c));
   return tuple;
-}
-
-std::string SerializeQuery(const Query& q) { return q.ToString(); }
-
-Result<Query> DeserializeQuery(const std::string& text) {
-  Result<Query> q = ParseQuery(text);
-  CQAC_RETURN_IF_ERROR(q.status());
-  Status valid = q.value().Validate();
-  if (!valid.ok())
-    return Status::Inconsistent(
-        StrCat("serialized query fails validation: ", valid.message()));
-  return q;
 }
 
 }  // namespace cqac

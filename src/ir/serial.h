@@ -1,23 +1,20 @@
-// Stable binary serialization of the IR's value layer, plus the query text
-// round-trip the durable store relies on (src/store, docs/durability.md).
+// Stable binary serialization of the IR's value layer, which the durable
+// store's snapshots use for tuples (src/store, docs/durability.md).
 //
 // Values and tuples get a compact tagged binary form: rationals as exact
 // num/den int64 pairs (never floats — a snapshot must restore the same
 // dense-order constants the paper's comparisons range over), symbols as
-// length-prefixed bytes. Queries are serialized as their ToString()
-// rendering and re-parsed on load: the parser/printer round-trip is already
-// a tested invariant (tests/roundtrip_test.cc), the text is diffable in
-// `cqac_storectl inspect`, and view rules recover byte-identically because
-// sessions log the client's original rule text verbatim.
+// length-prefixed bytes. Queries have no binary form: the store logs and
+// snapshots each view's rule text verbatim, as the client sent it, and
+// re-parses it with ParseQueryWithInfo on recovery, so view rules recover
+// byte-identically.
 #ifndef CQAC_IR_SERIAL_H_
 #define CQAC_IR_SERIAL_H_
 
 #include <string>
 #include <vector>
 
-#include "src/base/status.h"
 #include "src/base/wire.h"
-#include "src/ir/query.h"
 #include "src/ir/term.h"
 
 namespace cqac {
@@ -33,12 +30,6 @@ Value DeserializeValue(wire::Cursor* c);
 /// A tuple is its arity followed by that many values.
 void SerializeTuple(std::string* out, const std::vector<Value>& tuple);
 std::vector<Value> DeserializeTuple(wire::Cursor* c);
-
-/// The stable text form of a query (parser/printer round-trip invariant).
-std::string SerializeQuery(const Query& q);
-
-/// Parses and validates a serialized query text.
-Result<Query> DeserializeQuery(const std::string& text);
 
 }  // namespace cqac
 

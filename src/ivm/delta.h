@@ -1,12 +1,12 @@
 // DeltaDatabase: a staged batch of base-relation changes against a fixed
 // snapshot of a Database.
 //
-// The incremental maintainers (src/ivm/maintain.h) consume a *normalized*
+// The incremental maintainer (src/ivm/maintain.h) consumes a *normalized*
 // delta: the positive side is disjoint from the base, the negative side is a
 // subset of it, and the two sides are disjoint from each other. Staging
 // enforces that normal form eagerly — inserting an already-present tuple is
 // a no-op, retracting an absent one is a no-op, and an insert/retract pair
-// on the same tuple cancels — so a maintainer can equate "delta tuple" with
+// on the same tuple cancels — so the maintainer can equate "delta tuple" with
 // "actual state change" and per-tuple derivation counts stay exact.
 //
 // Tuples live in ordinary Relations (std::set), so the canonical tuple

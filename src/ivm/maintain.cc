@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <deque>
-#include <optional>
+#include <set>
 
 #include "src/base/strings.h"
 #include "src/base/task_pool.h"
@@ -102,12 +102,6 @@ bool CountJoin(EngineContext& ctx, const Query& q,
   return ok;
 }
 
-bool ContainsIn(const std::map<std::string, Relation>& m, const std::string& p,
-                const Tuple& t) {
-  auto it = m.find(p);
-  return it != m.end() && it->second.count(t) > 0;
-}
-
 /// Counts tuples appearing on exactly one side, per predicate. Both sides
 /// are ordered sets, so one linear merge-walk replaces per-tuple lookups.
 void DiffTuples(const Database& before, const Database& after, size_t* added,
@@ -171,13 +165,6 @@ std::vector<TupleCountDelta> DiffCounts(const std::map<Tuple, int64_t>& before,
   return out;
 }
 
-/// A relation as a 0/1-presence count map (the DRed certificate view).
-std::map<Tuple, int64_t> PresenceCounts(const Relation& rel) {
-  std::map<Tuple, int64_t> out;
-  for (const Tuple& t : rel) out.emplace_hint(out.end(), t, 1);
-  return out;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -198,15 +185,6 @@ Status MaterializedViewSet::AddView(EngineContext& ctx, const Query& view) {
     counts_.pop_back();
   }
   return st;
-}
-
-Status MaterializedViewSet::ResetViews(EngineContext& ctx,
-                                       const ViewSet& views) {
-  view_queries_.clear();
-  counts_.clear();
-  views_ = Database();
-  for (const Query& v : views.views()) CQAC_RETURN_IF_ERROR(AddView(ctx, v));
-  return Status::OK();
 }
 
 void MaterializedViewSet::Reset() {
@@ -281,7 +259,6 @@ Result<ApplySummary> MaterializedViewSet::Apply(EngineContext& ctx,
     if (cert == nullptr) return;
     cert->views.clear();
     cert->summary = s;
-    cert->counting = true;
     for (size_t i = 0; i < view_queries_.size(); ++i) {
       ViewDelta vd;
       vd.predicate = view_queries_[i].head().predicate;
@@ -326,8 +303,8 @@ Result<ApplySummary> MaterializedViewSet::Apply(EngineContext& ctx,
     }
   }
   const plan::IvmPathChoice choice = plan::ChooseIvmPath(
-      ctx, plan::IvmKind::kCounting, incremental, full, options.rebuild_bias,
-      max_touched, options.max_subset_positions, options.force_incremental,
+      ctx, incremental, full, options.rebuild_bias, max_touched,
+      options.max_subset_positions, options.force_incremental,
       options.force_rebuild);
 
   if (choice.rebuild) {
@@ -366,7 +343,7 @@ Result<ApplySummary> MaterializedViewSet::Apply(EngineContext& ctx,
     // Calibration feedback: a rebuild's work is linear in the scanned base
     // plus the rewritten view tuples (thread-invariant counts).
     plan::ObserveIvmOutcome(
-        ctx, plan::IvmKind::kCounting, choice,
+        ctx, choice,
         static_cast<double>(base_.TotalTuples() + summary.view_tuples_added +
                             summary.view_tuples_removed));
     fill_cert(summary);
@@ -516,7 +493,7 @@ Result<ApplySummary> MaterializedViewSet::Apply(EngineContext& ctx,
   // Calibration feedback: incremental work is linear in the delta plus the
   // view tuples it touched (thread-invariant counts).
   plan::ObserveIvmOutcome(
-      ctx, plan::IvmKind::kCounting, choice,
+      ctx, choice,
       static_cast<double>(delta.delta_tuples() + summary.view_tuples_added +
                           summary.view_tuples_removed));
   fill_cert(summary);
@@ -563,421 +540,6 @@ Result<ApplySummary> MaterializedViewSet::ApplyRetract(
   DeltaDatabase delta(&base_);
   CQAC_RETURN_IF_ERROR(delta.StageRetractAll(facts));
   return Apply(ctx, delta, options, cert);
-}
-
-// ---------------------------------------------------------------------------
-// MaintainedProgram
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// One rule firing with a fixed relation assignment; the unit the DRed and
-/// resume rounds fan out over the context's pool.
-struct FireTask {
-  size_t rule;
-  std::vector<const Relation*> rels;
-};
-
-/// Runs every task (possibly in parallel), keeping emitted head tuples that
-/// pass `keep` (which must be safe to call concurrently and read-only), and
-/// merges per-slot results into `*out` in task order. Sets are merged, so
-/// the content is scheduling-independent.
-Status RunFireTasks(EngineContext& ctx, const datalog::Engine& engine,
-                    const std::vector<FireTask>& tasks,
-                    FunctionRef<bool(const std::string&, const Tuple&)> keep,
-                    std::map<std::string, Relation>* out) {
-  std::vector<std::map<std::string, Relation>> slots(tasks.size());
-  std::vector<Status> statuses(tasks.size(), Status::OK());
-  std::vector<char> aborted(tasks.size(), 0);
-  CtxParallelFor(ctx, tasks.size(), [&](size_t t) {
-    if (ctx.ShouldStop()) {
-      aborted[t] = 1;
-      return;
-    }
-    statuses[t] = engine.FireRule(
-        tasks[t].rule, tasks[t].rels,
-        [&](const std::string& pred, Tuple tuple) {
-          if (keep(pred, tuple)) slots[t][pred].insert(std::move(tuple));
-        });
-  });
-  for (char a : aborted)
-    if (a) return BudgetExhausted(ctx);
-  for (size_t t = 0; t < tasks.size(); ++t) {
-    CQAC_RETURN_IF_ERROR(statuses[t]);
-    for (auto& [pred, rel] : slots[t])
-      (*out)[pred].insert(rel.begin(), rel.end());
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-MaintainedProgram::MaintainedProgram(datalog::Engine engine,
-                                     datalog::EvalOptions options)
-    : engine_(std::move(engine)),
-      options_(options),
-      idb_preds_(engine_.IdbPredicates()) {}
-
-Status MaintainedProgram::Initialize(EngineContext& ctx, const Database& edb) {
-  (void)ctx;
-  CQAC_ASSIGN_OR_RETURN(idb_, engine_.Evaluate(edb, options_));
-  edb_ = edb;
-  maintained_ = false;
-  return Status::OK();
-}
-
-Relation MaintainedProgram::QueryAnswers() const {
-  Relation out;
-  for (const Tuple& t : idb_.Get(engine_.query_predicate())) {
-    bool has_skolem = false;
-    for (const Value& v : t)
-      if (datalog::IsSkolemValue(v)) has_skolem = true;
-    if (!has_skolem) out.insert(t);
-  }
-  return out;
-}
-
-Result<ApplySummary> MaintainedProgram::Apply(EngineContext& ctx,
-                                              const DeltaDatabase& delta,
-                                              const MaintainOptions& options,
-                                              MaintenanceCertificate* cert) {
-  if (&delta.base() != &edb_)
-    return Status::InvalidArgument(
-        "delta was staged against a different database");
-  for (const Database* side : {&delta.plus(), &delta.minus()})
-    for (const auto& [pred, rel] : side->relations())
-      if (!rel.empty() && idb_preds_.count(pred))
-        return Status::InvalidArgument(
-            StrCat("cannot stage changes to IDB predicate '", pred, "'"));
-
-  // Certified applies diff pre/post IDB presence (tuples are derived or
-  // not — DRed keeps no counts).
-  std::map<std::string, std::map<Tuple, int64_t>> before;
-  if (cert != nullptr)
-    for (const std::string& p : idb_preds_)
-      before.emplace(p, PresenceCounts(idb_.Get(p)));
-  auto fill_cert = [&](const ApplySummary& s) {
-    if (cert == nullptr) return;
-    cert->views.clear();
-    cert->summary = s;
-    cert->counting = false;
-    for (const std::string& p : idb_preds_) {
-      ViewDelta vd;
-      vd.predicate = p;
-      vd.deltas = DiffCounts(before[p], PresenceCounts(idb_.Get(p)));
-      cert->views.push_back(std::move(vd));
-    }
-  };
-
-  ApplySummary summary;
-  if (delta.empty()) {
-    summary.incremental = true;
-    fill_cert(summary);
-    return summary;
-  }
-  ++ctx.stats().ivm_applies;
-  ctx.stats().ivm_base_delta_tuples += delta.delta_tuples();
-  summary.inserted = delta.plus().TotalTuples();
-  summary.retracted = delta.minus().TotalTuples();
-
-  auto size_of = [this](const std::string& p) {
-    return idb_preds_.count(p) ? idb_.Get(p).size() : edb_.Get(p).size();
-  };
-  auto plus_size = [&delta](const std::string& p) {
-    return delta.plus().Get(p).size();
-  };
-  auto minus_size = [&delta](const std::string& p) {
-    return delta.minus().Get(p).size();
-  };
-  double incremental = 0;
-  double full = 0;
-  for (const datalog::EngineRule& er : engine_.rules()) {
-    incremental += plan::DredDeltaEstimate(er.rule, plus_size, size_of) +
-                   plan::DredDeltaEstimate(er.rule, minus_size, size_of);
-    full += plan::DredRebuildEstimate(er.rule, size_of);
-  }
-  const plan::IvmPathChoice choice = plan::ChooseIvmPath(
-      ctx, plan::IvmKind::kDred, incremental, full, options.rebuild_bias,
-      /*max_touched=*/0, /*max_subset_positions=*/0, options.force_incremental,
-      options.force_rebuild);
-
-  if (choice.rebuild) {
-    ++ctx.stats().ivm_rebuild_fallbacks;
-    CQAC_RETURN_IF_ERROR(delta.CommitTo(&edb_));
-    Database old_idb = std::move(idb_);
-    idb_ = Database();
-    CQAC_ASSIGN_OR_RETURN(idb_, engine_.Evaluate(edb_, options_));
-    DiffTuples(old_idb, idb_, &summary.view_tuples_added,
-               &summary.view_tuples_removed);
-    ctx.stats().ivm_view_delta_tuples +=
-        summary.view_tuples_added + summary.view_tuples_removed;
-    maintained_ = false;
-    summary.incremental = false;
-    plan::ObserveIvmOutcome(
-        ctx, plan::IvmKind::kDred, choice,
-        static_cast<double>(edb_.TotalTuples() + idb_.TotalTuples()));
-    fill_cert(summary);
-    return summary;
-  }
-
-  ++ctx.stats().ivm_incremental_applies;
-  CQAC_RETURN_IF_ERROR(ApplyDeletes(ctx, delta.minus(), &summary));
-  CQAC_RETURN_IF_ERROR(ApplyInserts(ctx, delta.plus(), &summary));
-  ctx.stats().ivm_view_delta_tuples +=
-      summary.view_tuples_added + summary.view_tuples_removed;
-  maintained_ = true;
-  summary.incremental = true;
-  plan::ObserveIvmOutcome(
-      ctx, plan::IvmKind::kDred, choice,
-      static_cast<double>(delta.delta_tuples() + summary.view_tuples_added +
-                          summary.view_tuples_removed));
-  fill_cert(summary);
-  return summary;
-}
-
-Status MaintainedProgram::Resume(EngineContext& ctx,
-                                 std::map<std::string, Relation> delta) {
-  const std::vector<datalog::EngineRule>& rules = engine_.rules();
-  auto rel_for = [this](const std::string& p) -> const Relation& {
-    return idb_preds_.count(p) ? idb_.Get(p) : edb_.Get(p);
-  };
-  size_t iterations = 0;
-  while (true) {
-    size_t delta_size = 0;
-    for (const auto& [p, r] : delta) delta_size += r.size();
-    if (delta_size == 0) break;
-    if (++iterations > options_.max_iterations)
-      return Status::ResourceExhausted("ivm resume iteration limit");
-    if (ctx.ShouldStop()) return BudgetExhausted(ctx);
-
-    std::vector<FireTask> tasks;
-    for (size_t r = 0; r < rules.size(); ++r) {
-      const Rule& rule = rules[r].rule;
-      for (size_t i = 0; i < rule.body().size(); ++i) {
-        const std::string& p = rule.body()[i].predicate;
-        if (!idb_preds_.count(p)) continue;
-        auto it = delta.find(p);
-        if (it == delta.end() || it->second.empty()) continue;
-        FireTask task;
-        task.rule = r;
-        for (size_t j = 0; j < rule.body().size(); ++j)
-          task.rels.push_back(j == i ? &it->second
-                                     : &rel_for(rule.body()[j].predicate));
-        tasks.push_back(std::move(task));
-      }
-    }
-    std::map<std::string, Relation> next;
-    CQAC_RETURN_IF_ERROR(RunFireTasks(
-        ctx, engine_, tasks,
-        [this](const std::string& pred, const Tuple& t) {
-          return !idb_.Contains(pred, t);
-        },
-        &next));
-    for (const auto& [pred, rel] : next)
-      for (const Tuple& t : rel) CQAC_RETURN_IF_ERROR(idb_.Insert(pred, t));
-    delta = std::move(next);
-  }
-  return Status::OK();
-}
-
-Status MaintainedProgram::ApplyInserts(EngineContext& ctx,
-                                       const Database& plus,
-                                       ApplySummary* summary) {
-  if (plus.TotalTuples() == 0) return Status::OK();
-  const std::vector<datalog::EngineRule>& rules = engine_.rules();
-  auto rel_for = [this](const std::string& p) -> const Relation& {
-    return idb_preds_.count(p) ? idb_.Get(p) : edb_.Get(p);
-  };
-
-  // Post-insert overlay for the touched EDB relations.
-  std::map<std::string, Relation> post;
-  for (const auto& [pred, rel] : plus.relations()) {
-    if (rel.empty()) continue;
-    Relation r = edb_.Get(pred);
-    r.insert(rel.begin(), rel.end());
-    post[pred] = std::move(r);
-  }
-
-  // Seed round: pivot each EDB body position on the inserted tuples,
-  // positions before it pre-insert, positions after it post-insert.
-  std::vector<FireTask> tasks;
-  for (size_t r = 0; r < rules.size(); ++r) {
-    const Rule& rule = rules[r].rule;
-    for (size_t i = 0; i < rule.body().size(); ++i) {
-      const Relation& d = plus.Get(rule.body()[i].predicate);
-      if (d.empty()) continue;
-      FireTask task;
-      task.rule = r;
-      for (size_t j = 0; j < rule.body().size(); ++j) {
-        const std::string& p = rule.body()[j].predicate;
-        if (j == i) {
-          task.rels.push_back(&d);
-        } else if (j > i && post.count(p)) {
-          task.rels.push_back(&post.at(p));
-        } else {
-          task.rels.push_back(&rel_for(p));
-        }
-      }
-      tasks.push_back(std::move(task));
-    }
-  }
-  std::map<std::string, Relation> seed;
-  CQAC_RETURN_IF_ERROR(RunFireTasks(
-      ctx, engine_, tasks,
-      [this](const std::string& pred, const Tuple& t) {
-        return !idb_.Contains(pred, t);
-      },
-      &seed));
-
-  for (const auto& [pred, rel] : plus.relations())
-    for (const Tuple& t : rel) CQAC_RETURN_IF_ERROR(edb_.Insert(pred, t));
-  for (const auto& [pred, rel] : seed) {
-    for (const Tuple& t : rel) CQAC_RETURN_IF_ERROR(idb_.Insert(pred, t));
-    summary->view_tuples_added += rel.size();
-  }
-
-  const size_t idb_before = idb_.TotalTuples();
-  CQAC_RETURN_IF_ERROR(Resume(ctx, std::move(seed)));
-  summary->view_tuples_added += idb_.TotalTuples() - idb_before;
-  return Status::OK();
-}
-
-Status MaintainedProgram::ApplyDeletes(EngineContext& ctx,
-                                       const Database& minus,
-                                       ApplySummary* summary) {
-  if (minus.TotalTuples() == 0) return Status::OK();
-  const std::vector<datalog::EngineRule>& rules = engine_.rules();
-  auto rel_for = [this](const std::string& p) -> const Relation& {
-    return idb_preds_.count(p) ? idb_.Get(p) : edb_.Get(p);
-  };
-
-  // 1. Over-delete: everything transitively derivable through a retracted
-  // tuple, computed against the PRE-delete relations (the standard DRed
-  // over-approximation).
-  std::map<std::string, Relation> deleted;
-  std::map<std::string, Relation> frontier;
-  bool first_round = true;
-  size_t iterations = 0;
-  while (true) {
-    if (++iterations > options_.max_iterations)
-      return Status::ResourceExhausted("ivm over-delete iteration limit");
-    if (ctx.ShouldStop()) return BudgetExhausted(ctx);
-    std::vector<FireTask> tasks;
-    for (size_t r = 0; r < rules.size(); ++r) {
-      const Rule& rule = rules[r].rule;
-      for (size_t i = 0; i < rule.body().size(); ++i) {
-        const std::string& p = rule.body()[i].predicate;
-        const Relation* pivot = nullptr;
-        if (first_round) {
-          if (!idb_preds_.count(p) && !minus.Get(p).empty())
-            pivot = &minus.Get(p);
-        } else {
-          auto it = frontier.find(p);
-          if (it != frontier.end() && !it->second.empty())
-            pivot = &it->second;
-        }
-        if (pivot == nullptr) continue;
-        FireTask task;
-        task.rule = r;
-        for (size_t j = 0; j < rule.body().size(); ++j)
-          task.rels.push_back(j == i ? pivot
-                                     : &rel_for(rule.body()[j].predicate));
-        tasks.push_back(std::move(task));
-      }
-    }
-    if (tasks.empty()) break;
-    std::map<std::string, Relation> over;
-    CQAC_RETURN_IF_ERROR(RunFireTasks(
-        ctx, engine_, tasks,
-        [this, &deleted](const std::string& pred, const Tuple& t) {
-          return idb_.Contains(pred, t) && !ContainsIn(deleted, pred, t);
-        },
-        &over));
-    size_t new_deleted = 0;
-    for (const auto& [pred, rel] : over) {
-      for (const Tuple& t : rel)
-        if (deleted[pred].insert(t).second) ++new_deleted;
-    }
-    first_round = false;
-    if (new_deleted == 0) break;
-    frontier = std::move(over);
-  }
-
-  // 2. Commit: drop the retracted EDB tuples and the over-deleted IDB set.
-  for (const auto& [pred, rel] : minus.relations())
-    for (const Tuple& t : rel)
-      if (!edb_.Remove(pred, t))
-        return Status::Internal("staged retraction of absent tuple");
-  size_t overdeleted = 0;
-  for (const auto& [pred, rel] : deleted)
-    for (const Tuple& t : rel) {
-      idb_.Remove(pred, t);
-      ++overdeleted;
-    }
-  ctx.stats().ivm_overdeletions += overdeleted;
-
-  // 3. Re-derive: rescue over-deleted tuples with alternative derivations
-  // in the surviving facts. First a full pass over rules whose heads have
-  // pending tuples; then semi-naive rounds pivoting on the rescued set.
-  std::map<std::string, Relation> pending = deleted;
-  size_t rescued_total = 0;
-  auto keep_pending = [this, &pending](const std::string& pred,
-                                       const Tuple& t) {
-    return ContainsIn(pending, pred, t) && !idb_.Contains(pred, t);
-  };
-  std::vector<FireTask> tasks;
-  for (size_t r = 0; r < rules.size(); ++r) {
-    const Rule& rule = rules[r].rule;
-    auto it = pending.find(rule.head().predicate);
-    if (it == pending.end() || it->second.empty()) continue;
-    FireTask task;
-    task.rule = r;
-    for (const Atom& a : rule.body()) task.rels.push_back(&rel_for(a.predicate));
-    tasks.push_back(std::move(task));
-  }
-  std::map<std::string, Relation> rescued;
-  CQAC_RETURN_IF_ERROR(
-      RunFireTasks(ctx, engine_, tasks, keep_pending, &rescued));
-  iterations = 0;
-  while (true) {
-    size_t n = 0;
-    for (const auto& [pred, rel] : rescued) n += rel.size();
-    if (n == 0) break;
-    if (++iterations > options_.max_iterations)
-      return Status::ResourceExhausted("ivm re-derive iteration limit");
-    if (ctx.ShouldStop()) return BudgetExhausted(ctx);
-    for (const auto& [pred, rel] : rescued) {
-      for (const Tuple& t : rel) {
-        CQAC_RETURN_IF_ERROR(idb_.Insert(pred, t));
-        pending[pred].erase(t);
-      }
-    }
-    rescued_total += n;
-    std::vector<FireTask> round_tasks;
-    for (size_t r = 0; r < rules.size(); ++r) {
-      const Rule& rule = rules[r].rule;
-      auto hp = pending.find(rule.head().predicate);
-      if (hp == pending.end() || hp->second.empty()) continue;
-      for (size_t i = 0; i < rule.body().size(); ++i) {
-        const std::string& p = rule.body()[i].predicate;
-        auto it = rescued.find(p);
-        if (it == rescued.end() || it->second.empty()) continue;
-        FireTask task;
-        task.rule = r;
-        for (size_t j = 0; j < rule.body().size(); ++j)
-          task.rels.push_back(j == i ? &it->second
-                                     : &rel_for(rule.body()[j].predicate));
-        round_tasks.push_back(std::move(task));
-      }
-    }
-    std::map<std::string, Relation> next;
-    CQAC_RETURN_IF_ERROR(
-        RunFireTasks(ctx, engine_, round_tasks, keep_pending, &next));
-    rescued = std::move(next);
-  }
-  ctx.stats().ivm_rederivations += rescued_total;
-  summary->view_tuples_removed += overdeleted - rescued_total;
-  return Status::OK();
 }
 
 }  // namespace ivm

@@ -2,50 +2,39 @@
 // with a stream of base-relation inserts and retracts without rebuilding
 // from scratch.
 //
-// Two maintainers, one per program class (docs/ivm.md):
+// One maintainer, MaterializedViewSet, for non-recursive CQAC view sets
+// (docs/ivm.md). It is counting-based: each view tuple carries its
+// derivation count (number of satisfying body assignments), so a retraction
+// decrements counts and deletes a tuple exactly when its last derivation
+// disappears — no re-derivation needed. Count deltas come from the subset
+// expansion of the join: for insert delta D+ over old base B,
+// (B+D+)^n - B^n = the sum over every nonempty subset S of delta-touched
+// body positions of the join where S-positions read D+ and the rest read B.
+// Retractions mirror this against the post-delete base with sign -1.
+// Because the non-delta positions always read the plain owned base (never a
+// base-union-delta overlay), they probe the base Database's own column
+// indexes, which every commit patches in O(delta) — a single-fact apply
+// does O(delta) work, not O(base).
 //
-//   * MaterializedViewSet — non-recursive CQAC view sets, counting-based.
-//     Each view tuple carries its derivation count (number of satisfying
-//     body assignments), so a retraction decrements counts and deletes a
-//     tuple exactly when its last derivation disappears — no re-derivation
-//     needed. Count deltas come from the subset expansion of the join: for
-//     insert delta D+ over old base B, (B+D+)^n - B^n = the sum over every
-//     nonempty subset S of delta-touched body positions of the join where
-//     S-positions read D+ and the rest read B. Retractions mirror this
-//     against the post-delete base with sign -1. Because the non-delta
-//     positions always read the plain owned base (never a base-union-delta
-//     overlay), they probe the base Database's own column indexes, which
-//     every commit patches in O(delta) — a single-fact apply does O(delta)
-//     work, not O(base).
-//
-//   * MaintainedProgram — recursive Datalog programs (the Section 5 MCRs),
-//     DRed-style: inserts seed a semi-naive resume of the existing engine;
-//     deletes over-delete everything transitively touching a retracted
-//     tuple, then re-derive the survivors from the remaining facts.
-//
-// Both maintainers estimate the incremental work per batch and fall back to
+// The maintainer estimates the incremental work per batch and falls back to
 // a full rebuild when a large delta would cost more than recomputing
-// (MaintainOptions::rebuild_bias). Both thread an EngineContext through:
+// (MaintainOptions::rebuild_bias). It threads an EngineContext through:
 // budget/deadline/cancel abort the apply with kResourceExhausted, ivm_*
-// stat counters record the maintenance work, and the counting maintainer
-// fans delta chunks out over the context's TaskPool — derivation counts are
-// additive, so chunk merges commute and the maintained state is
-// byte-identical at every thread count.
+// stat counters record the maintenance work, and delta chunks fan out over
+// the context's TaskPool — derivation counts are additive, so chunk merges
+// commute and the maintained state is byte-identical at every thread count.
 #ifndef CQAC_IVM_MAINTAIN_H_
 #define CQAC_IVM_MAINTAIN_H_
 
 #include <cstdint>
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "src/base/status.h"
-#include "src/datalog/engine.h"
 #include "src/engine/context.h"
 #include "src/eval/database.h"
 #include "src/ir/query.h"
-#include "src/ir/view.h"
 #include "src/ivm/delta.h"
 
 namespace cqac {
@@ -81,16 +70,15 @@ struct ApplySummary {
   bool incremental = false;       ///< false when this batch was rebuilt
 };
 
-/// One touched tuple's count transition across a certified Apply. For the
-/// counting maintainer the counts are derivation counts; for DRed they are
-/// 0/1 presence.
+/// One touched tuple's derivation-count transition across a certified
+/// Apply.
 struct TupleCountDelta {
   Tuple tuple;
   int64_t old_count = 0;
   int64_t new_count = 0;
 };
 
-/// The touched-tuple set of one view (or IDB predicate) across one Apply.
+/// The touched-tuple set of one view across one Apply.
 struct ViewDelta {
   std::string predicate;
   std::vector<TupleCountDelta> deltas;  ///< ascending tuple order
@@ -104,9 +92,8 @@ struct ViewDelta {
 /// opt-in (the `cert` out-parameter) because snapshotting the counts is
 /// O(state), not O(delta).
 struct MaintenanceCertificate {
-  std::vector<ViewDelta> views;  ///< one entry per maintained predicate
+  std::vector<ViewDelta> views;  ///< one entry per maintained view
   ApplySummary summary;
-  bool counting = false;  ///< true: derivation counts; false: 0/1 presence
 };
 
 /// A set of non-recursive CQAC views materialized over an owned base
@@ -127,9 +114,6 @@ class MaterializedViewSet {
   /// Registers `view` and materializes it (with counts) over the current
   /// base. Fails if a view with the same head predicate is registered.
   Status AddView(EngineContext& ctx, const Query& view);
-
-  /// Replaces the registered views wholesale and re-materializes.
-  Status ResetViews(EngineContext& ctx, const ViewSet& views);
 
   /// Applies one staged batch. The delta must have been staged against
   /// base(). On kResourceExhausted a rebuild, and any batch with one side
@@ -190,63 +174,6 @@ class MaterializedViewSet {
   Database views_;
   std::vector<Query> view_queries_;
   std::vector<CountMap> counts_;
-  bool maintained_ = false;
-};
-
-/// A recursive Datalog program (datalog::Engine rules) maintained to
-/// fixpoint over an owned EDB, DRed-style.
-///
-/// On a non-OK Apply the internal state is unspecified; call Initialize
-/// again before further use.
-class MaintainedProgram {
- public:
-  explicit MaintainedProgram(datalog::Engine engine,
-                             datalog::EvalOptions options = {});
-
-  /// (Re)runs the program to fixpoint over `edb` and adopts it as the
-  /// maintained state.
-  Status Initialize(EngineContext& ctx, const Database& edb);
-
-  /// Applies one staged batch of EDB changes (the delta must have been
-  /// staged against edb()). Staging changes to IDB predicates is an error.
-  /// When `cert` is non-null, a successful Apply fills it with the 0/1
-  /// presence transitions of every touched IDB tuple.
-  Result<ApplySummary> Apply(EngineContext& ctx, const DeltaDatabase& delta,
-                             const MaintainOptions& options = {},
-                             MaintenanceCertificate* cert = nullptr);
-
-  const Database& edb() const { return edb_; }
-  const Database& idb() const { return idb_; }
-
-  /// The maintained program's engine (for auditors that re-evaluate from
-  /// scratch).
-  const datalog::Engine& engine() const { return engine_; }
-
-  /// The query predicate's relation with Skolem-carrying tuples removed
-  /// (same convention as datalog::Engine::Query).
-  Relation QueryAnswers() const;
-
-  /// True while the most recent Apply (if any) was incremental.
-  bool maintained() const { return maintained_; }
-
- private:
-  /// One semi-naive continuation: runs rounds pivoting on `delta` IDB
-  /// relations until empty, folding new tuples into idb_.
-  Status Resume(EngineContext& ctx, std::map<std::string, Relation> delta);
-
-  /// DRed delete phase for `minus` (a subset of edb_).
-  Status ApplyDeletes(EngineContext& ctx, const Database& minus,
-                      ApplySummary* summary);
-
-  /// Seed-and-resume insert phase for `plus` (disjoint from edb_).
-  Status ApplyInserts(EngineContext& ctx, const Database& plus,
-                      ApplySummary* summary);
-
-  datalog::Engine engine_;
-  datalog::EvalOptions options_;
-  std::set<std::string> idb_preds_;
-  Database edb_;
-  Database idb_;
   bool maintained_ = false;
 };
 

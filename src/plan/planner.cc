@@ -17,18 +17,6 @@ std::string Est(double v) {
   return buf;
 }
 
-std::string Fac(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.3f", v);
-  return buf;
-}
-
-/// Model cost of one containment check during union pruning, in the same
-/// "tuple probes" unit the eval estimates use. The checks are symbolic
-/// (homomorphism search over a handful of subgoals) and memoized per
-/// context, so a flat constant is the right granularity.
-constexpr double kContainmentCheckCost = 256.0;
-
 /// Estimated rows of `a` after crediting constant-bound columns with their
 /// distinct-count selectivity (unknown distincts give no credit).
 double EffectiveRows(const Atom& a, const Cardinalities& cards) {
@@ -86,11 +74,9 @@ std::string OrderToString(const std::vector<size_t>& order) {
   return StrCat("[", Join(parts, ", "), "]");
 }
 
-ArmCalibration& IvmArm(EngineContext& ctx, IvmKind kind, bool rebuild) {
+ArmCalibration& IvmArm(EngineContext& ctx, bool rebuild) {
   AdaptiveState& a = ctx.adaptive();
-  if (kind == IvmKind::kCounting)
-    return rebuild ? a.ivm_rebuild : a.ivm_incremental;
-  return rebuild ? a.dred_rebuild : a.dred_incremental;
+  return rebuild ? a.ivm_rebuild : a.ivm_incremental;
 }
 
 }  // namespace
@@ -168,20 +154,6 @@ JoinOrderPlan PlanJoinOrder(const Query& q, const Cardinalities& cards) {
   return p;
 }
 
-JoinOrderPlan PlanJoinOrder(const Query& q, const StatsView& stats) {
-  auto rows = [&stats](const std::string& p) { return stats.Rows(p); };
-  auto distinct = [&stats](const std::string& p, size_t c) {
-    return stats.DistinctEstimate(p, c);
-  };
-  return PlanJoinOrder(q, Cardinalities{rows, distinct});
-}
-
-double EstimateEvalCost(const Query& q, const Cardinalities& cards) {
-  std::vector<size_t> identity(q.body().size());
-  std::iota(identity.begin(), identity.end(), size_t{0});
-  return OrderCost(q, identity, cards);
-}
-
 std::string JoinOrderPlan::ToString() const {
   return StrCat(reordered ? OrderToString(order) : "syntactic", " est ",
                 Est(est_planned), " (syntactic ", Est(est_syntactic), ")");
@@ -194,32 +166,6 @@ Decision JoinOrderPlan::ToDecision() const {
   d.est_chosen = est_planned;
   d.est_alternative = est_syntactic;
   return d;
-}
-
-double DredDeltaEstimate(const Query& q,
-                         FunctionRef<size_t(const std::string&)> delta_size,
-                         FunctionRef<size_t(const std::string&)> rel_size) {
-  double total = 0;
-  for (size_t i = 0; i < q.body().size(); ++i) {
-    size_t d = delta_size(q.body()[i].predicate);
-    if (d == 0) continue;
-    double prod = static_cast<double>(d);
-    for (size_t j = 0; j < q.body().size(); ++j) {
-      if (j == i) continue;
-      prod *= static_cast<double>(
-          std::max<size_t>(1, rel_size(q.body()[j].predicate)));
-    }
-    total += prod;
-  }
-  return total;
-}
-
-double DredRebuildEstimate(const Query& q,
-                           FunctionRef<size_t(const std::string&)> rel_size) {
-  double prod = 1;
-  for (const Atom& a : q.body())
-    prod *= static_cast<double>(std::max<size_t>(1, rel_size(a.predicate)));
-  return prod;
 }
 
 double CountingDeltaEstimate(
@@ -241,34 +187,14 @@ double CountingRebuildEstimate(
   return total;
 }
 
-Decision IvmPathChoice::ToDecision() const {
-  Decision d;
-  d.kind = "ivm-path";
-  d.choice = rebuild ? "rebuild" : "incremental";
-  d.est_chosen = rebuild ? est_rebuild : est_incremental;
-  d.est_alternative = rebuild ? est_incremental : est_rebuild;
-  d.forced = forced;
-  d.detail = StrCat("bias ", Fac(rebuild_bias), ", calibration ",
-                    Fac(incremental_factor), "/", Fac(rebuild_factor));
-  if (max_subset_positions > 0)
-    d.detail += StrCat(", touched ", max_touched, "/", max_subset_positions);
-  return d;
-}
-
-IvmPathChoice ChooseIvmPath(EngineContext& ctx, IvmKind kind,
-                            double est_incremental, double est_rebuild,
-                            double rebuild_bias, size_t max_touched,
-                            size_t max_subset_positions,
+IvmPathChoice ChooseIvmPath(EngineContext& ctx, double est_incremental,
+                            double est_rebuild, double rebuild_bias,
+                            size_t max_touched, size_t max_subset_positions,
                             bool force_incremental, bool force_rebuild) {
   ++ctx.stats().plan_decisions;
   IvmPathChoice c;
   c.est_incremental = est_incremental;
   c.est_rebuild = est_rebuild;
-  c.rebuild_bias = rebuild_bias;
-  c.max_touched = max_touched;
-  c.max_subset_positions = max_subset_positions;
-  c.incremental_factor = IvmArm(ctx, kind, /*rebuild=*/false).factor;
-  c.rebuild_factor = IvmArm(ctx, kind, /*rebuild=*/true).factor;
   if (force_rebuild) {
     c.rebuild = true;
     c.forced = true;
@@ -285,61 +211,17 @@ IvmPathChoice ChooseIvmPath(EngineContext& ctx, IvmKind kind,
     c.forced = true;
     return c;
   }
-  c.rebuild = est_incremental * c.incremental_factor >
-              rebuild_bias * est_rebuild * c.rebuild_factor;
+  c.rebuild = est_incremental * IvmArm(ctx, /*rebuild=*/false).factor >
+              rebuild_bias * est_rebuild * IvmArm(ctx, /*rebuild=*/true).factor;
   return c;
 }
 
-void ObserveIvmOutcome(EngineContext& ctx, IvmKind kind,
-                       const IvmPathChoice& choice, double observed_work) {
+void ObserveIvmOutcome(EngineContext& ctx, const IvmPathChoice& choice,
+                       double observed_work) {
   const double est = choice.rebuild ? choice.est_rebuild
                                     : choice.est_incremental;
   const double ratio = observed_work / std::max(1.0, est);
-  if (IvmArm(ctx, kind, choice.rebuild).Observe(ratio))
-    ++ctx.stats().plan_retunes;
-}
-
-Decision UnionEvalChoice::ToDecision() const {
-  Decision d;
-  d.kind = "union-eval";
-  d.choice = prune ? "prune" : "direct";
-  const double prune_total =
-      est_prune_cost + (1.0 - expected_fraction) * est_eval;
-  d.est_chosen = prune ? prune_total : est_eval;
-  d.est_alternative = prune ? est_eval : prune_total;
-  d.forced = forced;
-  d.detail = StrCat(disjuncts, " disjuncts, expected prunable fraction ",
-                    Fac(expected_fraction));
-  return d;
-}
-
-UnionEvalChoice ChooseUnionEval(EngineContext& ctx, size_t disjuncts,
-                                double est_eval, UnionEvalPin pin) {
-  ++ctx.stats().plan_decisions;
-  UnionEvalChoice c;
-  c.disjuncts = disjuncts;
-  c.est_eval = est_eval;
-  c.expected_fraction = ctx.adaptive().union_prune.factor;
-  // Greedy pruning checks each disjunct against the kept ones: ~n^2/2
-  // memoized containment calls.
-  c.est_prune_cost = kContainmentCheckCost * static_cast<double>(disjuncts) *
-                     static_cast<double>(disjuncts) / 2.0;
-  if (pin != UnionEvalPin::kAuto) {
-    c.prune = pin == UnionEvalPin::kForcePrune;
-    c.forced = true;
-    return c;
-  }
-  c.prune = disjuncts >= 2 &&
-            c.expected_fraction * est_eval > c.est_prune_cost;
-  return c;
-}
-
-void ObserveUnionPrune(EngineContext& ctx, size_t disjuncts, size_t pruned) {
-  if (disjuncts == 0) return;
-  ctx.stats().plan_unions_pruned += pruned;
-  const double fraction =
-      static_cast<double>(pruned) / static_cast<double>(disjuncts);
-  if (ctx.adaptive().union_prune.Observe(fraction))
+  if (IvmArm(ctx, choice.rebuild).Observe(ratio))
     ++ctx.stats().plan_retunes;
 }
 

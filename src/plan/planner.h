@@ -5,15 +5,15 @@
 // (src/eval/evaluate.cc), the IVM incremental-vs-rebuild heuristics
 // (src/ivm/maintain.cc) — now ask the planner, which consumes cardinality
 // statistics (src/plan/stats.h) plus the self-tuning calibration factors in
-// EngineContext::adaptive() and records every comparison as an explicit
-// Decision. Decisions are *advisory about cost only*: each offered choice
-// is result-invariant, so forcing any arm yields byte-identical answers
-// (tests/plan_equivalence_test.cc proves it at several thread counts).
+// EngineContext::adaptive(). The algorithm and join-order choices are
+// recorded as explicit Decisions. Decisions are *advisory about cost only*:
+// each offered choice is result-invariant, so forcing any arm yields
+// byte-identical answers (tests/plan_equivalence_test.cc proves it at
+// several thread counts).
 //
 // Layering: this library depends only on ir/base/engine. Relation sizes
-// arrive through FunctionRef callbacks and containment-based pruning is
-// *decided* here but *executed* by the caller, so plan never links eval or
-// containment and every layer above can link plan.
+// arrive through FunctionRef callbacks, so plan never links eval and every
+// layer above can link plan.
 #ifndef CQAC_PLAN_PLANNER_H_
 #define CQAC_PLAN_PLANNER_H_
 
@@ -24,7 +24,6 @@
 #include "src/base/function_ref.h"
 #include "src/engine/context.h"
 #include "src/ir/query.h"
-#include "src/plan/stats.h"
 
 namespace cqac {
 namespace plan {
@@ -33,7 +32,7 @@ namespace plan {
 /// soundness (the AC-class lattice), a force_* pin, or a structural guard
 /// rather than by the estimates.
 struct Decision {
-  std::string kind;    // "algorithm" | "join-order" | "union-eval" | "ivm-path"
+  std::string kind;    // "algorithm" | "join-order"
   std::string choice;
   double est_chosen = 0;
   double est_alternative = 0;
@@ -81,31 +80,7 @@ struct JoinOrderPlan {
 
 JoinOrderPlan PlanJoinOrder(const Query& q, const Cardinalities& cards);
 
-/// Convenience overload reading a snapshot.
-JoinOrderPlan PlanJoinOrder(const Query& q, const StatsView& stats);
-
-/// The model's cost of evaluating `q` in syntactic order (used to price a
-/// union before deciding whether pruning pays).
-double EstimateEvalCost(const Query& q, const Cardinalities& cards);
-
 // ---- IVM incremental-vs-rebuild -------------------------------------------
-
-/// Which maintainer is asking (they calibrate independently: the counting
-/// maintainer probes persistent indexes, DRed re-joins with lazy ones).
-enum class IvmKind { kCounting, kDred };
-
-/// Work estimate for one delta phase of `q` under lazy per-join indexes:
-/// sum over pivot positions of |delta(pivot)| x the product of the other
-/// body relations' sizes. Doubles so wide joins saturate instead of
-/// overflowing. (Formerly PivotEstimate in src/ivm/maintain.cc.)
-double DredDeltaEstimate(const Query& q,
-                         FunctionRef<size_t(const std::string&)> delta_size,
-                         FunctionRef<size_t(const std::string&)> rel_size);
-
-/// Full-join estimate for `q`: the product of its body relation sizes.
-/// (Formerly FullJoinEstimate.)
-double DredRebuildEstimate(const Query& q,
-                           FunctionRef<size_t(const std::string&)> rel_size);
 
 /// Work models for the counting maintainer, whose joins probe persistent
 /// base indexes: an incremental phase costs about one O(1) probe per delta
@@ -118,69 +93,31 @@ double CountingDeltaEstimate(const Query& q,
 double CountingRebuildEstimate(const Query& q,
                                FunctionRef<size_t(const std::string&)> rel_size);
 
-/// The incremental-vs-rebuild decision with its inputs and the calibration
-/// factors that were applied, for surfacing and for the outcome feedback.
+/// The incremental-vs-rebuild decision with the raw estimates the outcome
+/// feedback divides by.
 struct IvmPathChoice {
   bool rebuild = false;
   bool forced = false;
-  double est_incremental = 0;       // raw model estimates
+  double est_incremental = 0;  // raw model estimates
   double est_rebuild = 0;
-  double rebuild_bias = 1.0;
-  double incremental_factor = 1.0;  // adaptive calibration applied
-  double rebuild_factor = 1.0;
-  size_t max_touched = 0;           // delta-touched positions (counting only)
-  size_t max_subset_positions = 0;
-
-  Decision ToDecision() const;
 };
 
-/// Chooses the maintenance path: pins win, then the counting maintainer's
-/// subset-expansion cap (a side touching k positions expands into 2^k - 1
-/// subset joins, so past the cap the expansion alone outweighs a rebuild),
-/// then the calibrated cost comparison
+/// Chooses the maintenance path: pins win, then the subset-expansion cap (a
+/// side touching k positions expands into 2^k - 1 subset joins, so past the
+/// cap the expansion alone outweighs a rebuild), then the calibrated cost
+/// comparison
 ///   est_incremental x incr_factor  >  bias x est_rebuild x rebuild_factor.
 /// Reads ctx.adaptive() and bumps plan_decisions; coordinator-only.
-IvmPathChoice ChooseIvmPath(EngineContext& ctx, IvmKind kind,
-                            double est_incremental, double est_rebuild,
-                            double rebuild_bias, size_t max_touched,
-                            size_t max_subset_positions,
+IvmPathChoice ChooseIvmPath(EngineContext& ctx, double est_incremental,
+                            double est_rebuild, double rebuild_bias,
+                            size_t max_touched, size_t max_subset_positions,
                             bool force_incremental, bool force_rebuild);
 
 /// Feeds the executed path's observed work (thread-invariant tuple counts)
 /// back into the matching calibration histogram; bumps plan_retunes when
 /// the observation triggered a re-estimation. Coordinator-only.
-void ObserveIvmOutcome(EngineContext& ctx, IvmKind kind,
-                       const IvmPathChoice& choice, double observed_work);
-
-// ---- Union evaluation -----------------------------------------------------
-
-/// Pin for the union-evaluation strategy (tests, benches, shell flags).
-enum class UnionEvalPin { kAuto, kForceDirect, kForcePrune };
-
-/// Direct union evaluation vs containment-pruning the disjuncts first.
-/// Pruning a disjunct contained in a kept one never changes the union
-/// (eval of the contained disjunct is a subset on every instance), so both
-/// arms are result-invariant; the trade is containment-check work against
-/// the evaluation cost of redundant disjuncts.
-struct UnionEvalChoice {
-  bool prune = false;
-  bool forced = false;
-  size_t disjuncts = 0;
-  double est_eval = 0;            // full-union evaluation estimate
-  double est_prune_cost = 0;      // model cost of the containment checks
-  double expected_fraction = 0;   // calibrated prunable fraction
-
-  Decision ToDecision() const;
-};
-
-/// Chooses the strategy from the calibrated expected prune fraction; bumps
-/// plan_decisions. Coordinator-only.
-UnionEvalChoice ChooseUnionEval(EngineContext& ctx, size_t disjuncts,
-                                double est_eval, UnionEvalPin pin);
-
-/// Feeds the observed pruned fraction back; bumps plan_unions_pruned by
-/// `pruned` and plan_retunes on a re-estimation. Coordinator-only.
-void ObserveUnionPrune(EngineContext& ctx, size_t disjuncts, size_t pruned);
+void ObserveIvmOutcome(EngineContext& ctx, const IvmPathChoice& choice,
+                       double observed_work);
 
 }  // namespace plan
 }  // namespace cqac

@@ -51,17 +51,5 @@ size_t RelationStats::DistinctEstimate(const std::string& predicate,
   return it->second[column].Estimate();
 }
 
-size_t StatsView::Rows(const std::string& predicate) const {
-  auto it = rels_.find(predicate);
-  return it == rels_.end() ? 0 : it->second.rows;
-}
-
-size_t StatsView::DistinctEstimate(const std::string& predicate,
-                                   size_t column) const {
-  auto it = rels_.find(predicate);
-  if (it == rels_.end() || column >= it->second.distinct.size()) return 0;
-  return it->second.distinct[column];
-}
-
 }  // namespace plan
 }  // namespace cqac

@@ -1,18 +1,13 @@
 // Cardinality statistics for the cost-based planner.
 //
-// Two pieces:
-//
-//   * RelationStats — per-relation, per-column distinct-count sketches,
-//     maintained on the Database write paths (src/eval/database.cc). Each
-//     sketch is a KMV ("k minimum values") summary: O(log k) per insert and
-//     a few hundred bytes per column, so keeping them fresh is O(delta) —
-//     the same budget as the IVM maintainers they feed. Row counts are not
-//     duplicated here; the owning Database's relation sets are exact.
-//
-//   * StatsView — a plain, deterministic snapshot of rows + distinct
-//     estimates per relation, safe to hold across later writes. Planner
-//     tests build one by hand; live callers plan over a Database through
-//     DatabaseCardinalities (src/eval/database.h) instead.
+// RelationStats holds per-relation, per-column distinct-count sketches,
+// maintained on the Database write paths (src/eval/database.cc). Each
+// sketch is a KMV ("k minimum values") summary: O(log k) per insert and a
+// few hundred bytes per column, so keeping them fresh is O(delta), the same
+// budget as an IVM apply (src/ivm). Row counts are not duplicated here; the
+// owning Database's relation sets are exact. The planner reads both through
+// plan::Cardinalities callbacks, which a Database supplies as
+// DatabaseCardinalities (src/eval/database.h).
 //
 // Sketches are insert-monotone: retractions do not decrement them, so after
 // deletes an estimate is an upper bound on the live distinct count. That is
@@ -86,24 +81,6 @@ class RelationStats {
 
  private:
   std::map<std::string, std::vector<DistinctSketch>> sketches_;
-};
-
-/// A deterministic point-in-time copy of what the planner consumes.
-class StatsView {
- public:
-  struct RelStat {
-    size_t rows = 0;
-    std::vector<size_t> distinct;  // per column
-  };
-
-  void Set(const std::string& predicate, RelStat stat) {
-    rels_[predicate] = std::move(stat);
-  }
-  size_t Rows(const std::string& predicate) const;
-  size_t DistinctEstimate(const std::string& predicate, size_t column) const;
-
- private:
-  std::map<std::string, RelStat> rels_;
 };
 
 /// The hash the sketches key on: Value::Hash() mixed through splitmix64 so

@@ -26,61 +26,6 @@ plan::Decision AlgorithmDecision(const std::string& algo, AcClass cls,
 
 }  // namespace
 
-Result<Relation> ViewPlan::Answer(EngineContext& ctx,
-                                  const Database& view_instance,
-                                  const AnswerOptions& options,
-                                  plan::Plan* plan_out) const {
-  switch (kind) {
-    case PlanKind::kEmpty:
-      return Relation{};
-    case PlanKind::kDatalog:
-      return datalog->MakeEngine().Query(view_instance);
-    case PlanKind::kFiniteUnion:
-      break;
-  }
-
-  const plan::UnionEvalChoice choice =
-      PriceUnionEval(ctx, view_instance, options.union_eval);
-  if (plan_out) plan_out->decisions.push_back(choice.ToDecision());
-  if (!choice.prune) return EvaluateUnion(ctx, union_plan, view_instance);
-
-  // Greedy containment prune: drop a disjunct contained in an already-kept
-  // one. eval(contained) is a subset of eval(container) on every database,
-  // so the union over the survivors is exactly the full union. The loop is
-  // serial and scans in disjunct order, so the surviving set — and
-  // therefore the adaptive feedback — is deterministic; a containment
-  // error (budget) conservatively keeps the disjunct.
-  UnionQuery pruned;
-  for (const Query& d : union_plan.disjuncts) {
-    bool redundant = false;
-    for (const Query& kept : pruned.disjuncts) {
-      Result<bool> contained = IsContained(ctx, d, kept);
-      if (contained.ok() && contained.value()) {
-        redundant = true;
-        break;
-      }
-    }
-    if (!redundant) pruned.disjuncts.push_back(d);
-  }
-  plan::ObserveUnionPrune(
-      ctx, union_plan.disjuncts.size(),
-      union_plan.disjuncts.size() - pruned.disjuncts.size());
-  return EvaluateUnion(ctx, pruned, view_instance);
-}
-
-plan::UnionEvalChoice ViewPlan::PriceUnionEval(EngineContext& ctx,
-                                               const Database& view_instance,
-                                               plan::UnionEvalPin pin) const {
-  // Price the union over this view instance, then let the planner choose
-  // between evaluating it directly and pruning contained disjuncts first.
-  const DatabaseCardinalities cards(view_instance);
-  double est_eval = 0;
-  for (const Query& d : union_plan.disjuncts)
-    est_eval += plan::EstimateEvalCost(d, cards);
-  return plan::ChooseUnionEval(ctx, union_plan.disjuncts.size(), est_eval,
-                               pin);
-}
-
 std::string ViewPlan::ToString() const {
   switch (kind) {
     case PlanKind::kEmpty:
@@ -147,13 +92,6 @@ Result<ViewPlan> PlanForQuery(EngineContext& ctx, const Query& q,
   plan.plan.decisions.push_back(AlgorithmDecision(
       RewriteAlgorithmName(plan.algorithm), q.Classify(), plan_size));
   return plan;
-}
-
-Result<Relation> AnswerUsingViews(EngineContext& ctx, const Query& q,
-                                  const ViewSet& views,
-                                  const Database& view_instance) {
-  CQAC_ASSIGN_OR_RETURN(ViewPlan plan, PlanForQuery(ctx, q, views));
-  return plan.Answer(ctx, view_instance);
 }
 
 Result<Relation> CertainAnswers(EngineContext& ctx, const Query& q,

@@ -1,12 +1,11 @@
-// One-call certain-answer computation, and the read ops the shell, the
-// server and the auditor share.
+// The read ops the shell, the server and the auditor share.
 //
-// Bundles the full pipeline: classify the query, pick the right rewriting
-// engine (RewriteLSIQuery for CQ/LSI/RSI, the recursive Datalog construction
-// for CQAC-SI with SI views, the verified bucket algorithm otherwise),
-// evaluate the rewriting over a view instance, and return the certain
-// answers. RunRewriteAlgorithm is the one caller of the three rewriters
-// outside their own files.
+// The pipeline: classify the query, pick the right rewriting engine
+// (RewriteLSIQuery for CQ/LSI/RSI, the recursive Datalog construction for
+// CQAC-SI with SI views, the verified bucket algorithm otherwise), and for
+// certain answers evaluate the finite-union rewriting over a view instance
+// (CertainAnswers). RunRewriteAlgorithm is the one caller of the three
+// rewriters outside their own files.
 #ifndef CQAC_REWRITING_ANSWER_H_
 #define CQAC_REWRITING_ANSWER_H_
 
@@ -47,11 +46,6 @@ const char* RewriteAlgorithmName(RewriteAlgorithm a);
 /// Pure: it bumps no counter.
 RewriteAlgorithm ChooseRewriteAlgorithm(const Query& q, const ViewSet& views);
 
-/// Options for ViewPlan::Answer.
-struct AnswerOptions {
-  plan::UnionEvalPin union_eval = plan::UnionEvalPin::kAuto;
-};
-
 /// A compiled view-based plan for one query.
 struct ViewPlan {
   PlanKind kind = PlanKind::kEmpty;
@@ -60,25 +54,8 @@ struct ViewPlan {
   std::optional<SiMcr> datalog;   // set iff kind == kDatalog
 
   /// The planner's record of how this plan was chosen (the algorithm
-  /// decision from PlanForQuery; Answer appends its union-eval decision).
+  /// decision from PlanForQuery).
   plan::Plan plan;
-
-  /// Evaluates the plan over a view instance, returning certain answers.
-  /// For finite-union plans the planner chooses between direct evaluation
-  /// and containment-pruning redundant disjuncts first — a disjunct
-  /// contained in a kept one contributes only a subset of its tuples on
-  /// every instance, so both arms return the identical relation and the
-  /// choice is pure cost (estimates from the view instance's cardinality
-  /// stats, the expected prunable fraction from ctx.adaptive()). The
-  /// decision taken is appended to `plan_out` when non-null.
-  Result<Relation> Answer(EngineContext& ctx, const Database& view_instance,
-                          const AnswerOptions& options = {},
-                          plan::Plan* plan_out = nullptr) const;
-
-  /// Answer's union-eval decision over `view_instance` (ChooseUnionEval).
-  plan::UnionEvalChoice PriceUnionEval(EngineContext& ctx,
-                                       const Database& view_instance,
-                                       plan::UnionEvalPin pin) const;
 
   std::string ToString() const;
 };
@@ -97,9 +74,10 @@ Result<ViewPlan> RunRewriteAlgorithm(EngineContext& ctx,
 Result<ViewPlan> PlanForQuery(EngineContext& ctx, const Query& q,
                               const ViewSet& views);
 
-/// `answers`: the finite-union rewriting of `q` evaluated over
-/// `view_instance`, the views' extents. Unsupported for a Datalog MCR,
-/// NotFound when no rewriting exists; `rewriting_count` gets its size.
+/// `answers`, the one certain-answers function: the finite-union rewriting
+/// of `q` evaluated over `view_instance`, the views' extents. Unsupported
+/// for a Datalog MCR, NotFound when no rewriting exists; `rewriting_count`
+/// gets its size.
 Result<Relation> CertainAnswers(EngineContext& ctx, const Query& q,
                                 const ViewSet& views,
                                 const Database& view_instance,
@@ -112,11 +90,6 @@ Result<bool> IsContainedThroughExpansion(EngineContext& ctx,
                                          const Query& candidate,
                                          const Query& q, const ViewSet& views,
                                          bool* via_expansion = nullptr);
-
-/// Convenience: compile + evaluate in one call.
-Result<Relation> AnswerUsingViews(EngineContext& ctx, const Query& q,
-                                  const ViewSet& views,
-                                  const Database& view_instance);
 
 }  // namespace cqac
 

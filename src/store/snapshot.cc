@@ -185,7 +185,7 @@ Result<ivm::ApplySummary> SessionState::Apply(
     }
     case RecordType::kFact:
     case RecordType::kRetract: {
-      // The maintainers undo their own work when the budget runs out.
+      // The maintainer undoes its own work when the budget runs out.
       CQAC_ASSIGN_OR_RETURN(Database facts, Database::FromFacts(text));
       return type == RecordType::kFact
                  ? store.ApplyInsert(ctx, facts, {}, cert)

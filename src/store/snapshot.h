@@ -47,7 +47,10 @@ namespace cqac {
 namespace store {
 
 inline constexpr char kSnapshotMagic[9] = "CQACSNP1";  // 8 bytes on disk
-inline constexpr uint32_t kSnapshotVersion = 1;
+/// Version 2: the adaptive section holds only the two IVM arms (version 1
+/// had five). ReadSnapshotFile refuses every other version, so RecoverShard
+/// fails on a version-1 file instead of misreading it.
+inline constexpr uint32_t kSnapshotVersion = 2;
 
 /// Borrowed references to one live session's snapshot-relevant state (the
 /// serve layer hands these in so writing never copies a session).

@@ -217,12 +217,6 @@ TEST(AuditMaintenanceTest, DroppedTouchedTupleIsRejected) {
   ExpectRejected(f.Check());
 }
 
-TEST(AuditMaintenanceTest, WrongCountingFlagIsRejected) {
-  MaintenanceFixture f;
-  f.cert.counting = false;  // presence certificate from a counting maintainer
-  ExpectRejected(f.Check());
-}
-
 // ---- SI-MCR unfolding -------------------------------------------------------
 
 struct UnfoldFixture {

@@ -145,7 +145,7 @@ TEST(IvmEquivalenceSweep, AllPathsAndThreadCountsAgreeByteForByte) {
 }
 
 // Single-fact streams are the serve/shell steady state; run a longer one
-// against the DRed maintainer's counting sibling with interleaved
+// against the counting maintainer with interleaved
 // single-tuple applies and verify exact agreement with from-scratch
 // materialization at every step (covered above for batches; this pins the
 // delta-size-1 fast path).

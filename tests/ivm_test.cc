@@ -1,6 +1,6 @@
 // Unit tests for src/ivm: delta staging normal form, the counting
-// maintainer (subset expansion + persistent indexes), the DRed maintainer,
-// the rebuild fallback, and the ivm_* stat counters.
+// maintainer (subset expansion + persistent indexes), the rebuild fallback,
+// and the ivm_* stat counters.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -234,68 +234,6 @@ TEST(MaterializedViewSetTest, AbortedRetractRollsBack) {
   ASSERT_TRUE(retried.ok()) << retried.status();
   EXPECT_EQ(retried.value().view_tuples_removed, 5000u);
   EXPECT_EQ(store.views().Get("v").size(), 0u);
-}
-
-// ---- MaintainedProgram -----------------------------------------------------
-
-Program Tc() {
-  return Program("tc", MustParseRules(
-                           "tc(X, Y) :- e(X, Y).\n"
-                           "tc(X, Z) :- e(X, Y), tc(Y, Z)."));
-}
-
-TEST(MaintainedProgramTest, InsertMatchesFromScratchEvaluation) {
-  EngineContext ctx;
-  ivm::MaintainedProgram prog{datalog::Engine(Tc())};
-  ASSERT_TRUE(prog.Initialize(ctx, Db("e(1, 2). e(2, 3).")).ok());
-
-  ivm::MaintainOptions incremental;
-  incremental.force_incremental = true;
-  ivm::DeltaDatabase plus(&prog.edb());
-  ASSERT_TRUE(plus.StageInsert("e", {Value(3), Value(4)}).ok());
-  auto s = prog.Apply(ctx, plus, incremental);
-  ASSERT_TRUE(s.ok()) << s.status();
-  EXPECT_TRUE(prog.maintained());
-
-  auto fresh = datalog::Engine(Tc()).Evaluate(prog.edb());
-  ASSERT_TRUE(fresh.ok()) << fresh.status();
-  EXPECT_EQ(prog.idb().ToString(), fresh.value().ToString());
-  EXPECT_EQ(prog.QueryAnswers().size(), 6u);
-}
-
-TEST(MaintainedProgramTest, DredRederivesThroughAlternativePaths) {
-  EngineContext ctx;
-  ivm::MaintainedProgram prog{datalog::Engine(Tc())};
-  // A diamond: 1->2->4 and 1->3->4, then 4->5. Deleting e(2,4) must keep
-  // tc(1,4), tc(1,5) alive through the 1->3->4 path.
-  ASSERT_TRUE(
-      prog.Initialize(ctx, Db("e(1, 2). e(2, 4). e(1, 3). e(3, 4). e(4, 5)."))
-          .ok());
-
-  ivm::MaintainOptions incremental;
-  incremental.force_incremental = true;
-  ivm::DeltaDatabase minus(&prog.edb());
-  ASSERT_TRUE(minus.StageRetract("e", {Value(2), Value(4)}).ok());
-  auto s = prog.Apply(ctx, minus, incremental);
-  ASSERT_TRUE(s.ok()) << s.status();
-  EXPECT_TRUE(prog.idb().Contains("tc", {Value(1), Value(4)}));
-  EXPECT_TRUE(prog.idb().Contains("tc", {Value(1), Value(5)}));
-  EXPECT_FALSE(prog.idb().Contains("tc", {Value(2), Value(4)}));
-  EXPECT_GT(uint64_t{ctx.stats().ivm_overdeletions}, 0u);
-  EXPECT_GT(uint64_t{ctx.stats().ivm_rederivations}, 0u);
-
-  auto fresh = datalog::Engine(Tc()).Evaluate(prog.edb());
-  ASSERT_TRUE(fresh.ok()) << fresh.status();
-  EXPECT_EQ(prog.idb().ToString(), fresh.value().ToString());
-}
-
-TEST(MaintainedProgramTest, RejectsStagedIdbChanges) {
-  EngineContext ctx;
-  ivm::MaintainedProgram prog{datalog::Engine(Tc())};
-  ASSERT_TRUE(prog.Initialize(ctx, Db("e(1, 2).")).ok());
-  ivm::DeltaDatabase delta(&prog.edb());
-  ASSERT_TRUE(delta.StageInsert("tc", {Value(7), Value(8)}).ok());
-  EXPECT_FALSE(prog.Apply(ctx, delta).ok());
 }
 
 }  // namespace

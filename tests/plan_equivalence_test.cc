@@ -1,14 +1,12 @@
 // Planner-equivalence sweep: every choice the planner offers is advisory
 // about cost only, so forcing any arm must return byte-identical results.
 //
-// Three families, each over random workloads from src/gen and thread counts
+// Two families, each over random workloads from src/gen and thread counts
 // 0/1/4/8:
 //
 //   * Join order — EvaluateQuery under kPlanned vs kSyntactic vs the
 //     tuple-at-a-time reference oracle, and under every rotation of the
 //     written body order.
-//   * Union evaluation — ViewPlan::Answer with the union-eval pin forced to
-//     direct, forced to containment-pruning, and left on auto.
 //   * IVM path — forced-incremental vs forced-rebuild vs planner-chosen
 //     maintenance of a random insert/retract stream, plus both crossings of
 //     the MaintainOptions::max_subset_positions structural cap.
@@ -28,7 +26,6 @@
 #include "src/ir/parser.h"
 #include "src/ivm/delta.h"
 #include "src/ivm/maintain.h"
-#include "src/rewriting/answer.h"
 
 namespace cqac {
 namespace {
@@ -97,56 +94,6 @@ TEST(PlanEquivalence, JoinOrderInvariantAcrossPinsThreadsAndPermutations) {
         ASSERT_TRUE(r.ok()) << r.status();
         EXPECT_EQ(RelationString(r.value()), expected)
             << "seed=" << seed << " threads=" << threads << " rot=" << rot;
-      }
-    }
-  }
-}
-
-TEST(PlanEquivalence, UnionEvalPinsReturnIdenticalCertainAnswers) {
-  for (uint64_t seed : kSeeds) {
-    Rng rng(seed);
-    gen::QuerySpec qspec;
-    qspec.num_subgoals = 3;
-    qspec.num_predicates = 2;
-    qspec.num_vars = 4;
-    qspec.ac_mode = gen::AcMode::kLsi;
-    Query q = gen::RandomQuery(rng, qspec);
-    gen::ViewSpec vspec;
-    vspec.num_views = 4;
-    ViewSet views = gen::RandomViewsForQuery(rng, q, vspec);
-    gen::DatabaseSpec dbspec;
-    dbspec.tuples_per_relation = 30;
-    Database db = gen::RandomDatabase(rng, gen::SchemaOf(views), dbspec);
-
-    std::string expected;
-    bool have_expected = false;
-    for (size_t threads : kThreadCounts) {
-      TaskPool pool(threads);
-      for (plan::UnionEvalPin pin :
-           {plan::UnionEvalPin::kForceDirect, plan::UnionEvalPin::kForcePrune,
-            plan::UnionEvalPin::kAuto}) {
-        EngineContext ctx;
-        if (threads > 0) ctx.set_task_pool(&pool);
-        Result<ViewPlan> vp = PlanForQuery(ctx, q, views);
-        ASSERT_TRUE(vp.ok()) << vp.status();
-        if (vp.value().kind != PlanKind::kFiniteUnion) continue;
-        Result<Database> instance = MaterializeViews(ctx, views, db);
-        ASSERT_TRUE(instance.ok()) << instance.status();
-        AnswerOptions options;
-        options.union_eval = pin;
-        plan::Plan plan_record;
-        Result<Relation> r =
-            vp.value().Answer(ctx, instance.value(), options, &plan_record);
-        ASSERT_TRUE(r.ok()) << r.status();
-        ASSERT_EQ(plan_record.decisions.size(), 1u);
-        EXPECT_EQ(plan_record.decisions[0].kind, "union-eval");
-        if (!have_expected) {
-          expected = RelationString(r.value());
-          have_expected = true;
-        }
-        EXPECT_EQ(RelationString(r.value()), expected)
-            << "seed=" << seed << " threads=" << threads
-            << " pin=" << static_cast<int>(pin);
       }
     }
   }

@@ -1,11 +1,13 @@
 // Unit tests for the cost-based planner spine (src/plan): the KMV distinct
 // sketches and their Database integration, the streaming-histogram
-// calibration, the greedy join-order model, and the IVM-path / union-eval
-// decision procedures with their pins and structural guards.
+// calibration, the greedy join-order model, and the IVM-path decision
+// procedure with its pins and structural guard.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/engine/adaptive.h"
@@ -93,12 +95,28 @@ TEST(ArmCalibration, FactorIsClamped) {
 
 // ---- Join order -----------------------------------------------------------
 
+/// Hand-set cardinalities: predicate -> (rows, per-column distinct counts);
+/// an absent predicate or column reads 0 ("unknown").
+using HandStats =
+    std::map<std::string, std::pair<size_t, std::vector<size_t>>>;
+
+plan::JoinOrderPlan PlanOver(const Query& q, const HandStats& stats) {
+  auto rows = [&stats](const std::string& p) {
+    auto it = stats.find(p);
+    return it == stats.end() ? size_t{0} : it->second.first;
+  };
+  auto distinct = [&stats](const std::string& p, size_t c) {
+    auto it = stats.find(p);
+    if (it == stats.end() || c >= it->second.second.size()) return size_t{0};
+    return it->second.second[c];
+  };
+  return plan::PlanJoinOrder(q, plan::Cardinalities{rows, distinct});
+}
+
 TEST(PlanJoinOrder, ReordersWhenSelectiveAtomExists) {
   Query q = MustParseQuery("q(X, Z) :- big(X, Y), small(Y, Z).");
-  plan::StatsView stats;
-  stats.Set("big", {1000, {}});
-  stats.Set("small", {2, {}});
-  plan::JoinOrderPlan p = plan::PlanJoinOrder(q, stats);
+  plan::JoinOrderPlan p =
+      PlanOver(q, {{"big", {1000, {}}}, {"small", {2, {}}}});
   EXPECT_TRUE(p.reordered);
   EXPECT_EQ(p.order, (std::vector<size_t>{1, 0}));
   EXPECT_LT(p.est_planned, p.est_syntactic);
@@ -109,10 +127,7 @@ TEST(PlanJoinOrder, ReordersWhenSelectiveAtomExists) {
 
 TEST(PlanJoinOrder, KeepsSyntacticOrderOnTies) {
   Query q = MustParseQuery("q(X, Z) :- r(X, Y), s(Y, Z).");
-  plan::StatsView stats;
-  stats.Set("r", {10, {}});
-  stats.Set("s", {10, {}});
-  plan::JoinOrderPlan p = plan::PlanJoinOrder(q, stats);
+  plan::JoinOrderPlan p = PlanOver(q, {{"r", {10, {}}}, {"s", {10, {}}}});
   EXPECT_FALSE(p.reordered);
   EXPECT_EQ(p.order, (std::vector<size_t>{0, 1}));
   EXPECT_EQ(p.est_planned, p.est_syntactic);
@@ -122,10 +137,8 @@ TEST(PlanJoinOrder, DistinctSketchesCreditConstants) {
   // sel has a constant-bound first column with 100 distinct values, so its
   // effective size is ~1% of its row count — cheap enough to lead.
   Query q = MustParseQuery("q(X) :- r(X, Y), sel(5, X).");
-  plan::StatsView stats;
-  stats.Set("r", {50, {}});
-  stats.Set("sel", {100, {100, 0}});
-  plan::JoinOrderPlan p = plan::PlanJoinOrder(q, stats);
+  plan::JoinOrderPlan p =
+      PlanOver(q, {{"r", {50, {}}}, {"sel", {100, {100, 0}}}});
   EXPECT_TRUE(p.reordered);
   EXPECT_EQ(p.order, (std::vector<size_t>{1, 0}));
 }
@@ -135,14 +148,13 @@ TEST(PlanJoinOrder, DistinctSketchesCreditConstants) {
 TEST(ChooseIvmPath, PinsWin) {
   EngineContext ctx;
   plan::IvmPathChoice c = plan::ChooseIvmPath(
-      ctx, plan::IvmKind::kCounting, /*est_incremental=*/1.0,
-      /*est_rebuild=*/1e9, /*rebuild_bias=*/1.0, /*max_touched=*/1,
-      /*max_subset_positions=*/10, /*force_incremental=*/false,
-      /*force_rebuild=*/true);
+      ctx, /*est_incremental=*/1.0, /*est_rebuild=*/1e9,
+      /*rebuild_bias=*/1.0, /*max_touched=*/1, /*max_subset_positions=*/10,
+      /*force_incremental=*/false, /*force_rebuild=*/true);
   EXPECT_TRUE(c.rebuild);
   EXPECT_TRUE(c.forced);
 
-  c = plan::ChooseIvmPath(ctx, plan::IvmKind::kCounting, 1e9, 1.0, 1.0, 1, 10,
+  c = plan::ChooseIvmPath(ctx, 1e9, 1.0, 1.0, 1, 10,
                           /*force_incremental=*/true, false);
   EXPECT_FALSE(c.rebuild);
   EXPECT_TRUE(c.forced);
@@ -153,13 +165,12 @@ TEST(ChooseIvmPath, SubsetCapForcesRebuild) {
   // 5 touched positions against a cap of 4: structural rebuild even though
   // the incremental estimate is far cheaper.
   plan::IvmPathChoice c = plan::ChooseIvmPath(
-      ctx, plan::IvmKind::kCounting, 1.0, 1e9, 1.0, /*max_touched=*/5,
-      /*max_subset_positions=*/4, false, false);
+      ctx, 1.0, 1e9, 1.0, /*max_touched=*/5, /*max_subset_positions=*/4,
+      false, false);
   EXPECT_TRUE(c.rebuild);
   EXPECT_TRUE(c.forced);
   // Same shape under a cap of 5: the cost comparison decides (incremental).
-  c = plan::ChooseIvmPath(ctx, plan::IvmKind::kCounting, 1.0, 1e9, 1.0, 5, 5,
-                          false, false);
+  c = plan::ChooseIvmPath(ctx, 1.0, 1e9, 1.0, 5, 5, false, false);
   EXPECT_FALSE(c.rebuild);
   EXPECT_FALSE(c.forced);
 }
@@ -167,68 +178,30 @@ TEST(ChooseIvmPath, SubsetCapForcesRebuild) {
 TEST(ChooseIvmPath, CostComparisonDecides) {
   EngineContext ctx;
   plan::IvmPathChoice c = plan::ChooseIvmPath(
-      ctx, plan::IvmKind::kDred, /*est_incremental=*/2000.0,
-      /*est_rebuild=*/10.0, 1.0, 0, 0, false, false);
+      ctx, /*est_incremental=*/2000.0, /*est_rebuild=*/10.0, 1.0, 0, 0, false,
+      false);
   EXPECT_TRUE(c.rebuild);
   EXPECT_FALSE(c.forced);
-  c = plan::ChooseIvmPath(ctx, plan::IvmKind::kDred, 10.0, 2000.0, 1.0, 0, 0,
-                          false, false);
+  c = plan::ChooseIvmPath(ctx, 10.0, 2000.0, 1.0, 0, 0, false, false);
   EXPECT_FALSE(c.rebuild);
   EXPECT_EQ(ctx.stats().plan_decisions, 2u);
 }
 
 TEST(ObserveIvmOutcome, RetunesCalibrationAfterPeriod) {
   EngineContext ctx;
-  plan::IvmPathChoice c = plan::ChooseIvmPath(
-      ctx, plan::IvmKind::kCounting, 100.0, 1e9, 1.0, 1, 10, false, false);
+  plan::IvmPathChoice c =
+      plan::ChooseIvmPath(ctx, 100.0, 1e9, 1.0, 1, 10, false, false);
   ASSERT_FALSE(c.rebuild);
   // The incremental arm consistently costs 8x its estimate; after the
   // retune period the calibration factor reflects that.
   for (uint64_t i = 0; i < ArmCalibration::kRetunePeriod; ++i)
-    plan::ObserveIvmOutcome(ctx, plan::IvmKind::kCounting, c, 800.0);
+    plan::ObserveIvmOutcome(ctx, c, 800.0);
   EXPECT_EQ(ctx.stats().plan_retunes, 1u);
   EXPECT_GT(ctx.adaptive().ivm_incremental.factor, 4.0);
   // The recalibrated factor now tips the decision toward rebuild at a
   // margin the raw estimates would not.
-  c = plan::ChooseIvmPath(ctx, plan::IvmKind::kCounting, 100.0, 200.0, 1.0, 1,
-                          10, false, false);
+  c = plan::ChooseIvmPath(ctx, 100.0, 200.0, 1.0, 1, 10, false, false);
   EXPECT_TRUE(c.rebuild);
-}
-
-// ---- Union evaluation -----------------------------------------------------
-
-TEST(ChooseUnionEval, AutoWeighsPruneCostAgainstEval) {
-  EngineContext ctx;
-  // Small union, cheap eval: the n^2/2 containment checks don't pay.
-  plan::UnionEvalChoice c =
-      plan::ChooseUnionEval(ctx, 4, 100.0, plan::UnionEvalPin::kAuto);
-  EXPECT_FALSE(c.prune);
-  // Expensive eval: expected savings dominate the check cost.
-  c = plan::ChooseUnionEval(ctx, 4, 100000.0, plan::UnionEvalPin::kAuto);
-  EXPECT_TRUE(c.prune);
-  // A single disjunct can never be pruned against a kept one.
-  c = plan::ChooseUnionEval(ctx, 1, 1e12, plan::UnionEvalPin::kAuto);
-  EXPECT_FALSE(c.prune);
-}
-
-TEST(ChooseUnionEval, PinsForceEitherArm) {
-  EngineContext ctx;
-  plan::UnionEvalChoice c =
-      plan::ChooseUnionEval(ctx, 2, 1.0, plan::UnionEvalPin::kForcePrune);
-  EXPECT_TRUE(c.prune);
-  EXPECT_TRUE(c.forced);
-  c = plan::ChooseUnionEval(ctx, 8, 1e12, plan::UnionEvalPin::kForceDirect);
-  EXPECT_FALSE(c.prune);
-  EXPECT_TRUE(c.forced);
-}
-
-TEST(ObserveUnionPrune, FeedsFractionAndCounters) {
-  EngineContext ctx;
-  plan::ObserveUnionPrune(ctx, 4, 3);
-  EXPECT_EQ(ctx.stats().plan_unions_pruned, 3u);
-  EXPECT_EQ(ctx.adaptive().union_prune.observations, 1u);
-  plan::ObserveUnionPrune(ctx, 0, 0);  // no-op, not a division by zero
-  EXPECT_EQ(ctx.adaptive().union_prune.observations, 1u);
 }
 
 // ---- Rendering ------------------------------------------------------------
@@ -253,10 +226,7 @@ TEST(AdaptiveState, RendersDeterministically) {
   EngineContext ctx;
   EXPECT_EQ(ctx.adaptive().ToString(),
             "ivm-counting incremental 1.000 (0 obs, 0 retunes), "
-            "rebuild 1.000 (0 obs, 0 retunes)\n"
-            "ivm-dred incremental 1.000 (0 obs, 0 retunes), "
-            "rebuild 1.000 (0 obs, 0 retunes)\n"
-            "union-prune fraction 0.500 (0 obs, 0 retunes)");
+            "rebuild 1.000 (0 obs, 0 retunes)");
 }
 
 }  // namespace

@@ -4,7 +4,8 @@
 // responses byte-identical to direct library calls, and concurrent clients
 // byte-identical to a serial replay at every shard count (the shard sweep).
 // Also proves the pinning contract: sessions on different shards cannot
-// observe each other's views or facts.
+// observe each other's views or facts; and that `stats` carries every
+// counter perfbench reads.
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
@@ -13,6 +14,10 @@
 
 #include <chrono>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <regex>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -387,6 +392,54 @@ TEST(ServeTest, SessionsPinnedToDifferentShardsAreIsolated) {
       << global;
   EXPECT_NE(global.find("\"rejected_overloaded\":0"), std::string::npos)
       << global;
+}
+
+// perfbench checks a server's engine counters against its in-process
+// replay by name: the CQAC_COUNTER list of DeterministicCounters
+// (perfbench/replay.cc, frozen with the benchmark). A name missing from
+// `stats` makes every benchmark run report "correct": false, so each one
+// must stay a key of every shard's engine object.
+TEST(ServeTest, StatsCarriesEveryCounterPerfbenchReads) {
+  std::filesystem::path file =
+      std::filesystem::path(CQAC_SOURCE_DIR) / "perfbench" / "replay.cc";
+  std::ifstream in(file);
+  ASSERT_TRUE(in.good()) << file;
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  const std::string src = buf.str();
+  // The list runs from the macro's definition inside DeterministicCounters
+  // to its #undef.
+  size_t begin = src.find("#define CQAC_COUNTER(",
+                          src.find("DeterministicCounters("));
+  ASSERT_NE(begin, std::string::npos);
+  begin = src.find('\n', begin);
+  const size_t end = src.find("#undef CQAC_COUNTER", begin);
+  ASSERT_NE(end, std::string::npos);
+  std::vector<std::string> names;
+  const std::regex counter(R"re(CQAC_COUNTER\((\w+)\))re");
+  for (std::sregex_iterator it(src.begin() + begin, src.begin() + end, counter),
+       last;
+       it != last; ++it)
+    names.push_back((*it)[1].str());
+  ASSERT_FALSE(names.empty());
+
+  ServerOptions options;
+  options.shards = 2;
+  Server server(std::move(options));
+  ASSERT_TRUE(server.Start().ok());
+  TestClient client(server.port());
+  const std::string reply = client.RoundTrip("{\"op\":\"stats\"}");
+  Result<JsonValue> stats = ParseJson(reply);
+  ASSERT_TRUE(stats.ok()) << reply;
+  const JsonValue* shards = stats.value().Find("shard_stats");
+  ASSERT_NE(shards, nullptr) << reply;
+  ASSERT_EQ(shards->array_items().size(), 2u) << reply;
+  for (const JsonValue& shard : shards->array_items()) {
+    const JsonValue* engine = shard.Find("engine");
+    ASSERT_NE(engine, nullptr) << reply;
+    for (const std::string& name : names)
+      EXPECT_NE(engine->Find(name), nullptr) << name << " missing: " << reply;
+  }
 }
 
 TEST(ServeTest, ClientDisconnectCancelsInFlightRequest) {

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "src/base/strings.h"
 #include "src/engine/context.h"
 #include "src/eval/database.h"
 #include "src/ir/parser.h"
@@ -615,6 +616,42 @@ TEST(StoreTest, BarrierWithMissingSnapshotIsDetectedCorruption) {
   auto rec = store::RecoverShard(ctx, shard_dir);
   ASSERT_FALSE(rec.ok());
   EXPECT_NE(rec.status().message().find("snapshot"), std::string::npos)
+      << rec.status();
+}
+
+// A snapshot of another format version is refused before any section is
+// decoded: ReadSnapshotFile names the version, and recovery fails with it
+// instead of adopting a misread state.
+TEST(StoreTest, SnapshotOfAnotherVersionIsRefused) {
+  TempDir dir;
+  DrivenShard live;
+  live.Open(dir.path());
+  live.View("v(X) :- r(X), X <= 5");
+  live.Fact("r(1).");
+  live.Snapshot();
+  std::string shard_dir = store::ShardDirPath(dir.path(), 0);
+  auto snaps = store::ListSnapshots(shard_dir);
+  ASSERT_TRUE(snaps.ok());
+  ASSERT_EQ(snaps.value().size(), 1u);
+  const std::string path = snaps.value().back().second;
+  ASSERT_TRUE(store::ReadSnapshotFile(path).ok());
+
+  // The header is [8B magic][u32 version, little-endian][u64 lsn].
+  std::string bytes = ReadFile(path);
+  ASSERT_GE(bytes.size(), 12u);
+  bytes.replace(8, 4, std::string("\x01\x00\x00\x00", 4));
+  WriteFile(path, bytes);
+
+  const std::string expected =
+      StrCat("version 1 (expected ", store::kSnapshotVersion, ")");
+  auto snap = store::ReadSnapshotFile(path);
+  ASSERT_FALSE(snap.ok());
+  EXPECT_NE(snap.status().message().find(expected), std::string::npos)
+      << snap.status();
+  EngineContext ctx;
+  auto rec = store::RecoverShard(ctx, shard_dir);
+  ASSERT_FALSE(rec.ok());
+  EXPECT_NE(rec.status().message().find(expected), std::string::npos)
       << rec.status();
 }
 

@@ -29,10 +29,10 @@
 //   audit                  run the whole-program audit pass: every engine
 //                          result re-proved by independent reference
 //                          procedures (src/analysis/audit)
-//   plan                   print the planner's cost decisions for the
-//                          current query: class-dictated algorithm, join
-//                          atom order over the base facts, union-eval
-//                          strategy, and the adaptive calibration state
+//   plan                   print the planner's decisions for the current
+//                          query: class-dictated algorithm, join atom
+//                          order over the base facts, and the IVM
+//                          calibration state
 //   stats                  print engine counters (cache hits, budgets, ...)
 //   save <dir>             write the session (views, facts, materialized
 //                          views, calibration) as a durable snapshot file
@@ -339,11 +339,11 @@ class Shell {
   }
 
   // Surfaces the planner's view of the current query without running
-  // anything: the class-dictated rewriting engine, the join order direct
-  // evaluation would use over the base facts, the union-eval strategy over
-  // the maintained view instance, and the adaptive calibration state. The
-  // output is a pure function of the declared state plus the context's
-  // deterministic adaptation, so it is identical at every thread count
+  // anything: the class-dictated rewriting engine `rewrite` and `answers`
+  // run, the join order `eval` would use over the base facts, and the IVM
+  // calibration state `fact`/`retract` decide with. The output is a pure
+  // function of the declared state plus the context's deterministic
+  // adaptation, so it is identical at every thread count
   // (tools/determinism.cqac exercises that).
   bool PlanCmd() {
     if (!NeedQuery()) return false;
@@ -356,12 +356,6 @@ class Shell {
             .ToDecision();
     jd.detail = "direct eval over base facts";
     std::printf("  %s\n", jd.ToString().c_str());
-
-    if (vp.value().kind == PlanKind::kFiniteUnion) {
-      plan::UnionEvalChoice c = vp.value().PriceUnionEval(
-          *ctx_, state_.store.views(), plan::UnionEvalPin::kAuto);
-      std::printf("  %s\n", c.ToDecision().ToString().c_str());
-    }
     std::printf("adaptive:\n%s\n", ctx_->adaptive().ToString().c_str());
     return true;
   }
