@@ -43,17 +43,18 @@ void BM_Example11Scaled(benchmark::State& state) {
   Query q;
   ViewSet views;
   Scaled(static_cast<int>(state.range(0)), &q, &views);
-  RewriteStats stats;
+  uint64_t mcds = 0;
   size_t rewritings = 0;
   for (auto _ : state) {
     EngineContext ctx;
-    auto mcr = RewriteLsiQuery(ctx, q, views, RewriteOptions{}, &stats);
+    auto mcr = RewriteLsiQuery(ctx, q, views);
     if (!mcr.ok()) state.SkipWithError(mcr.status().ToString().c_str());
     rewritings = mcr.ValueOr(UnionQuery{}).disjuncts.size();
+    mcds = ctx.stats().rewrite_mcds;
     benchmark::DoNotOptimize(rewritings);
   }
   state.counters["rewritings"] = static_cast<double>(rewritings);
-  state.counters["mcds"] = static_cast<double>(stats.mcds);
+  state.counters["mcds"] = static_cast<double>(mcds);
 }
 BENCHMARK(BM_Example11Scaled)->Arg(1)->Arg(2)->Arg(3)->Arg(4);
 

@@ -71,8 +71,7 @@ Database OneFact(const char* pred, int64_t a, int64_t b) {
 // materialization did not probe, which is one-time setup, not per-fact
 // maintenance cost.
 void WarmIncremental(EngineContext& ctx, ivm::MaterializedViewSet& store) {
-  ivm::MaintainOptions incremental;
-  incremental.force_incremental = true;
+  const plan::IvmPath incremental = plan::IvmPath::kIncremental;
   Database fact = OneFact("r", -1, -1);
   if (!store.ApplyInsert(ctx, fact, incremental).ok()) std::abort();
   if (!store.ApplyRetract(ctx, fact, incremental).ok()) std::abort();
@@ -87,10 +86,8 @@ void BM_IvmSingleInsertVsRebuild(benchmark::State& state) {
   ivm::MaterializedViewSet store = MakeStore(ctx, kTuples);
   WarmIncremental(ctx, store);
 
-  ivm::MaintainOptions incremental;
-  incremental.force_incremental = true;
-  ivm::MaintainOptions rebuild;
-  rebuild.force_rebuild = true;
+  const plan::IvmPath incremental = plan::IvmPath::kIncremental;
+  const plan::IvmPath rebuild = plan::IvmPath::kRebuild;
 
   double inc_total = 0, reb_total = 0;
   int64_t rounds = 0;
@@ -134,8 +131,7 @@ void BM_IvmSingleRetract(benchmark::State& state) {
   bench::AttachPool(ctx);
   ivm::MaterializedViewSet store = MakeStore(ctx, kTuples);
   WarmIncremental(ctx, store);
-  ivm::MaintainOptions incremental;
-  incremental.force_incremental = true;
+  const plan::IvmPath incremental = plan::IvmPath::kIncremental;
   int64_t v = 3;
   for (auto _ : state) {
     state.PauseTiming();
@@ -160,10 +156,8 @@ void BM_IvmBatchSweep(benchmark::State& state) {
   ivm::MaterializedViewSet store = MakeStore(ctx, kTuples);
   WarmIncremental(ctx, store);
 
-  ivm::MaintainOptions incremental;
-  incremental.force_incremental = true;
-  ivm::MaintainOptions rebuild;
-  rebuild.force_rebuild = true;
+  const plan::IvmPath incremental = plan::IvmPath::kIncremental;
+  const plan::IvmPath rebuild = plan::IvmPath::kRebuild;
 
   double inc_total = 0, reb_total = 0;
   int64_t rounds = 0;
@@ -216,8 +210,7 @@ void BM_IvmCertifiedApply(benchmark::State& state) {
   bench::AttachPool(ctx);
   ivm::MaterializedViewSet store = MakeStore(ctx, kTuples);
   WarmIncremental(ctx, store);
-  ivm::MaintainOptions incremental;
-  incremental.force_incremental = true;
+  const plan::IvmPath incremental = plan::IvmPath::kIncremental;
 
   double apply_total = 0, audit_total = 0;
   int64_t rounds = 0;

@@ -51,39 +51,35 @@ Budget BenchBudget() {
   return budget;
 }
 
-RewriteOptions BenchOptions() {
-  RewriteOptions opts;
-  opts.max_ac_alternatives = 16;
-  return opts;
-}
-
 void BM_RewriteLsiViewsSweep(benchmark::State& state) {
   Workload w = Draw(static_cast<int>(state.range(0)), 3, 7);
-  RewriteStats stats;
+  uint64_t mcds = 0;
   size_t rewritings = 0;
   for (auto _ : state) {
     EngineContext ctx(BenchBudget());
-    auto mcr = RewriteLsiQuery(ctx, w.q, w.views, BenchOptions(), &stats);
+    auto mcr = RewriteLsiQuery(ctx, w.q, w.views);
     if (!mcr.ok()) state.SkipWithError(mcr.status().ToString().c_str());
     rewritings = mcr.ValueOr(UnionQuery{}).disjuncts.size();
+    mcds = ctx.stats().rewrite_mcds;
   }
   state.counters["views"] = static_cast<double>(state.range(0));
-  state.counters["mcds"] = static_cast<double>(stats.mcds);
+  state.counters["mcds"] = static_cast<double>(mcds);
   state.counters["rewritings"] = static_cast<double>(rewritings);
 }
 BENCHMARK(BM_RewriteLsiViewsSweep)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
 
 void BM_RewriteLsiSubgoalsSweep(benchmark::State& state) {
   Workload w = Draw(6, static_cast<int>(state.range(0)), 11);
-  RewriteStats stats;
+  uint64_t mcds = 0;
   for (auto _ : state) {
     EngineContext ctx(BenchBudget());
-    auto mcr = RewriteLsiQuery(ctx, w.q, w.views, BenchOptions(), &stats);
+    auto mcr = RewriteLsiQuery(ctx, w.q, w.views);
     if (!mcr.ok()) state.SkipWithError(mcr.status().ToString().c_str());
+    mcds = ctx.stats().rewrite_mcds;
     benchmark::DoNotOptimize(mcr);
   }
   state.counters["subgoals"] = static_cast<double>(state.range(0));
-  state.counters["mcds"] = static_cast<double>(stats.mcds);
+  state.counters["mcds"] = static_cast<double>(mcds);
 }
 BENCHMARK(BM_RewriteLsiSubgoalsSweep)->Arg(2)->Arg(3)->Arg(4)->Arg(5)->Arg(6);
 
@@ -93,19 +89,18 @@ void BM_AcBlindBaselineCoverage(benchmark::State& state) {
   size_t missed = 0, total = 0, blind_rejects = 0;
   for (auto _ : state) {
     EngineContext ctx(BenchBudget());
-    auto mcr = RewriteLsiQuery(ctx, w.q, w.views, BenchOptions());
+    auto mcr = RewriteLsiQuery(ctx, w.q, w.views);
     BucketOptions blind;
     blind.ac_aware = false;
-    BucketStats bstats;
     EngineContext blind_ctx;  // default budget, its own cold memo
-    auto baseline = BucketRewrite(blind_ctx, w.q, w.views, blind, &bstats);
+    auto baseline = BucketRewrite(blind_ctx, w.q, w.views, blind);
     if (!mcr.ok() || !baseline.ok()) {
       state.SkipWithError("rewriting failed");
       break;
     }
     missed = 0;
     total = mcr.value().disjuncts.size();
-    blind_rejects = bstats.verified_rejects;
+    blind_rejects = blind_ctx.stats().rewrite_verified_rejects;
     for (const Query& d : mcr.value().disjuncts) {
       EngineContext cover_ctx;
       auto covered = IsContainedInUnion(cover_ctx, d, baseline.value());

@@ -38,16 +38,15 @@ int main() {
   std::printf("Query:   %s\nSources:\n%s\n\n", q.ToString().c_str(),
               sources.ToString().c_str());
 
-  RewriteStats stats;
-  Result<UnionQuery> mcr =
-      RewriteLsiQuery(ctx, q, sources, RewriteOptions{}, &stats);
+  Result<UnionQuery> mcr = RewriteLsiQuery(ctx, q, sources);
   if (!mcr.ok()) {
     std::fprintf(stderr, "rewriting failed: %s\n",
                  mcr.status().ToString().c_str());
     return 1;
   }
   std::printf("Maximally-contained rewriting (%zu plans, %zu MCDs):\n%s\n\n",
-              mcr.value().disjuncts.size(), stats.mcds,
+              mcr.value().disjuncts.size(),
+              static_cast<size_t>(ctx.stats().rewrite_mcds),
               mcr.value().ToString().c_str());
 
   // A small integrated world: the sources are materialized from it, then

@@ -443,7 +443,7 @@ Status CheckUnionMinimization(EngineContext& ctx,
 Status CheckSiMcrUnfolding(EngineContext& ctx, const Query& q,
                            const ViewSet& views, const SiMcr& mcr,
                            const UnfoldOptions& options) {
-  Result<UnfoldResult> unfolded = UnfoldSiMcr(mcr, options);
+  Result<UnfoldResult> unfolded = UnfoldSiMcr(ctx, mcr, options);
   if (!unfolded.ok()) {
     if (unfolded.status().code() == StatusCode::kResourceExhausted)
       return Status::Unsupported(
@@ -560,7 +560,7 @@ void RecordObligation(EngineContext& ctx, AuditReport* report,
 }
 
 Status AuditAll(EngineContext& ctx, const AuditInputs& inputs,
-                const AuditOptions& options, AuditReport* report) {
+                const UnfoldOptions& unfold, AuditReport* report) {
   const Query& q = inputs.query;
   const std::string& name = q.head().predicate;
   auto run = [&](ObligationKind kind, std::string label,
@@ -591,8 +591,7 @@ Status AuditAll(EngineContext& ctx, const AuditInputs& inputs,
         run(ObligationKind::kSiMcrRules, name,
             [&] { return CheckSiMcr(q, inputs.views, mcr); });
         run(ObligationKind::kSiMcrUnfold, name, [&] {
-          return CheckSiMcrUnfolding(ctx, q, inputs.views, mcr,
-                                     options.unfold);
+          return CheckSiMcrUnfolding(ctx, q, inputs.views, mcr, unfold);
         });
       }
     } else if (!r.ok()) {
@@ -640,7 +639,7 @@ Status AuditAll(EngineContext& ctx, const AuditInputs& inputs,
   }
 
   const bool have_facts = inputs.facts.TotalTuples() > 0;
-  if (options.audit_eval && have_facts) {
+  if (have_facts) {
     run(ObligationKind::kEval, name, [&]() -> Status {
       CQAC_ASSIGN_OR_RETURN(Relation fast, EvaluateQuery(ctx, q, inputs.facts));
       CQAC_ASSIGN_OR_RETURN(Relation ref,
@@ -652,7 +651,7 @@ Status AuditAll(EngineContext& ctx, const AuditInputs& inputs,
     });
   }
 
-  if (options.audit_ivm && have_facts && inputs.views.size() > 0) {
+  if (have_facts && inputs.views.size() > 0) {
     ivm::MaterializedViewSet mvs;
     Status setup = Status::OK();
     for (const Query& v : inputs.views.views()) {

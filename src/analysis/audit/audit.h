@@ -142,14 +142,6 @@ void RecordObligation(EngineContext& ctx, AuditReport* report,
                       ObligationKind kind, std::string label,
                       FunctionRef<Status()> fn);
 
-struct AuditOptions {
-  UnfoldOptions unfold;
-  /// Run the IVM commit obligations (needs facts). On by default.
-  bool audit_ivm = true;
-  /// Run the evaluation obligation (needs facts). On by default.
-  bool audit_eval = true;
-};
-
 /// One audit subject: a query, the views it is rewritten with, and base
 /// facts for the dynamic obligations (IVM replay, evaluation).
 struct AuditInputs {
@@ -162,11 +154,12 @@ struct AuditInputs {
 /// classification, the same rewriting dispatch the serve layer uses (LSI/
 /// bucket with witness re-check, or SI-MCR with rule re-validation plus
 /// bounded-unfolding certification), query minimization, union minimization
-/// of the produced rewriting, certified IVM inserts/retracts of the facts,
-/// and engine-vs-reference evaluation. Errors inside a check land in that
-/// obligation's status; the pass itself only fails on setup errors.
+/// of the produced rewriting, and, when there are facts, certified IVM
+/// inserts/retracts of them and engine-vs-reference evaluation. `unfold`
+/// bounds the SI-MCR unfolding obligation. Errors inside a check land in
+/// that obligation's status; the pass itself only fails on setup errors.
 Status AuditAll(EngineContext& ctx, const AuditInputs& inputs,
-                const AuditOptions& options, AuditReport* report);
+                const UnfoldOptions& unfold, AuditReport* report);
 
 }  // namespace audit
 }  // namespace cqac

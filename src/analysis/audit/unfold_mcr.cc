@@ -272,7 +272,7 @@ std::optional<Query> FinishBranch(Branch branch,
 
 }  // namespace
 
-Result<UnfoldResult> UnfoldSiMcr(const SiMcr& mcr,
+Result<UnfoldResult> UnfoldSiMcr(EngineContext& ctx, const SiMcr& mcr,
                                  const UnfoldOptions& options) {
   UnfoldResult result;
   if (mcr.rules.empty()) return result;  // the empty program derives nothing
@@ -332,9 +332,18 @@ Result<UnfoldResult> UnfoldSiMcr(const SiMcr& mcr,
   std::set<std::string> seen;  // canonical texts of emitted disjuncts
   std::deque<Branch> work;
   work.push_back(std::move(root));
-  size_t leaves = 0;
-  size_t steps = 0;
+  size_t branches = 0;
   while (!work.empty()) {
+    if (++branches > ctx.budget().max_mappings) {
+      ++ctx.stats().budget_exhaustions;
+      return Status::ResourceExhausted(
+          "unfolding exceeded the mapping budget");
+    }
+    Status deadline = ctx.budget().CheckDeadline("unfolding");
+    if (!deadline.ok()) {
+      ++ctx.stats().budget_exhaustions;
+      return deadline;
+    }
     Branch branch = std::move(work.front());
     work.pop_front();
     DropRedundantDomGoals(&branch);
@@ -349,9 +358,6 @@ Result<UnfoldResult> UnfoldSiMcr(const SiMcr& mcr,
       }
 
     if (sel == branch.atoms.size()) {
-      if (++leaves > options.max_leaves)
-        return Status::ResourceExhausted(
-            "unfolding exceeded the leaf budget");
       std::optional<Query> q =
           FinishBranch(std::move(branch), mcr.query_predicate);
       if (!q.has_value()) {
@@ -363,9 +369,6 @@ Result<UnfoldResult> UnfoldSiMcr(const SiMcr& mcr,
         result.unfolding.disjuncts.push_back(std::move(*q));
       continue;
     }
-
-    if (++steps > options.max_steps)
-      return Status::ResourceExhausted("unfolding exceeded the step budget");
 
     UAtom selected = branch.atoms[sel];
     branch.atoms.erase(branch.atoms.begin() + sel);

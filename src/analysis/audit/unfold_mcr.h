@@ -28,6 +28,7 @@
 #include <cstddef>
 
 #include "src/base/status.h"
+#include "src/engine/context.h"
 #include "src/ir/query.h"
 #include "src/rewriting/si_mcr.h"
 
@@ -46,12 +47,6 @@ struct UnfoldOptions {
   /// the per-disjunct canonical-database containment check (one more
   /// variable to order), so deeper audits are an explicit opt-in.
   size_t max_depth = 2;
-  /// Cap on completed (IDB-free) branches, surviving or not.
-  size_t max_leaves = 65536;
-  /// Cap on total branch expansions (safety net against blow-up in the
-  /// acyclic part; exceeding it reports ResourceExhausted, which the
-  /// auditor surfaces as a skipped — not failed — obligation).
-  size_t max_steps = 200000;
   /// Consumed by the auditor's containment stage rather than the unfolder:
   /// the canonical-database check enumerates orderings over a disjunct
   /// expansion's variables and constants, so a disjunct with more distinct
@@ -72,9 +67,13 @@ struct UnfoldResult {
 };
 
 /// Unfolds `mcr` for bounded rounds. InvalidArgument when the program has
-/// no rule for its own query predicate (and is non-empty); ResourceExhausted
-/// when max_leaves or max_steps is hit before the work list drains.
-Result<UnfoldResult> UnfoldSiMcr(const SiMcr& mcr,
+/// no rule for its own query predicate (and is non-empty). Every branch
+/// taken off the work list, completed or expanded, is charged to the
+/// context's Budget::max_mappings and polls its deadline (a safety net
+/// against blow-up in the acyclic part): running past either returns
+/// ResourceExhausted and bumps budget_exhaustions, which the auditor
+/// surfaces as a skipped, not failed, obligation.
+Result<UnfoldResult> UnfoldSiMcr(EngineContext& ctx, const SiMcr& mcr,
                                  const UnfoldOptions& options = {});
 
 }  // namespace audit

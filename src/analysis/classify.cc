@@ -23,18 +23,18 @@ const char* ClassInfo::Name() const {
 const char* ClassInfo::RecommendedAlgorithm() const {
   switch (ac_class) {
     case AcClass::kNone:
-      return "BucketRewrite (classical CQ machinery; single-mapping "
-             "containment, Theorem 2.3)";
+      return "RewriteLSIQuery (Figure 2 MCD algorithm with no comparison to "
+             "place; single-mapping containment, Theorem 2.3)";
     case AcClass::kLsi:
     case AcClass::kRsi:
       return "RewriteLSIQuery (Figure 2 MCD algorithm; single-mapping "
              "containment, Theorem 2.3)";
     case AcClass::kSi:
       if (cqac_si)
-        return "FindEquivalentRewriting / RewriteAllDistinguished "
-               "(Theorem 3.2) or RewriteSiQueryDatalog (Figure 4)";
-      return "RewriteSiQueryDatalog (Figure 4 SI-MCR; Lemma 5.1 "
-             "implication)";
+        return "RewriteSiQueryDatalog (Figure 4 SI-MCR) when every view is "
+               "SI; otherwise BucketRewrite with verified candidates";
+      return "BucketRewrite with verified candidates (Lemma 5.1 "
+             "implication; Figure 4 needs a CQAC-SI query)";
     case AcClass::kGeneral:
       return "BucketRewrite with general Theorem 2.1 verification "
              "(all containment mappings + disjunction implication)";

@@ -2,22 +2,27 @@
 //
 // The paper's complexity results and algorithm preconditions hinge on which
 // fragment a query's comparison set falls into (Table 2, Sections 3-5).
-// ClassifyQuery computes the full picture in one pass so callers can pick
-// the cheapest sound algorithm:
+// ClassifyQuery computes the full picture in one pass; the rewriting
+// algorithm each class gets is ChooseRewriteAlgorithm's rule
+// (src/rewriting/answer.h), which RecommendedAlgorithm states:
 //
 //       CQ  ⊂  LSI, RSI  ⊂  CQAC-SI  ⊂  SI  ⊂  CQAC
 //
-//  * CQ       — no comparisons; classical containment (NP).
+//  * CQ       — no comparisons; classical containment (NP). RewriteLSIQuery
+//               (Figure 2) with no comparison to place.
 //  * LSI/RSI  — all comparisons upper bounds (resp. lower bounds) on single
 //               variables; Theorem 2.3 single-mapping containment applies and
 //               RewriteLSIQuery (Figure 2) is complete.
 //  * CQAC-SI  — semi-interval with at most one LSI or at most one RSI
 //               comparison; the Section 3 equivalent-rewriting machinery
-//               (Theorem 3.2) applies.
-//  * SI       — all comparisons semi-interval; Lemma 5.1 implication and the
-//               Figure 4 Datalog MCR apply.
+//               (Theorem 3.2) applies, and over SI views the Figure 4
+//               Datalog MCR. Over other views: verified bucket candidates.
+//  * SI       — all comparisons semi-interval; Lemma 5.1 implication
+//               applies. Figure 4 needs a CQAC-SI query, so rewriting
+//               falls back to verified bucket candidates.
 //  * CQAC     — anything else (variable-variable or symbol comparisons);
-//               only the general Theorem 2.1 test is sound.
+//               only the general Theorem 2.1 test is sound, and rewriting
+//               uses verified bucket candidates.
 //
 // Orthogonally, the comparison set is *closed* when every ordered comparison
 // is non-strict (<=) and *open* when every one is strict (<) — Afrati &
@@ -43,8 +48,9 @@ struct ClassInfo {
   /// Canonical class name: "CQ", "LSI", "RSI", "CQAC-SI", "SI" or "CQAC".
   const char* Name() const;
 
-  /// One-line statement of which rewriting algorithm is sound and complete
-  /// for this class.
+  /// One-line statement of the rewriting algorithm ChooseRewriteAlgorithm
+  /// runs for this class (for CQAC-SI, depending on whether the views are
+  /// SI).
   const char* RecommendedAlgorithm() const;
 
   /// Renders e.g. "LSI (closed)" or "CQAC".

@@ -74,6 +74,10 @@ LintSeverity MaxLintSeverity(const std::vector<LintDiagnostic>& diags) {
 
 namespace {
 
+// L009 subsumption runs full containment tests; rules with more body atoms
+// than this are skipped.
+constexpr size_t kSubsumptionMaxAtoms = 8;
+
 std::string CompToString(const Query& q, const Comparison& c) {
   return StrCat(q.TermToString(c.lhs), " ", CompOpName(c.op), " ",
                 q.TermToString(c.rhs));
@@ -229,8 +233,7 @@ class RuleLinter {
   }
 
   void CheckSubsumedSubgoals() {
-    if (q_.body().size() < 2 ||
-        q_.body().size() > options_.subsumption_max_atoms)
+    if (q_.body().size() < 2 || q_.body().size() > kSubsumptionMaxAtoms)
       return;
     // Lint is a static check with no caller context (cqac_lint, `fix`, the
     // serve `lint` op). One local context bounds these containment checks by

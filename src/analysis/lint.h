@@ -66,9 +66,6 @@ const std::vector<LintCheckInfo>& LintChecks();
 struct LintOptions {
   /// Emit L012 class-inference notes.
   bool notes = true;
-  /// L009 subsumption runs full containment tests; skip rules with more
-  /// body atoms than this.
-  size_t subsumption_max_atoms = 8;
 };
 
 /// Lints a whole program: per-rule checks on every rule plus the cross-rule

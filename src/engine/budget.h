@@ -4,7 +4,10 @@
 //  * max_homomorphisms — cap on containment mappings enumerated per
 //    homomorphism search (ForEachHomomorphism and everything above it);
 //  * max_mappings      — cap on rewriting artifacts produced per algorithm
-//    stage: MCDs constructed, bucket candidates, MCD combinations;
+//    stage: MCDs constructed, exact MCD covers, bucket and all-distinguished
+//    candidate picks, each MCD skeleton's product of export homomorphisms,
+//    each MCD cover's product of ways to satisfy the query's comparisons
+//    (Section 4.4), and the branches the audit's SI-MCR unfolder expands;
 //  * deadline          — optional wall-clock deadline (steady clock) checked
 //    at enumeration boundaries;
 //  * max_cache_bytes   — byte cap on the EngineContext decision cache and
@@ -17,7 +20,6 @@
 
 #include <chrono>
 #include <cstddef>
-#include <limits>
 #include <optional>
 
 #include "src/base/status.h"
@@ -29,15 +31,6 @@ struct Budget {
   size_t max_mappings = 1 << 20;
   std::optional<std::chrono::steady_clock::time_point> deadline;
   size_t max_cache_bytes = 16u << 20;
-
-  /// A budget with every cap removed (no deadline, no enumeration caps).
-  static Budget Unlimited() {
-    Budget b;
-    b.max_homomorphisms = std::numeric_limits<size_t>::max();
-    b.max_mappings = std::numeric_limits<size_t>::max();
-    b.deadline.reset();
-    return b;
-  }
 
   /// A default budget whose deadline is `timeout` from now.
   static Budget WithTimeout(std::chrono::milliseconds timeout) {

@@ -53,60 +53,108 @@ class StatCounter {
   std::atomic<uint64_t> value_{0};
 };
 
+// Every engine counter, declared once, grouped by layer. StatsSnapshot and
+// EngineStats declare their fields from this list, and Reset, Snapshot, the
+// snapshot arithmetic and the JSON rendering walk it; a new counter is one
+// X(name) here plus its line in EngineStats::ToString. perfbench reads the
+// counters by these names from every `stats` reply.
+#define CQAC_ENGINE_STATS_FIELDS(X)                                          \
+  /* Containment layer. */                                                   \
+  X(containment_calls)                                                       \
+  X(containment_cache_hits)                                                  \
+  X(containment_cache_misses)                                                \
+  /* Constraint-implication layer. */                                        \
+  X(implication_calls)                                                       \
+  X(implication_cache_hits)                                                  \
+  X(implication_cache_misses)                                                \
+  X(disjunction_implications)                                                \
+  /* Homomorphism enumeration. */                                            \
+  X(hom_enumerations)                                                        \
+  X(homomorphisms_found)                                                     \
+  /* Canonicalization / interning; queries_interned counts distinct */      \
+  /* canonical forms. */                                                     \
+  X(intern_requests)                                                         \
+  X(queries_interned)                                                        \
+  X(fingerprint_collisions)                                                  \
+  /* Cache maintenance. */                                                   \
+  X(cache_evictions)                                                         \
+  X(cache_flushes)                                                           \
+  /* Budget enforcement. */                                                  \
+  X(budget_exhaustions)                                                      \
+  /* Columnar join evaluation (src/eval/batch.h): non-empty batches, */      \
+  /* column promotions off the i64 path, Database-owned indexes built. */    \
+  X(eval_batches)                                                            \
+  X(eval_smallint_fallbacks)                                                 \
+  X(eval_index_builds)                                                       \
+  /* Cost-based planner (src/plan): cost comparisons, evaluations that */    \
+  /* left syntactic order, adaptive-threshold re-estimations. */             \
+  /* plan_unions_pruned is always 0: nothing prunes a union before */        \
+  /* evaluating it. It stays, like ivm_overdeletions and */                  \
+  /* ivm_rederivations below, because perfbench's frozen */                  \
+  /* DeterministicCounters list (perfbench/replay.cc) reads it by name */    \
+  /* from every `stats` reply, and a missing name makes every benchmark */   \
+  /* run report "correct": false. */                                         \
+  X(plan_decisions)                                                          \
+  X(plan_join_reorders)                                                      \
+  X(plan_unions_pruned)                                                      \
+  X(plan_retunes)                                                            \
+  /* Rewriting layer: MCDs constructed, candidate rewritings, and the */     \
+  /* candidates verification rejected. */                                    \
+  X(rewrite_mcds)                                                            \
+  X(rewrite_candidates)                                                      \
+  X(rewrite_verified_rejects)                                                \
+  /* Parallel sections (TaskPool fan-outs that actually ran */               \
+  /* concurrently); the wall-clock is summed over sections. */               \
+  X(parallel_sections)                                                       \
+  X(parallel_tasks)                                                          \
+  X(parallel_wall_ns)                                                        \
+  /* Incremental view maintenance (src/ivm): delta batches applied, */       \
+  /* those maintained incrementally, those rebuilt, base tuples inserted */  \
+  /* + retracted, view tuples added + removed. The last two are always */    \
+  /* 0 (the counting maintainer never over-deletes); kept for */             \
+  /* perfbench, see plan_unions_pruned. */                                   \
+  X(ivm_applies)                                                             \
+  X(ivm_incremental_applies)                                                 \
+  X(ivm_rebuild_fallbacks)                                                   \
+  X(ivm_base_delta_tuples)                                                   \
+  X(ivm_view_delta_tuples)                                                   \
+  X(ivm_overdeletions)                                                       \
+  X(ivm_rederivations)                                                       \
+  /* Independent audit pass (src/analysis/audit): proof obligations */       \
+  /* checked, those rejected, MCR unfolding disjuncts certified, IVM */      \
+  /* tuples replayed against the oracle, wall-clock spent auditing. */       \
+  X(audit_obligations)                                                       \
+  X(audit_failures)                                                          \
+  X(audit_unfold_disjuncts)                                                  \
+  X(audit_replayed_tuples)                                                   \
+  X(audit_wall_ns)                                                           \
+  /* Serve transport (src/serve/server.cc; always zero outside a server, */  \
+  /* the shell's `stats` prints them so serve and shell read */              \
+  /* identically): requests this shard executed, lines bounced off a */      \
+  /* full queue, the request-queue high-water mark. */                       \
+  X(serve_requests)                                                          \
+  X(serve_overload_rejections)                                               \
+  X(serve_queue_peak)                                                        \
+  /* Durable store (src/store; zero without --data-dir): commit records */   \
+  /* appended to the WAL, framed bytes written, fsyncs the policy */         \
+  /* issued, compact snapshots written, log-tail records replayed and */     \
+  /* sessions recovered. */                                                  \
+  X(store_records_appended)                                                  \
+  X(store_bytes_logged)                                                      \
+  X(store_fsyncs)                                                            \
+  X(store_snapshots_written)                                                 \
+  X(store_recovery_replayed_records)                                         \
+  X(store_recovery_sessions)
+
 /// A plain, copyable point-in-time copy of every EngineStats counter.
 /// Snapshots support subtraction, so a caller that brackets a unit of work
 /// with two snapshots gets the exact counter deltas attributable to it —
 /// the serve layer uses this to account per-session engine work against
 /// the one shared context (src/serve/session.h).
 struct StatsSnapshot {
-  uint64_t containment_calls = 0;
-  uint64_t containment_cache_hits = 0;
-  uint64_t containment_cache_misses = 0;
-  uint64_t implication_calls = 0;
-  uint64_t implication_cache_hits = 0;
-  uint64_t implication_cache_misses = 0;
-  uint64_t disjunction_implications = 0;
-  uint64_t hom_enumerations = 0;
-  uint64_t homomorphisms_found = 0;
-  uint64_t intern_requests = 0;
-  uint64_t queries_interned = 0;
-  uint64_t fingerprint_collisions = 0;
-  uint64_t cache_evictions = 0;
-  uint64_t cache_flushes = 0;
-  uint64_t budget_exhaustions = 0;
-  uint64_t eval_batches = 0;
-  uint64_t eval_smallint_fallbacks = 0;
-  uint64_t eval_index_builds = 0;
-  uint64_t plan_decisions = 0;
-  uint64_t plan_join_reorders = 0;
-  uint64_t plan_unions_pruned = 0;
-  uint64_t plan_retunes = 0;
-  uint64_t rewrite_candidates = 0;
-  uint64_t rewrite_verified_rejects = 0;
-  uint64_t parallel_sections = 0;
-  uint64_t parallel_tasks = 0;
-  uint64_t parallel_wall_ns = 0;
-  uint64_t ivm_applies = 0;
-  uint64_t ivm_incremental_applies = 0;
-  uint64_t ivm_rebuild_fallbacks = 0;
-  uint64_t ivm_base_delta_tuples = 0;
-  uint64_t ivm_view_delta_tuples = 0;
-  uint64_t ivm_overdeletions = 0;
-  uint64_t ivm_rederivations = 0;
-  uint64_t audit_obligations = 0;
-  uint64_t audit_failures = 0;
-  uint64_t audit_unfold_disjuncts = 0;
-  uint64_t audit_replayed_tuples = 0;
-  uint64_t audit_wall_ns = 0;
-  uint64_t serve_requests = 0;
-  uint64_t serve_overload_rejections = 0;
-  uint64_t serve_queue_peak = 0;
-  uint64_t store_records_appended = 0;
-  uint64_t store_bytes_logged = 0;
-  uint64_t store_fsyncs = 0;
-  uint64_t store_snapshots_written = 0;
-  uint64_t store_recovery_replayed_records = 0;
-  uint64_t store_recovery_sessions = 0;
+#define CQAC_STATS_DECLARE(f) uint64_t f = 0;
+  CQAC_ENGINE_STATS_FIELDS(CQAC_STATS_DECLARE)
+#undef CQAC_STATS_DECLARE
 
   /// Counter-wise difference (`after - before`). Counters only grow, so a
   /// later-minus-earlier snapshot of the same stats block never underflows.
@@ -124,89 +172,9 @@ struct StatsSnapshot {
 };
 
 struct EngineStats {
-  // Containment layer.
-  StatCounter containment_calls;
-  StatCounter containment_cache_hits;
-  StatCounter containment_cache_misses;
-
-  // Constraint-implication layer.
-  StatCounter implication_calls;
-  StatCounter implication_cache_hits;
-  StatCounter implication_cache_misses;
-  StatCounter disjunction_implications;
-
-  // Homomorphism enumeration.
-  StatCounter hom_enumerations;
-  StatCounter homomorphisms_found;
-
-  // Canonicalization / interning.
-  StatCounter intern_requests;
-  StatCounter queries_interned;  // distinct canonical forms seen
-  StatCounter fingerprint_collisions;
-
-  // Cache maintenance.
-  StatCounter cache_evictions;
-  StatCounter cache_flushes;
-
-  // Budget enforcement.
-  StatCounter budget_exhaustions;
-
-  // Columnar join evaluation (src/eval/batch.h).
-  StatCounter eval_batches;              // non-empty batches emitted
-  StatCounter eval_smallint_fallbacks;   // column promotions off the i64 path
-  StatCounter eval_index_builds;         // Database-owned column indexes built
-
-  // Cost-based planner (src/plan).
-  StatCounter plan_decisions;      // cost comparisons made
-  StatCounter plan_join_reorders;  // evaluations that left syntactic order
-  // Always 0: nothing prunes a union before evaluating it. The counter
-  // stays, like ivm_overdeletions and ivm_rederivations below, because
-  // perfbench's frozen DeterministicCounters list (perfbench/replay.cc)
-  // reads it by name from every `stats` reply, and a missing name makes
-  // every benchmark run report "correct": false.
-  StatCounter plan_unions_pruned;
-  StatCounter plan_retunes;        // adaptive-threshold re-estimations
-
-  // Rewriting layer.
-  StatCounter rewrite_candidates;
-  StatCounter rewrite_verified_rejects;
-
-  // Parallel sections (TaskPool fan-outs that actually ran concurrently).
-  StatCounter parallel_sections;
-  StatCounter parallel_tasks;
-  StatCounter parallel_wall_ns;  // wall-clock summed over sections
-
-  // Incremental view maintenance (src/ivm).
-  StatCounter ivm_applies;              // delta batches applied
-  StatCounter ivm_incremental_applies;  // ... maintained incrementally
-  StatCounter ivm_rebuild_fallbacks;    // ... that fell back to rebuild
-  StatCounter ivm_base_delta_tuples;    // base tuples inserted + retracted
-  StatCounter ivm_view_delta_tuples;    // view tuples added + removed
-  // Always 0 (the counting maintainer never over-deletes); kept for
-  // perfbench, see plan_unions_pruned.
-  StatCounter ivm_overdeletions;
-  StatCounter ivm_rederivations;
-
-  // Independent audit pass (src/analysis/audit).
-  StatCounter audit_obligations;       // proof obligations checked
-  StatCounter audit_failures;          // ... that were rejected
-  StatCounter audit_unfold_disjuncts;  // MCR unfolding disjuncts certified
-  StatCounter audit_replayed_tuples;   // IVM tuples replayed vs the oracle
-  StatCounter audit_wall_ns;           // wall-clock spent auditing
-
-  // Serve transport (src/serve/server.cc; always zero outside a server —
-  // the shell's `stats` prints them so serve and shell read identically).
-  StatCounter serve_requests;             // requests this shard executed
-  StatCounter serve_overload_rejections;  // lines bounced off a full queue
-  StatCounter serve_queue_peak;           // request-queue high-water mark
-
-  // Durable store (src/store; zero without --data-dir).
-  StatCounter store_records_appended;  // commit records appended to the WAL
-  StatCounter store_bytes_logged;      // framed bytes written to the WAL
-  StatCounter store_fsyncs;            // fsyncs issued by the policy
-  StatCounter store_snapshots_written; // compact snapshots written
-  StatCounter store_recovery_replayed_records;  // log-tail records replayed
-  StatCounter store_recovery_sessions;          // sessions recovered
+#define CQAC_STATS_DECLARE(f) StatCounter f;
+  CQAC_ENGINE_STATS_FIELDS(CQAC_STATS_DECLARE)
+#undef CQAC_STATS_DECLARE
 
   void Reset();
 

@@ -246,7 +246,7 @@ Status MaterializedViewSet::RebuildView(EngineContext& ctx, size_t i) {
 
 Result<ApplySummary> MaterializedViewSet::Apply(EngineContext& ctx,
                                                 const DeltaDatabase& delta,
-                                                const MaintainOptions& options,
+                                                plan::IvmPath path,
                                                 MaintenanceCertificate* cert) {
   if (&delta.base() != &base_)
     return Status::InvalidArgument(
@@ -279,8 +279,8 @@ Result<ApplySummary> MaterializedViewSet::Apply(EngineContext& ctx,
   summary.retracted = delta.minus().TotalTuples();
 
   // Route the incremental-vs-rebuild choice through the planner: raw work
-  // estimates from the cost model, pins and the subset-expansion cap from
-  // the options, calibration factors from ctx.adaptive().
+  // estimates from the cost model, the touched positions the subset cap
+  // reads, the caller's pin, calibration factors from ctx.adaptive().
   auto size_of = [this](const std::string& p) { return base_.Get(p).size(); };
   auto plus_size = [&delta](const std::string& p) {
     return delta.plus().Get(p).size();
@@ -302,10 +302,8 @@ Result<ApplySummary> MaterializedViewSet::Apply(EngineContext& ctx,
       max_touched = std::max(max_touched, touched);
     }
   }
-  const plan::IvmPathChoice choice = plan::ChooseIvmPath(
-      ctx, incremental, full, options.rebuild_bias, max_touched,
-      options.max_subset_positions, options.force_incremental,
-      options.force_rebuild);
+  const plan::IvmPathChoice choice =
+      plan::ChooseIvmPath(ctx, incremental, full, max_touched, path);
 
   if (choice.rebuild) {
     ++ctx.stats().ivm_rebuild_fallbacks;
@@ -527,19 +525,19 @@ Status MaterializedViewSet::FoldCounts(size_t i, const CountMap& delta,
 }
 
 Result<ApplySummary> MaterializedViewSet::ApplyInsert(
-    EngineContext& ctx, const Database& facts, const MaintainOptions& options,
+    EngineContext& ctx, const Database& facts, plan::IvmPath path,
     MaintenanceCertificate* cert) {
   DeltaDatabase delta(&base_);
   CQAC_RETURN_IF_ERROR(delta.StageInsertAll(facts));
-  return Apply(ctx, delta, options, cert);
+  return Apply(ctx, delta, path, cert);
 }
 
 Result<ApplySummary> MaterializedViewSet::ApplyRetract(
-    EngineContext& ctx, const Database& facts, const MaintainOptions& options,
+    EngineContext& ctx, const Database& facts, plan::IvmPath path,
     MaintenanceCertificate* cert) {
   DeltaDatabase delta(&base_);
   CQAC_RETURN_IF_ERROR(delta.StageRetractAll(facts));
-  return Apply(ctx, delta, options, cert);
+  return Apply(ctx, delta, path, cert);
 }
 
 }  // namespace ivm

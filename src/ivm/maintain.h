@@ -18,7 +18,7 @@
 //
 // The maintainer estimates the incremental work per batch and falls back to
 // a full rebuild when a large delta would cost more than recomputing
-// (MaintainOptions::rebuild_bias). It threads an EngineContext through:
+// (plan::ChooseIvmPath). It threads an EngineContext through:
 // budget/deadline/cancel abort the apply with kResourceExhausted, ivm_*
 // stat counters record the maintenance work, and delta chunks fan out over
 // the context's TaskPool — derivation counts are additive, so chunk merges
@@ -36,30 +36,10 @@
 #include "src/eval/database.h"
 #include "src/ir/query.h"
 #include "src/ivm/delta.h"
+#include "src/plan/planner.h"
 
 namespace cqac {
 namespace ivm {
-
-/// Per-batch policy knobs. The incremental-vs-rebuild choice itself is made
-/// by the planner (plan::ChooseIvmPath), which combines these pins with the
-/// work estimates and the context's self-tuning calibration factors.
-struct MaintainOptions {
-  /// Fall back to a full rebuild when the (calibrated) incremental work
-  /// estimate exceeds rebuild_bias × the (calibrated) rebuild estimate.
-  double rebuild_bias = 1.0;
-
-  /// Cap on the number of delta-touched body positions the counting
-  /// maintainer will expand incrementally: a delta side touching k
-  /// positions of one view body expands into 2^k - 1 subset joins, so past
-  /// the cap Apply falls back to a rebuild regardless of the cost
-  /// estimates. The default preserves the historical cutoff; 0 disables
-  /// incremental maintenance for any delta that touches a body at all.
-  size_t max_subset_positions = 10;
-
-  /// Force one path regardless of the estimates (benchmarks, tests).
-  bool force_incremental = false;
-  bool force_rebuild = false;
-};
 
 /// What one Apply did.
 struct ApplySummary {
@@ -116,22 +96,24 @@ class MaterializedViewSet {
   Status AddView(EngineContext& ctx, const Query& view);
 
   /// Applies one staged batch. The delta must have been staged against
-  /// base(). On kResourceExhausted a rebuild, and any batch with one side
+  /// base(). `path` pins the incremental or the rebuild path; kPlanned lets
+  /// plan::ChooseIvmPath weigh the work estimates and the context's
+  /// self-tuning calibration factors. On kResourceExhausted a rebuild, and any batch with one side
   /// only (ApplyInsert, ApplyRetract), is rolled back completely; a mixed
   /// batch may keep its retract half when the insert half aborts (the
   /// aborted half is rolled back). Base and views always agree.
   /// When `cert` is non-null, a successful Apply fills it with the exact
   /// per-tuple count transitions of this batch (O(state) snapshotting).
   Result<ApplySummary> Apply(EngineContext& ctx, const DeltaDatabase& delta,
-                             const MaintainOptions& options = {},
+                             plan::IvmPath path = {},
                              MaintenanceCertificate* cert = nullptr);
 
   /// Convenience: stages every fact of `facts` and applies.
   Result<ApplySummary> ApplyInsert(EngineContext& ctx, const Database& facts,
-                                   const MaintainOptions& options = {},
+                                   plan::IvmPath path = {},
                                    MaintenanceCertificate* cert = nullptr);
   Result<ApplySummary> ApplyRetract(EngineContext& ctx, const Database& facts,
-                                    const MaintainOptions& options = {},
+                                    plan::IvmPath path = {},
                                     MaintenanceCertificate* cert = nullptr);
 
   /// The owned base database (read-only; mutate via Apply).

@@ -188,31 +188,26 @@ double CountingRebuildEstimate(
 }
 
 IvmPathChoice ChooseIvmPath(EngineContext& ctx, double est_incremental,
-                            double est_rebuild, double rebuild_bias,
-                            size_t max_touched, size_t max_subset_positions,
-                            bool force_incremental, bool force_rebuild) {
+                            double est_rebuild, size_t max_touched,
+                            IvmPath pin) {
   ++ctx.stats().plan_decisions;
   IvmPathChoice c;
   c.est_incremental = est_incremental;
   c.est_rebuild = est_rebuild;
-  if (force_rebuild) {
-    c.rebuild = true;
+  if (pin != IvmPath::kPlanned) {
+    c.rebuild = pin == IvmPath::kRebuild;
     c.forced = true;
     return c;
   }
-  if (force_incremental) {
-    c.forced = true;
-    return c;
-  }
-  if (max_subset_positions > 0 && max_touched > max_subset_positions) {
+  if (max_touched > kMaxSubsetPositions) {
     // Structural guard, not a cost call: the subset expansion alone would
-    // dwarf a rebuild (see MaintainOptions::max_subset_positions).
+    // dwarf a rebuild.
     c.rebuild = true;
     c.forced = true;
     return c;
   }
   c.rebuild = est_incremental * IvmArm(ctx, /*rebuild=*/false).factor >
-              rebuild_bias * est_rebuild * IvmArm(ctx, /*rebuild=*/true).factor;
+              est_rebuild * IvmArm(ctx, /*rebuild=*/true).factor;
   return c;
 }
 

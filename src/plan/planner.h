@@ -93,6 +93,16 @@ double CountingDeltaEstimate(const Query& q,
 double CountingRebuildEstimate(const Query& q,
                                FunctionRef<size_t(const std::string&)> rel_size);
 
+/// Which path an IVM apply takes. Value-initialized it is kPlanned, where
+/// ChooseIvmPath decides; kIncremental and kRebuild pin a path whatever the
+/// estimates say (tests and benchmarks).
+enum class IvmPath { kPlanned, kIncremental, kRebuild };
+
+/// A delta side touching k positions of one view body expands into 2^k - 1
+/// subset joins, so past this many positions the maintainer rebuilds
+/// whatever the estimates say.
+constexpr size_t kMaxSubsetPositions = 10;
+
 /// The incremental-vs-rebuild decision with the raw estimates the outcome
 /// feedback divides by.
 struct IvmPathChoice {
@@ -102,16 +112,14 @@ struct IvmPathChoice {
   double est_rebuild = 0;
 };
 
-/// Chooses the maintenance path: pins win, then the subset-expansion cap (a
-/// side touching k positions expands into 2^k - 1 subset joins, so past the
-/// cap the expansion alone outweighs a rebuild), then the calibrated cost
-/// comparison
-///   est_incremental x incr_factor  >  bias x est_rebuild x rebuild_factor.
+/// Chooses the maintenance path: a pin wins, then the subset-expansion cap
+/// (`max_touched` > kMaxSubsetPositions: the expansion alone outweighs a
+/// rebuild), then the calibrated cost comparison: the rebuild wins iff
+///   est_incremental x incr_factor  >  est_rebuild x rebuild_factor.
 /// Reads ctx.adaptive() and bumps plan_decisions; coordinator-only.
 IvmPathChoice ChooseIvmPath(EngineContext& ctx, double est_incremental,
-                            double est_rebuild, double rebuild_bias,
-                            size_t max_touched, size_t max_subset_positions,
-                            bool force_incremental, bool force_rebuild);
+                            double est_rebuild, size_t max_touched,
+                            IvmPath pin);
 
 /// Feeds the executed path's observed work (thread-invariant tuple counts)
 /// back into the matching calibration histogram; bumps plan_retunes when

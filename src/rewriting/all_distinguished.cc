@@ -103,7 +103,6 @@ Result<UnionQuery> RewriteAllDistinguished(EngineContext& ctx, const Query& q,
   if (!MapSubgoals(qp, views, &choices)) return UnionQuery{};
 
   UnionCollector collector(nullptr);
-  ProductCounts counts;
   CQAC_RETURN_IF_ERROR(VerifyProduct(
       ctx, choices,
       "all-distinguished candidate enumeration exceeded the mapping budget",
@@ -115,15 +114,13 @@ Result<UnionQuery> RewriteAllDistinguished(EngineContext& ctx, const Query& q,
         Result<bool> accepted = VerifyCandidate(ctx, *cand, qp, views, nullptr);
         if (!accepted.ok()) {
           out.error = accepted.status();
-        } else if (!accepted.value()) {
-          ++out.rejects;
-        } else {
+        } else if (accepted.value()) {
           out.accepted.push_back(CompactVariables(*cand));
           out.witnesses.emplace_back();
         }
         return out;
       },
-      &collector, &counts));
+      &collector));
   return collector.Take();
 }
 

@@ -74,8 +74,8 @@ Result<ViewPlan> RunRewriteAlgorithm(EngineContext& ctx,
   CQAC_ASSIGN_OR_RETURN(
       plan.union_plan,
       algorithm == RewriteAlgorithm::kLsiMcr
-          ? RewriteLsiQuery(ctx, q, views, {}, nullptr, witness)
-          : BucketRewrite(ctx, q, views, {}, nullptr, witness));
+          ? RewriteLsiQuery(ctx, q, views, {}, witness)
+          : BucketRewrite(ctx, q, views, {}, witness));
   if (!plan.union_plan.empty()) plan.kind = PlanKind::kFiniteUnion;
   return plan;
 }

@@ -127,12 +127,7 @@ std::vector<Query> Variants(Query cand) {
 Result<UnionQuery> BucketRewrite(EngineContext& ctx, const Query& q,
                                  const ViewSet& views,
                                  const BucketOptions& options,
-                                 BucketStats* stats,
                                  RewritingWitness* witness) {
-  BucketStats local;
-  if (stats == nullptr) stats = &local;
-  *stats = BucketStats{};
-
   CQAC_ASSIGN_OR_RETURN(std::optional<Query> prepared,
                         PrepareQuery(q, witness));
   if (!prepared.has_value()) return UnionQuery{};
@@ -140,14 +135,10 @@ Result<UnionQuery> BucketRewrite(EngineContext& ctx, const Query& q,
   CQAC_ASSIGN_OR_RETURN(ViewSet prepped, PrepareViews(views, witness));
 
   std::vector<std::vector<SubgoalMapping>> buckets;
-  const bool coverable = MapSubgoals(qp, prepped, &buckets);
-  for (const std::vector<SubgoalMapping>& bucket : buckets)
-    stats->bucket_entries += bucket.size();
-  if (!coverable) return UnionQuery{};
+  if (!MapSubgoals(qp, prepped, &buckets)) return UnionQuery{};
 
   UnionCollector collector(witness);
-  ProductCounts counts;
-  Status st = VerifyProduct(
+  CQAC_RETURN_IF_ERROR(VerifyProduct(
       ctx, buckets, "bucket candidate enumeration exceeded the mapping budget",
       "bucket candidate enumeration",
       [&](const std::vector<const SubgoalMapping*>& pick) {
@@ -164,19 +155,13 @@ Result<UnionQuery> BucketRewrite(EngineContext& ctx, const Query& q,
             out.error = accepted.status();
             return out;
           }
-          if (!accepted.value()) {
-            ++out.rejects;
-            continue;
-          }
+          if (!accepted.value()) continue;
           out.accepted.push_back(CompactVariables(variant));
           out.witnesses.push_back(std::move(evidence));
         }
         return out;
       },
-      &collector, &counts);
-  stats->candidates = counts.picks;
-  stats->verified_rejects = counts.rejects;
-  CQAC_RETURN_IF_ERROR(st);
+      &collector));
   return collector.Take();
 }
 

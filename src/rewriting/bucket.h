@@ -25,15 +25,10 @@ struct BucketOptions {
   bool ac_aware = true;
 };
 
-struct BucketStats {
-  size_t bucket_entries = 0;
-  size_t candidates = 0;
-  size_t verified_rejects = 0;
-};
-
 /// Runs the bucket algorithm; returns the union of verified contained
 /// rewritings. The cartesian-product candidate count is charged to the
 /// context's Budget::max_mappings (ResourceExhausted when exceeded) and
+/// counted in rewrite_candidates, every reject in rewrite_verified_rejects;
 /// verification containment checks are memoized in the context.
 ///
 /// When `witness` is non-null, each emitted disjunct's verification evidence
@@ -42,7 +37,6 @@ struct BucketStats {
 Result<UnionQuery> BucketRewrite(EngineContext& ctx, const Query& q,
                                  const ViewSet& views,
                                  const BucketOptions& options = {},
-                                 BucketStats* stats = nullptr,
                                  RewritingWitness* witness = nullptr);
 
 }  // namespace cqac

@@ -115,18 +115,18 @@ bool MapSubgoals(const Query& q, const ViewSet& views,
 Status VerifyProduct(EngineContext& ctx,
                      const std::vector<std::vector<SubgoalMapping>>& choices,
                      const char* exhausted, const char* deadline_what,
-                     PickVerifier verify, UnionCollector* out,
-                     ProductCounts* counts) {
+                     PickVerifier verify, UnionCollector* out) {
   constexpr size_t kBlock = 64;
   using Pick = std::vector<const SubgoalMapping*>;
   Status status = Status::OK();
   std::vector<size_t> idx(choices.size(), 0);
+  size_t picks = 0;
   bool exhausted_product = false;
   while (!exhausted_product && status.ok()) {
     // Generate (and charge) the next block serially.
     std::vector<Pick> block;
     while (block.size() < kBlock && !exhausted_product) {
-      if (++counts->picks > ctx.budget().max_mappings) {
+      if (++picks > ctx.budget().max_mappings) {
         ++ctx.stats().budget_exhaustions;
         status = Status::ResourceExhausted(exhausted);
         break;
@@ -162,7 +162,6 @@ Status VerifyProduct(EngineContext& ctx,
         status = o.error;
         break;
       }
-      counts->rejects += o.rejects;
       out->Add(o);
     }
   }

@@ -56,9 +56,12 @@ Result<bool> VerifyCandidate(EngineContext& ctx, const Query& candidate,
 /// yields, for a merge in unit order.
 struct CandidateOutcome {
   Status error = Status::OK();
+  /// `error` is a budget charge the unit ran past. The serial merge counts
+  /// it in budget_exhaustions, so the count does not depend on which units
+  /// a parallel pass computed twice.
+  bool over_budget = false;
   std::vector<Query> accepted;
   std::vector<ContainmentWitness> witnesses;  // parallel to `accepted`
-  size_t rejects = 0;
 };
 
 /// The union of accepted candidates in the order they are added. Exact-text
@@ -96,12 +99,6 @@ struct SubgoalMapping {
 bool MapSubgoals(const Query& q, const ViewSet& views,
                  std::vector<std::vector<SubgoalMapping>>* choices);
 
-/// Counts of one VerifyProduct run.
-struct ProductCounts {
-  size_t picks = 0;    // charged to the budget, the one that ran out included
-  size_t rejects = 0;  // verified rejects among the merged picks
-};
-
 using PickVerifier =
     FunctionRef<CandidateOutcome(const std::vector<const SubgoalMapping*>&)>;
 
@@ -116,8 +113,7 @@ using PickVerifier =
 Status VerifyProduct(EngineContext& ctx,
                      const std::vector<std::vector<SubgoalMapping>>& choices,
                      const char* exhausted, const char* deadline_what,
-                     PickVerifier verify, UnionCollector* out,
-                     ProductCounts* counts);
+                     PickVerifier verify, UnionCollector* out);
 
 }  // namespace cqac
 

@@ -28,11 +28,12 @@ void HeadHomomorphism::Union(int a, int b) {
   parent_[b] = a;  // smaller id becomes the representative
 }
 
+// Every class of `this` lies inside a class of `other` iff each variable
+// shares its class in `other` with its representative here.
 bool HeadHomomorphism::RefinedBy(const HeadHomomorphism& other) const {
   assert(num_vars() == other.num_vars());
   for (int i = 0; i < num_vars(); ++i)
-    for (int j = i + 1; j < num_vars(); ++j)
-      if (Same(i, j) && !other.Same(i, j)) return false;
+    if (!other.Same(i, Find(i))) return false;
   return true;
 }
 

@@ -23,11 +23,6 @@ std::string Mcd::ToString(const Query& q, const Query& view) const {
 
 namespace {
 
-/// Cap on export-homomorphism combinations explored per MCD skeleton (a
-/// structural fan-out bound; the overall MCD count is charged to the
-/// context's Budget::max_mappings).
-constexpr size_t kMaxExportCombinations = 256;
-
 /// In-flight MCD construction state.
 struct BuildState {
   std::set<int> covered;
@@ -40,11 +35,12 @@ struct BuildState {
 
 class McdBuilder {
  public:
-  McdBuilder(const Query& q, const Query& view, int view_index,
-             const ExportAnalysis& analysis, size_t max_mcds,
+  McdBuilder(EngineContext& ctx, const Query& q, const Query& view,
+             int view_index, const ExportAnalysis& analysis,
              std::vector<Mcd>* out)
-      : q_(q), view_(view), view_index_(view_index), analysis_(analysis),
-        max_mcds_(max_mcds), out_(out),
+      : ctx_(ctx), q_(q), view_(view), view_index_(view_index),
+        analysis_(analysis), max_mappings_(ctx.budget().max_mappings),
+        out_(out),
         q_distinguished_(q.DistinguishedMask()),
         v_distinguished_(view.DistinguishedMask()) {
     // Precompute, per query variable, the subgoals it occurs in.
@@ -61,6 +57,9 @@ class McdBuilder {
     if (!Assign(gi, vj, &st)) return;
     Complete(std::move(st));
   }
+
+  /// OK, or the ResourceExhausted that stopped an export product.
+  const Status& status() const { return status_; }
 
  private:
   // Merges two view variables in the head homomorphism.
@@ -139,7 +138,7 @@ class McdBuilder {
 
   // Recursively closes the MCD, then applies exports and emits.
   void Complete(BuildState st) {
-    if (out_->size() >= max_mcds_) return;
+    if (out_->size() >= max_mappings_ || !status_.ok()) return;
     int pull = FindPull(st);
     if (pull == -2) return;  // a distinguished query var hit an unusable image
     if (pull >= 0) {
@@ -191,6 +190,15 @@ class McdBuilder {
     return cs;
   }
 
+  // Polls the deadline during an export product; once it has passed,
+  // status_ holds the ResourceExhausted and budget_exhaustions is bumped.
+  bool DeadlinePassed() {
+    status_ = ctx_.budget().CheckDeadline("MCD export combinations");
+    if (status_.ok()) return false;
+    ++ctx_.stats().budget_exhaustions;
+    return true;
+  }
+
   void EmitWithExports(BuildState st) {
     std::set<int> need = NeedUsable(st);
 
@@ -214,14 +222,27 @@ class McdBuilder {
       choices.push_back(std::move(alts));
     }
 
-    // Cartesian product of export choices, capped.
+    // Cartesian product of export choices. The whole product is charged to
+    // Budget::max_mappings before any of it is built, and every pass over it
+    // below (building, filtering, the pairwise prune, emitting) polls the
+    // deadline once per combination.
+    size_t product = 1;
+    for (const auto& alts : choices) {
+      if (product > max_mappings_ / alts.size()) {
+        ++ctx_.stats().budget_exhaustions;
+        status_ = Status::ResourceExhausted(
+            "export homomorphisms of an MCD exceeded the mapping budget");
+        return;
+      }
+      product *= alts.size();
+    }
     std::vector<HeadHomomorphism> combos{st.hh};
     for (const auto& alts : choices) {
       std::vector<HeadHomomorphism> next;
       for (const HeadHomomorphism& base : combos)
         for (const HeadHomomorphism& h : alts) {
+          if (DeadlinePassed()) return;
           next.push_back(HeadHomomorphism::Combine(base, h));
-          if (next.size() > kMaxExportCombinations) break;
         }
       combos = std::move(next);
     }
@@ -230,6 +251,7 @@ class McdBuilder {
     // are consistent with the view's comparisons.
     std::vector<HeadHomomorphism> minimal;
     for (const HeadHomomorphism& h : combos) {
+      if (DeadlinePassed()) return;
       if (!AcsConsistent(ViewAcsUnder(h, st.const_bindings))) continue;
       bool usable_ok = true;
       for (int w : need)
@@ -240,14 +262,19 @@ class McdBuilder {
     // Drop any homomorphism strictly more restrictive than another kept one.
     std::vector<HeadHomomorphism> pruned;
     for (const HeadHomomorphism& h : minimal) {
+      if (DeadlinePassed()) return;
       bool dominated = false;
-      for (const HeadHomomorphism& g : minimal)
-        if (!(g == h) && g.RefinedBy(h)) dominated = true;
+      for (const HeadHomomorphism& g : minimal) {
+        if (g.RefinedBy(h) && !h.RefinedBy(g)) {
+          dominated = true;
+          break;
+        }
+      }
       if (!dominated) pruned.push_back(h);
     }
 
     for (const HeadHomomorphism& h : pruned) {
-      if (out_->size() >= max_mcds_) return;
+      if (out_->size() >= max_mappings_ || DeadlinePassed()) return;
       Mcd mcd(q_.num_vars(), view_.num_vars());
       mcd.view_index = view_index_;
       mcd.covered.assign(st.covered.begin(), st.covered.end());
@@ -261,19 +288,23 @@ class McdBuilder {
         if (existing.view_index == mcd.view_index &&
             existing.covered == mcd.covered && existing.phi == mcd.phi &&
             existing.hh == mcd.hh &&
-            existing.const_bindings == mcd.const_bindings)
+            existing.const_bindings == mcd.const_bindings) {
           dup = true;
+          break;
+        }
       }
       if (!dup) out_->push_back(std::move(mcd));
     }
   }
 
+  EngineContext& ctx_;
   const Query& q_;
   const Query& view_;
   int view_index_;
   const ExportAnalysis& analysis_;
-  size_t max_mcds_;
+  size_t max_mappings_;
   std::vector<Mcd>* out_;
+  Status status_ = Status::OK();
   std::vector<bool> q_distinguished_;
   std::vector<bool> v_distinguished_;
   std::vector<std::set<int>> occurs_in_;
@@ -286,22 +317,23 @@ Result<std::vector<Mcd>> ConstructMcds(
     const std::vector<ExportAnalysis>& analyses) {
   if (analyses.size() != views.size())
     return Status::InvalidArgument("analyses must parallel views");
-  const size_t max_mcds = ctx.budget().max_mappings;
   std::vector<Mcd> out;
   for (size_t vi = 0; vi < views.size(); ++vi) {
-    McdBuilder builder(q, views[vi], static_cast<int>(vi), analyses[vi],
-                       max_mcds, &out);
+    McdBuilder builder(ctx, q, views[vi], static_cast<int>(vi), analyses[vi],
+                       &out);
     for (size_t gi = 0; gi < q.body().size(); ++gi) {
       CQAC_RETURN_IF_ERROR(ctx.budget().CheckDeadline("MCD construction"));
       for (size_t vj = 0; vj < views[vi].body().size(); ++vj)
         builder.Seed(static_cast<int>(gi), static_cast<int>(vj));
+      CQAC_RETURN_IF_ERROR(builder.status());
     }
-    if (out.size() >= max_mcds) {
+    if (out.size() >= ctx.budget().max_mappings) {
       ++ctx.stats().budget_exhaustions;
       return Status::ResourceExhausted(
           "MCD construction exceeded the mapping budget");
     }
   }
+  ctx.stats().rewrite_mcds += out.size();
   return out;
 }
 

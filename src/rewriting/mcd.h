@@ -45,9 +45,13 @@ struct Mcd {
 
 /// Builds all MCDs of `q` over `views` (both must be preprocessed; the
 /// analyses vector parallels the views). Each MCD is minimal in its covered
-/// set and carries a least restrictive head homomorphism. The MCD count is
-/// capped by the context's Budget::max_mappings and the deadline is checked
-/// between seeds; exceeding either returns ResourceExhausted.
+/// set and carries a least restrictive head homomorphism. The context's
+/// Budget::max_mappings caps the MCD count and, per MCD skeleton, the product
+/// of the export homomorphisms its classes can choose from; the deadline is
+/// checked between seeds and per export combination in each pass over the
+/// product (building, filtering, pruning, emitting). Exceeding either
+/// returns ResourceExhausted and bumps budget_exhaustions. The MCDs built go
+/// to rewrite_mcds.
 Result<std::vector<Mcd>> ConstructMcds(
     EngineContext& ctx, const Query& q, const ViewSet& views,
     const std::vector<ExportAnalysis>& analyses);

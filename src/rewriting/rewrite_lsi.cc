@@ -64,10 +64,8 @@ class QueryVarUnifier {
 class Combiner {
  public:
   Combiner(EngineContext& ctx, const Query& q, const ViewSet& views,
-           const std::vector<const Mcd*>& combo,
-           const RewriteOptions& options)
-      : ctx_(ctx), q_(q), views_(views), combo_(combo), options_(options),
-        uf_(q.num_vars()) {}
+           const std::vector<const Mcd*>& combo)
+      : ctx_(ctx), q_(q), views_(views), combo_(combo), uf_(q.num_vars()) {}
 
   /// Produces all candidate rewritings for this combination (empty when the
   /// combination is infeasible).
@@ -78,6 +76,9 @@ class Combiner {
     if (!ok) return std::vector<Query>{};
     return Instantiate();
   }
+
+  /// True when Build failed on a budget charge (the caller counts it).
+  bool over_budget() const { return over_budget_; }
 
  private:
   // ---- Step A: equalities forced by the MCDs. -----------------------------
@@ -274,11 +275,28 @@ class Combiner {
   }
 
   // ---- Step D: cartesian product of the AC alternatives. ------------------
+  // The whole product is charged to Budget::max_mappings before any of it
+  // is built, and the deadline is polled once per product element.
   Result<std::vector<Query>> Instantiate() {
+    const size_t cap = ctx_.budget().max_mappings;
+    size_t product = 1;
+    for (const std::vector<std::optional<Comparison>>& ways : ac_ways_) {
+      if (product > cap / ways.size()) {
+        over_budget_ = true;
+        return Status::ResourceExhausted(
+            "comparison alternatives of an MCD cover exceeded the mapping "
+            "budget");
+      }
+      product *= ways.size();
+    }
     std::vector<Query> out;
     std::vector<size_t> idx(ac_ways_.size(), 0);
-    size_t produced = 0;
-    while (true) {
+    for (size_t n = 0; n < product; ++n) {
+      Status deadline = ctx_.budget().CheckDeadline("comparison alternatives");
+      if (!deadline.ok()) {
+        over_budget_ = true;
+        return deadline;
+      }
       Query candidate = p_;
       for (size_t i = 0; i < ac_ways_.size(); ++i) {
         const std::optional<Comparison>& way = ac_ways_[i][idx[i]];
@@ -290,14 +308,9 @@ class Combiner {
       }
       if (AcsConsistent(candidate.comparisons()))
         out.push_back(CompactVariables(candidate));
-      if (++produced >= options_.max_ac_alternatives) break;
       // Advance the mixed-radix counter.
-      size_t i = 0;
-      for (; i < idx.size(); ++i) {
-        if (++idx[i] < ac_ways_[i].size()) break;
+      for (size_t i = 0; i < idx.size() && ++idx[i] == ac_ways_[i].size(); ++i)
         idx[i] = 0;
-      }
-      if (i == idx.size()) break;
     }
     return out;
   }
@@ -306,7 +319,7 @@ class Combiner {
   const Query& q_;
   const ViewSet& views_;
   const std::vector<const Mcd*>& combo_;
-  const RewriteOptions& options_;
+  bool over_budget_ = false;
 
   QueryVarUnifier uf_;
   Query p_;
@@ -321,12 +334,7 @@ class Combiner {
 Result<UnionQuery> RewriteLsiQuery(EngineContext& ctx, const Query& q,
                                    const ViewSet& views,
                                    const RewriteOptions& options,
-                                   RewriteStats* stats,
                                    RewritingWitness* witness) {
-  RewriteStats local_stats;
-  if (stats == nullptr) stats = &local_stats;
-  *stats = RewriteStats{};
-
   CQAC_ASSIGN_OR_RETURN(std::optional<Query> prepared,
                         PrepareQuery(q, witness));
   if (!prepared.has_value()) return UnionQuery{};
@@ -348,7 +356,6 @@ Result<UnionQuery> RewriteLsiQuery(EngineContext& ctx, const Query& q,
 
   CQAC_ASSIGN_OR_RETURN(std::vector<Mcd> mcds,
                         ConstructMcds(ctx, qp, prepped, analyses));
-  stats->mcds = mcds.size();
 
   // Index MCDs by their smallest covered subgoal for the exact-cover search.
   const size_t num_goals = qp.body().size();
@@ -371,7 +378,7 @@ Result<UnionQuery> RewriteLsiQuery(EngineContext& ctx, const Query& q,
     if (first_uncovered == num_goals) {
       // Another complete cover exists beyond the cap: report exhaustion
       // rather than silently truncating the MCR.
-      if (stats->combinations >= ctx.budget().max_mappings) {
+      if (combos.size() >= ctx.budget().max_mappings) {
         ++ctx.stats().budget_exhaustions;
         inner = Status::ResourceExhausted(
             "MCD combination search exceeded the mapping budget");
@@ -382,7 +389,6 @@ Result<UnionQuery> RewriteLsiQuery(EngineContext& ctx, const Query& q,
         ++ctx.stats().budget_exhaustions;
         return;
       }
-      ++stats->combinations;
       combos.push_back(combo);
       return;
     }
@@ -407,13 +413,21 @@ Result<UnionQuery> RewriteLsiQuery(EngineContext& ctx, const Query& q,
   // outcomes in cover order and is deterministic at every thread count.
   auto process_combo = [&](size_t ci) -> CandidateOutcome {
     CandidateOutcome out;
-    Combiner combiner(ctx, qp, prepped, combos[ci], options);
+    Combiner combiner(ctx, qp, prepped, combos[ci]);
     Result<std::vector<Query>> candidates = combiner.Build();
     if (!candidates.ok()) {
       out.error = candidates.status();
+      out.over_budget = combiner.over_budget();
       return out;
     }
     for (Query& cand : candidates.value()) {
+      // Verifying a candidate costs far more than building it, so the
+      // deadline is polled here too, not only in step D.
+      out.error = ctx.budget().CheckDeadline("verifying rewritings");
+      if (!out.error.ok()) {
+        out.over_budget = true;
+        return out;
+      }
       ++ctx.stats().rewrite_candidates;
       ContainmentWitness evidence;
       if (options.verify_rewritings || witness != nullptr) {
@@ -424,10 +438,7 @@ Result<UnionQuery> RewriteLsiQuery(EngineContext& ctx, const Query& q,
           out.error = accepted.status();
           return out;
         }
-        if (!accepted.value()) {
-          ++out.rejects;
-          continue;
-        }
+        if (!accepted.value()) continue;
       }
       out.accepted.push_back(std::move(cand));
       out.witnesses.push_back(std::move(evidence));
@@ -442,9 +453,8 @@ Result<UnionQuery> RewriteLsiQuery(EngineContext& ctx, const Query& q,
   UnionCollector collector(witness);
   for (size_t ci = 0; ci < combos.size(); ++ci) {
     CandidateOutcome& o = outcomes.Get(ci);
+    if (o.over_budget) ++ctx.stats().budget_exhaustions;
     CQAC_RETURN_IF_ERROR(o.error);
-    stats->candidates += o.accepted.size() + o.rejects;
-    stats->verified_rejects += o.rejects;
     collector.Add(o);
   }
   return collector.Take();

@@ -27,10 +27,6 @@
 namespace cqac {
 
 struct RewriteOptions {
-  /// Cap on per-combination alternatives for satisfying the query's
-  /// comparisons (cartesian across comparisons). A structural fan-out bound;
-  /// the MCD-combination count is charged to Budget::max_mappings.
-  size_t max_ac_alternatives = 256;
   /// Verify each candidate rewriting (expansion contained in the query)
   /// before emitting. Cheap for LSI/RSI queries (single-mapping test); keep
   /// on in production. Off only for baseline experiments that demonstrate
@@ -38,22 +34,19 @@ struct RewriteOptions {
   bool verify_rewritings = true;
 };
 
-/// Statistics of one rewriting run (for the benchmark harness).
-struct RewriteStats {
-  size_t mcds = 0;
-  size_t combinations = 0;
-  size_t candidates = 0;          // candidate CRs before verification
-  size_t verified_rejects = 0;    // candidates the verifier rejected
-};
-
 /// Computes an MCR of the LSI/RSI query `q` using `views` (general CQACs)
 /// as a finite union of CQACs. `q` must classify as CQ-only, LSI, or RSI;
 /// other classes are Unsupported (Section 5's algorithm covers CQAC-SI).
 ///
-/// The context's Budget caps MCD construction and the exact-cover search
-/// (max_mappings) and the whole run (deadline); exhaustion returns a clean
-/// ResourceExhausted. Verification containment checks are memoized in the
-/// context, so repeated candidates across combinations are verified once.
+/// The context's Budget::max_mappings caps MCD construction, each MCD
+/// skeleton's product of export homomorphisms, the exact-cover search, and
+/// each cover's product of ways to satisfy the query's comparisons; the
+/// deadline caps the whole run and is polled per product element and per
+/// candidate verified. Exhaustion returns a clean ResourceExhausted
+/// and bumps budget_exhaustions. The MCD count goes to rewrite_mcds, every
+/// candidate to rewrite_candidates and every reject to
+/// rewrite_verified_rejects. Verification containment checks are memoized in
+/// the context, so repeated candidates across combinations are verified once.
 ///
 /// When `witness` is non-null, every emitted disjunct's verification
 /// evidence is recorded (one ContainmentWitness per disjunct, parallel to
@@ -63,7 +56,6 @@ struct RewriteStats {
 Result<UnionQuery> RewriteLsiQuery(EngineContext& ctx, const Query& q,
                                    const ViewSet& views,
                                    const RewriteOptions& options = {},
-                                   RewriteStats* stats = nullptr,
                                    RewritingWitness* witness = nullptr);
 
 }  // namespace cqac

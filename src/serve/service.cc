@@ -296,16 +296,15 @@ std::string Service::HandleRewrite(const Request& req) {
   // With "certify": true, the static obligations (classification, the
   // rewriting witness or the SI-MCR rules + bounded unfolding, both
   // minimizations) are re-proved by the independent auditor and attached.
+  // The inputs carry no facts, so the IVM and evaluation obligations do not
+  // run.
   std::string audit_json;
   if (CertifyRequested(req)) {
     audit::AuditInputs inputs;
     inputs.query = query;
     inputs.views = views;
-    audit::AuditOptions opts;
-    opts.audit_ivm = false;
-    opts.audit_eval = false;
     audit::AuditReport report;
-    Status st = audit::AuditAll(ctx_, inputs, opts, &report);
+    Status st = audit::AuditAll(ctx_, inputs, {}, &report);
     if (!st.ok()) return ErrorResponse(req, st);
     audit_json = report.ToJson();
   }

@@ -61,9 +61,9 @@ TEST(BucketTest, AcBlindModeStillSound) {
   EngineContext ctx;
   BucketOptions opts;
   opts.ac_aware = false;
-  BucketStats stats;
   auto bucket = BucketRewrite(ctx, workloads::Sec44CaseQuery(),
-                              workloads::Sec44CaseViews(), opts, &stats);
+                              workloads::Sec44CaseViews(), opts);
+  const uint64_t rejects = ctx.stats().rewrite_verified_rejects;
   ASSERT_TRUE(bucket.ok()) << bucket.status();
   for (const Query& d : bucket.value().disjuncts) {
     auto exp = ExpandRewriting(d, workloads::Sec44CaseViews());
@@ -73,18 +73,17 @@ TEST(BucketTest, AcBlindModeStillSound) {
     EXPECT_TRUE(c.value()) << d.ToString();
   }
   // AC-blind candidates lacking the comparison are rejected.
-  EXPECT_GT(stats.verified_rejects, 0u);
+  EXPECT_GT(rejects, 0u);
 }
 
 TEST(BucketTest, UncoverableSubgoalShortCircuits) {
   EngineContext ctx;
   Query q = MustParseQuery("q(X) :- r(X), t(X)");
   ViewSet views(MustParseRules("v(X) :- r(X)."));
-  BucketStats stats;
-  auto bucket = BucketRewrite(ctx, q, views, {}, &stats);
+  auto bucket = BucketRewrite(ctx, q, views);
   ASSERT_TRUE(bucket.ok());
   EXPECT_TRUE(bucket.value().disjuncts.empty());
-  EXPECT_EQ(stats.candidates, 0u);
+  EXPECT_EQ(ctx.stats().rewrite_candidates, 0u);
 }
 
 }  // namespace

@@ -103,7 +103,7 @@ TEST(CertificateTest, RewriteLsiWitnessValidates) {
                              "v2(X) :- r(X), X < 5."});
   EngineContext ctx;
   RewritingWitness w;
-  Result<UnionQuery> mcr = RewriteLsiQuery(ctx, q, views, {}, nullptr, &w);
+  Result<UnionQuery> mcr = RewriteLsiQuery(ctx, q, views, {}, &w);
   ASSERT_TRUE(mcr.ok()) << mcr.status();
   ASSERT_FALSE(mcr.value().disjuncts.empty());
   Status st = CheckRewritingWitness(q, views, mcr.value(), w);
@@ -115,7 +115,7 @@ TEST(CertificateTest, BucketWitnessValidates) {
   ViewSet views = MakeViews({"v1(X, Y, Z) :- r(X, Y), s(Y, Z)."});
   EngineContext ctx;
   RewritingWitness w;
-  Result<UnionQuery> mcr = BucketRewrite(ctx, q, views, {}, nullptr, &w);
+  Result<UnionQuery> mcr = BucketRewrite(ctx, q, views, {}, &w);
   ASSERT_TRUE(mcr.ok()) << mcr.status();
   ASSERT_FALSE(mcr.value().disjuncts.empty());
   Status st = CheckRewritingWitness(q, views, mcr.value(), w);
@@ -130,7 +130,7 @@ TEST(CertificateTest, ForeignDisjunctRejected) {
                              "v2(X) :- r(X), X < 5."});
   EngineContext ctx;
   RewritingWitness w;
-  Result<UnionQuery> mcr = RewriteLsiQuery(ctx, q, views, {}, nullptr, &w);
+  Result<UnionQuery> mcr = RewriteLsiQuery(ctx, q, views, {}, &w);
   ASSERT_TRUE(mcr.ok()) << mcr.status();
   ASSERT_FALSE(mcr.value().disjuncts.empty());
   UnionQuery tampered = mcr.value();
@@ -144,7 +144,7 @@ TEST(CertificateTest, AlteredWitnessComparisonRejected) {
                              "v2(X) :- r(X), X < 5."});
   EngineContext ctx;
   RewritingWitness w;
-  Result<UnionQuery> mcr = RewriteLsiQuery(ctx, q, views, {}, nullptr, &w);
+  Result<UnionQuery> mcr = RewriteLsiQuery(ctx, q, views, {}, &w);
   ASSERT_TRUE(mcr.ok()) << mcr.status();
   ASSERT_FALSE(w.disjuncts.empty());
   // Claim the query allows A < 30 instead of A < 3: the witness no longer
@@ -267,7 +267,7 @@ TEST(CertificateTest, InconsistentQueryYieldsEmptyRewritingWitness) {
   ViewSet views = MakeViews({"v(X) :- r(X)."});
   EngineContext ctx;
   RewritingWitness w;
-  Result<UnionQuery> mcr = BucketRewrite(ctx, q, views, {}, nullptr, &w);
+  Result<UnionQuery> mcr = BucketRewrite(ctx, q, views, {}, &w);
   ASSERT_TRUE(mcr.ok()) << mcr.status();
   EXPECT_TRUE(mcr.value().disjuncts.empty());
   EXPECT_TRUE(CheckRewritingWitness(q, views, mcr.value(), w).ok());
@@ -294,7 +294,7 @@ TEST_P(CertificateSweep, RewriteLsiAlwaysCertifies) {
 
   EngineContext ctx;
   RewritingWitness w;
-  Result<UnionQuery> mcr = RewriteLsiQuery(ctx, q, views, {}, nullptr, &w);
+  Result<UnionQuery> mcr = RewriteLsiQuery(ctx, q, views, {}, &w);
   ASSERT_TRUE(mcr.ok()) << mcr.status();
   Status st = CheckRewritingWitness(q, views, mcr.value(), w);
   ASSERT_TRUE(st.ok()) << st << "\nq = " << q.ToString() << "\nviews:\n"
@@ -317,7 +317,7 @@ TEST_P(CertificateSweep, BucketAlwaysCertifies) {
 
   EngineContext ctx;
   RewritingWitness w;
-  Result<UnionQuery> mcr = BucketRewrite(ctx, q, views, {}, nullptr, &w);
+  Result<UnionQuery> mcr = BucketRewrite(ctx, q, views, {}, &w);
   ASSERT_TRUE(mcr.ok()) << mcr.status();
   Status st = CheckRewritingWitness(q, views, mcr.value(), w);
   if (st.code() == StatusCode::kUnsupported) return;  // symbolic constants
@@ -405,8 +405,8 @@ TEST_P(CertificateSweep, LintCleanQueriesNeverTripTheChecker) {
     Result<UnionQuery> mcr =
         (cls == AcClass::kNone || cls == AcClass::kLsi ||
          cls == AcClass::kRsi)
-            ? RewriteLsiQuery(ctx, q, views, {}, nullptr, &w)
-            : BucketRewrite(ctx, q, views, {}, nullptr, &w);
+            ? RewriteLsiQuery(ctx, q, views, {}, &w)
+            : BucketRewrite(ctx, q, views, {}, &w);
     ASSERT_TRUE(mcr.ok()) << mcr.status();
     Status st = CheckRewritingWitness(q, views, mcr.value(), w);
     if (st.code() == StatusCode::kUnsupported) continue;

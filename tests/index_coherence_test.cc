@@ -177,9 +177,8 @@ void ApplyAborted(EngineContext& ctx, ivm::MaterializedViewSet& store,
                   Rng& rng, int kind) {
   const bool rebuild = (kind & 1) != 0;
   const bool by_deadline = (kind & 2) != 0;
-  ivm::MaintainOptions options;
-  options.force_incremental = !rebuild;
-  options.force_rebuild = rebuild;
+  const plan::IvmPath path =
+      rebuild ? plan::IvmPath::kRebuild : plan::IvmPath::kIncremental;
 
   ivm::DeltaDatabase delta(&store.base());
   if (rebuild) {
@@ -201,7 +200,7 @@ void ApplyAborted(EngineContext& ctx, ivm::MaterializedViewSet& store,
         std::chrono::steady_clock::now() - std::chrono::seconds(1);
   else
     ctx.RequestCancel();
-  Result<ivm::ApplySummary> applied = store.Apply(ctx, delta, options);
+  Result<ivm::ApplySummary> applied = store.Apply(ctx, delta, path);
   ctx.budget().deadline.reset();
   ctx.ClearCancel();
 
@@ -261,12 +260,12 @@ std::string RunStream(size_t threads, uint64_t seed) {
                       .ok());
       store = std::move(restored);
     } else {
-      ivm::MaintainOptions options;
-      options.force_incremental = step % 3 == 0;
-      options.force_rebuild = step % 3 == 1;
+      const plan::IvmPath path = step % 3 == 0   ? plan::IvmPath::kIncremental
+                                 : step % 3 == 1 ? plan::IvmPath::kRebuild
+                                                 : plan::IvmPath::kPlanned;
       ivm::DeltaDatabase delta(&store.base());
       StageRandom(rng, store, &delta);
-      Result<ivm::ApplySummary> applied = store.Apply(ctx, delta, options);
+      Result<ivm::ApplySummary> applied = store.Apply(ctx, delta, path);
       EXPECT_TRUE(applied.ok()) << applied.status();
     }
     CheckStore(ctx, store, where);

@@ -88,16 +88,17 @@ std::string RunStream(const Workload& w, uint64_t seed, Mode mode,
     view_queries.push_back(std::move(q));
   }
 
-  ivm::MaintainOptions options;
-  options.force_incremental = mode == Mode::kIncremental;
-  options.force_rebuild = mode == Mode::kRebuild;
+  const plan::IvmPath path =
+      mode == Mode::kIncremental ? plan::IvmPath::kIncremental
+      : mode == Mode::kRebuild   ? plan::IvmPath::kRebuild
+                                 : plan::IvmPath::kPlanned;
 
   Rng rng(seed);
   std::string out;
   for (int step = 0; step < kSteps; ++step) {
     ivm::DeltaDatabase delta(&store.base());
     Stage(rng, w, store, &delta);
-    auto summary = store.Apply(ctx, delta, options);
+    auto summary = store.Apply(ctx, delta, path);
     EXPECT_TRUE(summary.ok()) << summary.status();
 
     auto reference = MaterializeViews(ctx, views, store.base());
@@ -161,8 +162,7 @@ TEST(IvmEquivalenceSweep, SingleFactStreamStaysExact) {
     ASSERT_TRUE(views.Add(q).ok());
     ASSERT_TRUE(store.AddView(ctx, q).ok());
   }
-  ivm::MaintainOptions incremental;
-  incremental.force_incremental = true;
+  const plan::IvmPath incremental = plan::IvmPath::kIncremental;
 
   Rng rng(99);
   for (int step = 0; step < 60; ++step) {

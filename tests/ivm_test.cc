@@ -70,8 +70,7 @@ TEST(MaterializedViewSetTest, RetractsDropTuplesOnlyAtCountZero) {
       store.ApplyInsert(ctx, Db("r(1, 2). r(1, 3). s(2, 9). s(3, 9).")).ok());
   EXPECT_TRUE(store.views().Contains("v", {Value(1), Value(9)}));
 
-  ivm::MaintainOptions incremental;
-  incremental.force_incremental = true;
+  const plan::IvmPath incremental = plan::IvmPath::kIncremental;
   auto s1 = store.ApplyRetract(ctx, Db("r(1, 2)."), incremental);
   ASSERT_TRUE(s1.ok()) << s1.status();
   EXPECT_EQ(s1.value().view_tuples_removed, 0u);  // one derivation left
@@ -93,8 +92,7 @@ TEST(MaterializedViewSetTest, SelfJoinBatchMatchesFromScratch) {
   ASSERT_TRUE(store.AddView(ctx, view).ok());
   ASSERT_TRUE(store.ApplyInsert(ctx, Db("r(1, 2). r(2, 3).")).ok());
 
-  ivm::MaintainOptions incremental;
-  incremental.force_incremental = true;
+  const plan::IvmPath incremental = plan::IvmPath::kIncremental;
   // r(3,1) closes a cycle: new derivations pair the inserted tuple with old
   // tuples on either side AND with itself (the {0,1} subset).
   ASSERT_TRUE(
@@ -118,8 +116,7 @@ TEST(MaterializedViewSetTest, ComparisonViewsFilterIncrementally) {
   ivm::MaterializedViewSet store;
   ASSERT_TRUE(
       store.AddView(ctx, MustParseQuery("v(X) :- r(X, Y), X < Y.")).ok());
-  ivm::MaintainOptions incremental;
-  incremental.force_incremental = true;
+  const plan::IvmPath incremental = plan::IvmPath::kIncremental;
   ASSERT_TRUE(store.ApplyInsert(ctx, Db("r(1, 5). r(7, 2)."), incremental).ok());
   EXPECT_TRUE(store.views().Contains("v", {Value(1)}));
   EXPECT_FALSE(store.views().Contains("v", {Value(7)}));
@@ -139,18 +136,17 @@ TEST(MaterializedViewSetTest, AddViewMaterializesOverTheExistingBase) {
 TEST(MaterializedViewSetTest, RebuildAndIncrementalAgree) {
   Database stream[] = {Db("r(1, 2). s(2, 3)."), Db("r(4, 2). s(2, 5)."),
                        Db("s(2, 3).")};  // last one retracted below
-  for (bool force_rebuild : {false, true}) {
+  for (bool rebuild : {false, true}) {
     EngineContext ctx;
     ivm::MaterializedViewSet store;
     ASSERT_TRUE(
         store.AddView(ctx, MustParseQuery("v(X, Y) :- r(X, Z), s(Z, Y).")).ok());
-    ivm::MaintainOptions options;
-    options.force_rebuild = force_rebuild;
-    options.force_incremental = !force_rebuild;
-    ASSERT_TRUE(store.ApplyInsert(ctx, stream[0], options).ok());
-    ASSERT_TRUE(store.ApplyInsert(ctx, stream[1], options).ok());
-    ASSERT_TRUE(store.ApplyRetract(ctx, stream[2], options).ok());
-    EXPECT_EQ(store.maintained(), !force_rebuild);
+    const plan::IvmPath path =
+        rebuild ? plan::IvmPath::kRebuild : plan::IvmPath::kIncremental;
+    ASSERT_TRUE(store.ApplyInsert(ctx, stream[0], path).ok());
+    ASSERT_TRUE(store.ApplyInsert(ctx, stream[1], path).ok());
+    ASSERT_TRUE(store.ApplyRetract(ctx, stream[2], path).ok());
+    EXPECT_EQ(store.maintained(), !rebuild);
     EXPECT_EQ(store.views().ToString(), Db("v(1, 5). v(4, 5).").ToString());
   }
 }
@@ -181,8 +177,7 @@ TEST(MaterializedViewSetTest, StatCountersRecordTheWork) {
   EngineContext ctx;
   ivm::MaterializedViewSet store;
   ASSERT_TRUE(store.AddView(ctx, MustParseQuery("v(X) :- r(X, Y).")).ok());
-  ivm::MaintainOptions incremental;
-  incremental.force_incremental = true;
+  const plan::IvmPath incremental = plan::IvmPath::kIncremental;
   ASSERT_TRUE(store.ApplyInsert(ctx, Db("r(1, 2). r(3, 4)."), incremental).ok());
   EXPECT_EQ(uint64_t{ctx.stats().ivm_applies}, 1u);
   EXPECT_EQ(uint64_t{ctx.stats().ivm_incremental_applies}, 1u);
@@ -220,8 +215,7 @@ TEST(MaterializedViewSetTest, AbortedRetractRollsBack) {
   const std::string base_before = store.base().ToString();
   const std::string views_before = store.views().ToString();
 
-  ivm::MaintainOptions incremental;
-  incremental.force_incremental = true;
+  const plan::IvmPath incremental = plan::IvmPath::kIncremental;
   ctx.RequestCancel();
   auto aborted = store.ApplyRetract(ctx, Db("r(1, 0)."), incremental);
   EXPECT_FALSE(aborted.ok());

@@ -1,8 +1,12 @@
 // Direct unit tests for MCD construction (Step 1 of RewriteLSIQuery).
 #include "src/rewriting/mcd.h"
 
+#include <chrono>
+
 #include <gtest/gtest.h>
 
+#include "src/base/strings.h"
+#include "src/base/task_pool.h"
 #include "src/constraints/preprocess.h"
 #include "src/gen/paper_workloads.h"
 #include "src/ir/parser.h"
@@ -103,6 +107,75 @@ TEST(McdTest, DistinguishedQueryVarNeedsUsableImage) {
   ViewSet sandwich(MustParseRules(
       "v(Y, Z) :- p(X), s(Y, Z), Y <= X, X <= Z."));
   EXPECT_EQ(Build(q, sandwich).size(), 1u);
+}
+
+// A view whose hidden X1..Xk each lie between two distinguished lower and
+// two upper bounds, so each Xi has 2 x 2 = 4 export homomorphisms, and a
+// query whose head needs all k exported: one MCD skeleton whose export
+// product holds 4^k incomparable combinations.
+struct ExportFixture {
+  ViewSet views;
+  Query q;
+  std::vector<ExportAnalysis> analyses;
+};
+
+ExportFixture BoundedExports(int k) {
+  std::string bounds, acs, xs, zs;
+  for (int i = 1; i <= k; ++i) {
+    const char* sep = i > 1 ? ", " : "";
+    bounds += StrCat(sep, "A", i, ", B", i, ", C", i, ", D", i);
+    acs += StrCat(", A", i, " <= X", i, ", B", i, " <= X", i, ", X", i,
+                  " <= C", i, ", X", i, " <= D", i);
+    xs += StrCat(sep, "X", i);
+    zs += StrCat(sep, "Z", i);
+  }
+  ExportFixture f;
+  const Query view = MustParseQuery(
+      StrCat("v(", bounds, ") :- p(", xs, "), d(", bounds, ")", acs));
+  EXPECT_TRUE(f.views.Add(Preprocess(view).value()).ok());
+  f.q = MustParseQuery(StrCat("q(", zs, ") :- p(", zs, ")"));
+  for (const Query& v : f.views.views()) f.analyses.emplace_back(v);
+  return f;
+}
+
+// One MCD skeleton's product of export homomorphisms is charged to
+// Budget::max_mappings instead of being cut silently: 4^5 = 1024 MCDs.
+TEST(McdTest, ExportProductIsChargedToTheMappingBudget) {
+  const ExportFixture f = BoundedExports(5);
+  for (size_t threads : {size_t{0}, size_t{4}}) {
+    TaskPool pool(threads);
+    EngineContext ctx;
+    ctx.set_task_pool(&pool);
+    auto mcds = ConstructMcds(ctx, f.q, f.views, f.analyses);
+    ASSERT_TRUE(mcds.ok()) << mcds.status();
+    EXPECT_EQ(mcds.value().size(), 1024u) << "threads=" << threads;
+    EXPECT_EQ(ctx.stats().rewrite_mcds, 1024u);
+
+    Budget budget;
+    budget.max_mappings = 500;
+    EngineContext tight(budget);
+    tight.set_task_pool(&pool);
+    auto cut = ConstructMcds(tight, f.q, f.views, f.analyses);
+    ASSERT_FALSE(cut.ok()) << "threads=" << threads;
+    EXPECT_EQ(cut.status().code(), StatusCode::kResourceExhausted);
+    EXPECT_EQ(tight.stats().budget_exhaustions, 1u) << "threads=" << threads;
+  }
+}
+
+// The deadline bounds every pass over an export product, not only building
+// it. 4^8 = 65536 combinations fit the mapping budget, but checking each
+// against the view's comparisons and then pruning the dominated ones pair
+// by pair (65536^2 pairs) would run for hours without a poll.
+TEST(McdTest, ExportProductPassesPollTheDeadline) {
+  const ExportFixture f = BoundedExports(8);
+  EngineContext ctx(Budget::WithTimeout(std::chrono::milliseconds(100)));
+  const auto start = std::chrono::steady_clock::now();
+  auto mcds = ConstructMcds(ctx, f.q, f.views, f.analyses);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  ASSERT_FALSE(mcds.ok());
+  EXPECT_EQ(mcds.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(ctx.stats().budget_exhaustions, 1u);
+  EXPECT_LT(elapsed, std::chrono::seconds(10));
 }
 
 }  // namespace

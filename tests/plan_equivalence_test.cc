@@ -9,7 +9,7 @@
 //     written body order.
 //   * IVM path — forced-incremental vs forced-rebuild vs planner-chosen
 //     maintenance of a random insert/retract stream, plus both crossings of
-//     the MaintainOptions::max_subset_positions structural cap.
+//     the plan::kMaxSubsetPositions structural cap.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "src/base/rng.h"
+#include "src/base/strings.h"
 #include "src/base/task_pool.h"
 #include "src/engine/context.h"
 #include "src/eval/evaluate.h"
@@ -116,9 +117,9 @@ TEST(PlanEquivalence, IvmPathPinsConverge) {
         ivm::MaterializedViewSet store;
         for (const char* v : kViews)
           ASSERT_TRUE(store.AddView(ctx, MustParseQuery(v)).ok());
-        ivm::MaintainOptions options;
-        options.force_incremental = mode == 0;
-        options.force_rebuild = mode == 1;
+        const plan::IvmPath path = mode == 0   ? plan::IvmPath::kIncremental
+                                   : mode == 1 ? plan::IvmPath::kRebuild
+                                               : plan::IvmPath::kPlanned;
         Rng rng(seed);
         std::string rendered;
         for (int step = 0; step < 8; ++step) {
@@ -138,7 +139,7 @@ TEST(PlanEquivalence, IvmPathPinsConverge) {
                               .ok());
             }
           }
-          auto summary = store.Apply(ctx, delta, options);
+          auto summary = store.Apply(ctx, delta, path);
           ASSERT_TRUE(summary.ok()) << summary.status();
           rendered += store.views().ToString() + "\n==\n";
         }
@@ -153,42 +154,54 @@ TEST(PlanEquivalence, IvmPathPinsConverge) {
   }
 }
 
-// Crossing MaintainOptions::max_subset_positions both ways: a view body with
-// three delta-touched positions maintains incrementally under cap >= 3 and
-// falls back to a rebuild under cap < 3 — with identical final state.
+// Crossing plan::kMaxSubsetPositions both ways: a one-fact insert into a
+// chain view whose body has kMaxSubsetPositions r-atoms is maintained
+// incrementally, and one with a position more falls back to a rebuild, with
+// identical final state. Over a 40-edge base the cost model prefers the
+// incremental path for both bodies (asserted first), so the cap is the only
+// rebuild trigger.
 TEST(PlanEquivalence, SubsetPositionCapCrossesBothWays) {
-  for (size_t cap : {size_t{2}, size_t{3}}) {
+  for (size_t positions :
+       {plan::kMaxSubsetPositions, plan::kMaxSubsetPositions + 1}) {
     EngineContext ctx;
     ivm::MaterializedViewSet store;
-    ASSERT_TRUE(
-        store
-            .AddView(ctx, MustParseQuery(
-                              "t(X, W) :- r(X, Y), r(Y, Z), r(Z, W)."))
-            .ok());
-    Result<Database> seedfacts =
-        Database::FromFacts("r(1, 2). r(2, 3). r(3, 4).");
+    // t(X0, Xn) :- r(X0, X1), r(X1, X2), ..., r(Xn-1, Xn).
+    std::string body;
+    for (size_t i = 0; i < positions; ++i)
+      body += StrCat(i > 0 ? ", " : "", "r(X", i, ", X", i + 1, ")");
+    const std::string rule = StrCat("t(X0, X", positions, ") :- ", body, ".");
+    ASSERT_TRUE(store.AddView(ctx, MustParseQuery(rule)).ok());
+    std::string chain;
+    for (int i = 1; i <= 40; ++i) chain += StrCat("r(", i, ", ", i + 1, "). ");
+    Result<Database> seedfacts = Database::FromFacts(chain);
     ASSERT_TRUE(seedfacts.ok());
     ASSERT_TRUE(store.ApplyInsert(ctx, seedfacts.value()).ok());
 
     ivm::DeltaDatabase delta(&store.base());
-    ASSERT_TRUE(delta.StageInsert("r", {Value(4), Value(5)}).ok());
-    ivm::MaintainOptions options;
-    options.max_subset_positions = cap;
-    // A huge bias keeps the cost model from ever preferring the rebuild,
-    // isolating the structural cap as the only rebuild trigger.
-    options.rebuild_bias = 1e12;
-    auto summary = store.Apply(ctx, delta, options);
+    ASSERT_TRUE(delta.StageInsert("r", {Value(41), Value(42)}).ok());
+    const Query view = MustParseQuery(rule);
+    auto delta_size = [&delta](const std::string& p) {
+      return delta.plus().Get(p).size();
+    };
+    auto base_size = [&store](const std::string& p) {
+      return store.base().Get(p).size();
+    };
+    const plan::IvmPathChoice by_cost = plan::ChooseIvmPath(
+        ctx, plan::CountingDeltaEstimate(view, delta_size),
+        plan::CountingRebuildEstimate(view, base_size),
+        plan::kMaxSubsetPositions, plan::IvmPath::kPlanned);
+    EXPECT_FALSE(by_cost.rebuild) << "positions=" << positions;
+
+    auto summary = store.Apply(ctx, delta, plan::IvmPath::kPlanned);
     ASSERT_TRUE(summary.ok()) << summary.status();
-    // The delta touches all three r-positions of the view body: under cap 2
-    // the subset cap forces the rebuild, under cap 3 the incremental path
-    // survives.
-    EXPECT_EQ(summary.value().incremental, cap >= 3) << "cap=" << cap;
+    // The delta touches every r-position of the view body.
+    EXPECT_EQ(summary.value().incremental,
+              positions <= plan::kMaxSubsetPositions)
+        << "positions=" << positions;
 
     // Either way the maintained state is exact.
     ViewSet views;
-    ASSERT_TRUE(
-        views.Add(MustParseQuery("t(X, W) :- r(X, Y), r(Y, Z), r(Z, W)."))
-            .ok());
+    ASSERT_TRUE(views.Add(view).ok());
     Result<Database> reference = MaterializeViews(ctx, views, store.base());
     ASSERT_TRUE(reference.ok());
     EXPECT_EQ(store.views().ToString(), reference.value().ToString());

@@ -148,29 +148,28 @@ TEST(PlanJoinOrder, DistinctSketchesCreditConstants) {
 TEST(ChooseIvmPath, PinsWin) {
   EngineContext ctx;
   plan::IvmPathChoice c = plan::ChooseIvmPath(
-      ctx, /*est_incremental=*/1.0, /*est_rebuild=*/1e9,
-      /*rebuild_bias=*/1.0, /*max_touched=*/1, /*max_subset_positions=*/10,
-      /*force_incremental=*/false, /*force_rebuild=*/true);
+      ctx, /*est_incremental=*/1.0, /*est_rebuild=*/1e9, /*max_touched=*/1,
+      plan::IvmPath::kRebuild);
   EXPECT_TRUE(c.rebuild);
   EXPECT_TRUE(c.forced);
 
-  c = plan::ChooseIvmPath(ctx, 1e9, 1.0, 1.0, 1, 10,
-                          /*force_incremental=*/true, false);
+  c = plan::ChooseIvmPath(ctx, 1e9, 1.0, 1, plan::IvmPath::kIncremental);
   EXPECT_FALSE(c.rebuild);
   EXPECT_TRUE(c.forced);
 }
 
 TEST(ChooseIvmPath, SubsetCapForcesRebuild) {
   EngineContext ctx;
-  // 5 touched positions against a cap of 4: structural rebuild even though
-  // the incremental estimate is far cheaper.
+  // One touched position past the cap: structural rebuild even though the
+  // incremental estimate is far cheaper.
   plan::IvmPathChoice c = plan::ChooseIvmPath(
-      ctx, 1.0, 1e9, 1.0, /*max_touched=*/5, /*max_subset_positions=*/4,
-      false, false);
+      ctx, 1.0, 1e9, /*max_touched=*/plan::kMaxSubsetPositions + 1,
+      plan::IvmPath::kPlanned);
   EXPECT_TRUE(c.rebuild);
   EXPECT_TRUE(c.forced);
-  // Same shape under a cap of 5: the cost comparison decides (incremental).
-  c = plan::ChooseIvmPath(ctx, 1.0, 1e9, 1.0, 5, 5, false, false);
+  // At the cap: the cost comparison decides (incremental).
+  c = plan::ChooseIvmPath(ctx, 1.0, 1e9, plan::kMaxSubsetPositions,
+                          plan::IvmPath::kPlanned);
   EXPECT_FALSE(c.rebuild);
   EXPECT_FALSE(c.forced);
 }
@@ -178,11 +177,11 @@ TEST(ChooseIvmPath, SubsetCapForcesRebuild) {
 TEST(ChooseIvmPath, CostComparisonDecides) {
   EngineContext ctx;
   plan::IvmPathChoice c = plan::ChooseIvmPath(
-      ctx, /*est_incremental=*/2000.0, /*est_rebuild=*/10.0, 1.0, 0, 0, false,
-      false);
+      ctx, /*est_incremental=*/2000.0, /*est_rebuild=*/10.0, 0,
+      plan::IvmPath::kPlanned);
   EXPECT_TRUE(c.rebuild);
   EXPECT_FALSE(c.forced);
-  c = plan::ChooseIvmPath(ctx, 10.0, 2000.0, 1.0, 0, 0, false, false);
+  c = plan::ChooseIvmPath(ctx, 10.0, 2000.0, 0, plan::IvmPath::kPlanned);
   EXPECT_FALSE(c.rebuild);
   EXPECT_EQ(ctx.stats().plan_decisions, 2u);
 }
@@ -190,7 +189,7 @@ TEST(ChooseIvmPath, CostComparisonDecides) {
 TEST(ObserveIvmOutcome, RetunesCalibrationAfterPeriod) {
   EngineContext ctx;
   plan::IvmPathChoice c =
-      plan::ChooseIvmPath(ctx, 100.0, 1e9, 1.0, 1, 10, false, false);
+      plan::ChooseIvmPath(ctx, 100.0, 1e9, 1, plan::IvmPath::kPlanned);
   ASSERT_FALSE(c.rebuild);
   // The incremental arm consistently costs 8x its estimate; after the
   // retune period the calibration factor reflects that.
@@ -200,7 +199,7 @@ TEST(ObserveIvmOutcome, RetunesCalibrationAfterPeriod) {
   EXPECT_GT(ctx.adaptive().ivm_incremental.factor, 4.0);
   // The recalibrated factor now tips the decision toward rebuild at a
   // margin the raw estimates would not.
-  c = plan::ChooseIvmPath(ctx, 100.0, 200.0, 1.0, 1, 10, false, false);
+  c = plan::ChooseIvmPath(ctx, 100.0, 200.0, 1, plan::IvmPath::kPlanned);
   EXPECT_TRUE(c.rebuild);
 }
 

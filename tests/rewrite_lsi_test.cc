@@ -1,7 +1,11 @@
 #include "src/rewriting/rewrite_lsi.h"
 
+#include <chrono>
+
 #include <gtest/gtest.h>
 
+#include "src/base/strings.h"
+#include "src/base/task_pool.h"
 #include "src/containment/containment.h"
 #include "src/gen/paper_workloads.h"
 #include "src/ir/expansion.h"
@@ -192,14 +196,76 @@ TEST(RewriteLsiTest, PureCqBehavesLikeMiniCon) {
 
 TEST(RewriteLsiTest, StatsPopulated) {
   EngineContext ctx;
-  RewriteStats stats;
   auto mcr = RewriteLsiQuery(ctx, workloads::Sec44FullQuery(),
-                             workloads::Sec44FullViews(), RewriteOptions{},
-                             &stats);
+                             workloads::Sec44FullViews());
   ASSERT_TRUE(mcr.ok());
-  EXPECT_GT(stats.mcds, 0u);
-  EXPECT_GT(stats.combinations, 0u);
-  EXPECT_GE(stats.candidates, mcr.value().disjuncts.size());
+  EXPECT_GT(ctx.stats().rewrite_mcds, 0u);
+  EXPECT_GE(ctx.stats().rewrite_candidates, mcr.value().disjuncts.size());
+}
+
+// A query with k bounds Xi < 5 over views vi(A, B) :- pi(A, B), A <= B.
+// Each bound can be placed on Xi or, through the view's Xi <= Yi, on Yi:
+// 2^k ways per MCD cover, and a second view for p1 makes two covers.
+struct BoundsFixture {
+  Query q;
+  ViewSet views;
+};
+
+BoundsFixture TwoWayBounds(int k) {
+  std::string body, bounds, rules;
+  for (int i = 1; i <= k; ++i) {
+    body += StrCat(i > 1 ? ", " : "", "p", i, "(X", i, ", Y", i, ")");
+    bounds += StrCat(", X", i, " < 5");
+    rules += StrCat("v", i, "(A, B) :- p", i, "(A, B), A <= B.\n");
+  }
+  rules += "w1(A, B) :- p1(A, B), A <= B.\n";
+  return {MustParseQuery(StrCat("q() :- ", body, bounds)),
+          ViewSet(MustParseRules(rules))};
+}
+
+// Step D's product over the ways to satisfy the query's comparisons is
+// charged to Budget::max_mappings instead of being cut silently: nine
+// bounds make 2 covers x 2^9 = 1024 disjuncts.
+TEST(RewriteLsiTest, ComparisonProductIsChargedToTheMappingBudget) {
+  const BoundsFixture f = TwoWayBounds(9);
+  for (size_t threads : {size_t{0}, size_t{4}}) {
+    TaskPool pool(threads);
+    EngineContext ctx;
+    ctx.set_task_pool(&pool);
+    auto mcr = RewriteLsiQuery(ctx, f.q, f.views);
+    ASSERT_TRUE(mcr.ok()) << mcr.status();
+    EXPECT_EQ(mcr.value().disjuncts.size(), 1024u) << "threads=" << threads;
+    EXPECT_EQ(ctx.stats().budget_exhaustions, 0u);
+
+    Budget budget;
+    budget.max_mappings = 300;  // above the 10 MCDs and 2 covers
+    EngineContext tight(budget);
+    tight.set_task_pool(&pool);
+    auto cut = RewriteLsiQuery(tight, f.q, f.views);
+    ASSERT_FALSE(cut.ok()) << "threads=" << threads;
+    EXPECT_EQ(cut.status().code(), StatusCode::kResourceExhausted);
+    EXPECT_EQ(tight.stats().budget_exhaustions, 1u) << "threads=" << threads;
+  }
+}
+
+// The deadline bounds verifying a comparison product, not only building
+// it: ten bounds make 2 x 2^10 = 2048 candidates, built in tens of
+// milliseconds per cover but expanded and checked for containment for
+// about a second in all.
+TEST(RewriteLsiTest, ComparisonProductVerificationPollsTheDeadline) {
+  const BoundsFixture f = TwoWayBounds(10);
+  for (size_t threads : {size_t{0}, size_t{4}}) {
+    TaskPool pool(threads);
+    EngineContext ctx(Budget::WithTimeout(std::chrono::milliseconds(200)));
+    ctx.set_task_pool(&pool);
+    const auto start = std::chrono::steady_clock::now();
+    auto mcr = RewriteLsiQuery(ctx, f.q, f.views);
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    ASSERT_FALSE(mcr.ok()) << "threads=" << threads;
+    EXPECT_EQ(mcr.status().code(), StatusCode::kResourceExhausted);
+    EXPECT_EQ(ctx.stats().budget_exhaustions, 1u) << "threads=" << threads;
+    EXPECT_LT(elapsed, std::chrono::seconds(10)) << "threads=" << threads;
+  }
 }
 
 }  // namespace

@@ -148,7 +148,7 @@ void AddCalls(const std::string& name, const Query& q, const ViewSet& views,
   cases->push_back(
       {name + " lsi-witness", budget, [q, views](EngineContext& ctx) {
          RewritingWitness w;
-         Result<UnionQuery> r = RewriteLsiQuery(ctx, q, views, {}, nullptr, &w);
+         Result<UnionQuery> r = RewriteLsiQuery(ctx, q, views, {}, &w);
          return RenderWitnessed(q, views, r, w);
        }});
   cases->push_back({name + " bucket", budget, [q, views](EngineContext& ctx) {
@@ -163,7 +163,7 @@ void AddCalls(const std::string& name, const Query& q, const ViewSet& views,
   cases->push_back(
       {name + " bucket-witness", budget, [q, views](EngineContext& ctx) {
          RewritingWitness w;
-         Result<UnionQuery> r = BucketRewrite(ctx, q, views, {}, nullptr, &w);
+         Result<UnionQuery> r = BucketRewrite(ctx, q, views, {}, &w);
          return RenderWitnessed(q, views, r, w);
        }});
   cases->push_back(

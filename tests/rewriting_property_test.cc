@@ -84,9 +84,7 @@ TEST(RewritingPropertyTest, RewriteLsiSoundOnRandomLsiWorkloads) {
     Budget budget;
     budget.max_mappings = 2000;
     EngineContext ctx(budget);
-    RewriteOptions opts;
-    opts.max_ac_alternatives = 32;
-    auto mcr = RewriteLsiQuery(ctx, w.q, w.views, opts);
+    auto mcr = RewriteLsiQuery(ctx, w.q, w.views);
     if (!mcr.ok()) {
       ASSERT_EQ(mcr.status().code(), StatusCode::kResourceExhausted)
           << mcr.status();

@@ -100,8 +100,7 @@ TEST(RobustnessTest, RewriteCapsSurface) {
   Budget budget;
   budget.max_mappings = 2;
   EngineContext ctx(budget);
-  RewriteStats stats;
-  auto mcr = RewriteLsiQuery(ctx, q, views, {}, &stats);
+  auto mcr = RewriteLsiQuery(ctx, q, views);
   ASSERT_FALSE(mcr.ok());
   EXPECT_EQ(mcr.status().code(), StatusCode::kResourceExhausted);
   EXPECT_GT(ctx.stats().budget_exhaustions, 0u);

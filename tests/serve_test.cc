@@ -16,6 +16,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <regex>
 #include <sstream>
 #include <string>
@@ -122,6 +123,60 @@ TEST(ServeTest, LoopbackRoundTrips) {
   EXPECT_EQ(rewrite.rfind("{\"ok\":true,\"op\":\"rewrite\"", 0), 0u)
       << rewrite;
   EXPECT_EQ(Field(rewrite, "text"), "q(X) :- v1(X, Y), X < 3");
+}
+
+// `classify`'s algorithm text names the algorithm `rewrite` runs for the
+// same query over the session's views: one query per class, and the
+// CQAC-SI query over SI and over non-SI views.
+TEST(ServeTest, ClassifyNamesTheAlgorithmRewriteRuns) {
+  Server server(ServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+  TestClient client(server.port());
+  client.RoundTrip(
+      "{\"op\":\"view\",\"session\":\"si\",\"rule\":\"v(X, Y) :- "
+      "e(X, Y).\"}");
+  client.RoundTrip(
+      "{\"op\":\"view\",\"session\":\"vv\",\"rule\":\"w(X, Y) :- "
+      "e(X, Y), X < Y.\"}");
+  const std::map<std::string, std::string> kFunction = {
+      {"lsi-mcr", "RewriteLSIQuery"},
+      {"si-datalog", "RewriteSiQueryDatalog"},
+      {"bucket", "BucketRewrite"}};
+  const struct {
+    const char* session;
+    const char* query;
+    const char* choice;
+  } kCases[] = {
+      {"si", "q(X) :- e(X, Y).", "lsi-mcr"},                    // CQ
+      {"si", "q(X) :- e(X, Y), X < 3.", "lsi-mcr"},             // LSI
+      {"si", "q(X) :- e(X, Y), 3 < X.", "lsi-mcr"},             // RSI
+      {"si", "q() :- e(X, Y), e(Y, Z), 5 < X, Z < 8.", "si-datalog"},
+      {"vv", "q() :- e(X, Y), e(Y, Z), 5 < X, Z < 8.", "bucket"},  // CQAC-SI
+      {"si", "q(X) :- e(X, Y), X < 9, Y < 9, 1 < X, 1 < Y.", "bucket"},  // SI
+      {"si", "q(X) :- e(X, Y), X < Y.", "bucket"},              // CQAC
+  };
+  for (const auto& c : kCases) {
+    const std::string algorithm = Field(
+        client.RoundTrip(StrCat("{\"op\":\"classify\",\"query\":",
+                                JsonQuote(c.query), "}")),
+        "algorithm");
+    const std::string rewrite = client.RoundTrip(
+        StrCat("{\"op\":\"rewrite\",\"session\":\"", c.session,
+               "\",\"query\":", JsonQuote(c.query), "}"));
+    Result<JsonValue> json = ParseJson(rewrite);
+    ASSERT_TRUE(json.ok()) << rewrite;
+    const JsonValue* plan = json.value().Find("plan");
+    ASSERT_NE(plan, nullptr) << rewrite;
+    const JsonValue* decisions = plan->Find("decisions");
+    ASSERT_TRUE(decisions != nullptr && decisions->array_items().size() == 1)
+        << rewrite;
+    const JsonValue* choice = decisions->array_items()[0].Find("choice");
+    ASSERT_NE(choice, nullptr) << rewrite;
+    EXPECT_EQ(choice->string_value(), c.choice) << c.query;
+    EXPECT_NE(algorithm.find(kFunction.at(choice->string_value())),
+              std::string::npos)
+        << c.query << ": " << algorithm;
+  }
 }
 
 TEST(ServeTest, MalformedAndOversizedRequestsGetStructuredErrors) {

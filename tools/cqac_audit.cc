@@ -171,11 +171,11 @@ int Main(const Options& opt) {
     return 2;
   }
 
-  audit::AuditOptions options;
-  options.unfold.max_depth = opt.depth;
+  audit::UnfoldOptions unfold;
+  unfold.max_depth = opt.depth;
   audit::AuditReport report;
   for (const audit::AuditInputs& in : subjects) {
-    Status st = audit::AuditAll(ctx, in, options, &report);
+    Status st = audit::AuditAll(ctx, in, unfold, &report);
     if (!st.ok()) {
       std::fprintf(stderr, "audit setup failed on '%s': %s\n",
                    in.query.head().predicate.c_str(),
