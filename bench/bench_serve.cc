@@ -337,9 +337,9 @@ void BM_ServeShardedScaling(benchmark::State& state) {
     state.counters[StrCat(prefix, "enqueued")] =
         static_cast<double>(s.enqueued);
     state.counters[StrCat(prefix, "rejected")] =
-        static_cast<double>(s.rejected_overloaded);
+        static_cast<double>(s.engine.serve_overload_rejections);
     state.counters[StrCat(prefix, "queue_peak")] =
-        static_cast<double>(s.queue_depth_peak);
+        static_cast<double>(s.engine.serve_queue_peak);
   }
   if (protocol_errors.load() != 0)
     state.SkipWithError("protocol errors under sharding");

@@ -39,6 +39,8 @@ std::string JsonQuote(const std::string& s) {
   return out;
 }
 
+namespace {
+
 std::string TermToJson(const Query& owner, const Term& t) {
   if (t.is_var())
     return StrCat("{\"kind\":\"var\",\"name\":",
@@ -49,8 +51,6 @@ std::string TermToJson(const Query& owner, const Term& t) {
   return StrCat("{\"kind\":\"symbol\",\"value\":",
                 JsonQuote(t.value().symbol()), "}");
 }
-
-namespace {
 
 std::string AtomToJson(const Query& owner, const Atom& a) {
   std::vector<std::string> args;
@@ -66,8 +66,6 @@ std::string ComparisonToJson(const Query& owner, const Comparison& c) {
                 TermToJson(owner, c.rhs), "}");
 }
 
-}  // namespace
-
 std::string QueryToJson(const Query& q) {
   std::vector<std::string> body;
   body.reserve(q.body().size());
@@ -81,26 +79,13 @@ std::string QueryToJson(const Query& q) {
                 "]}");
 }
 
+}  // namespace
+
 std::string UnionQueryToJson(const UnionQuery& u) {
   std::vector<std::string> parts;
   parts.reserve(u.disjuncts.size());
   for (const Query& q : u.disjuncts) parts.push_back(QueryToJson(q));
   return StrCat("{\"disjuncts\":[", Join(parts, ","), "]}");
-}
-
-std::string ProgramToJson(const Program& p) {
-  std::vector<std::string> rules;
-  rules.reserve(p.rules().size());
-  for (const Rule& r : p.rules()) rules.push_back(QueryToJson(r));
-  return StrCat("{\"query_predicate\":", JsonQuote(p.query_predicate()),
-                ",\"rules\":[", Join(rules, ","), "]}");
-}
-
-std::string ViewSetToJson(const ViewSet& v) {
-  std::vector<std::string> views;
-  views.reserve(v.size());
-  for (const Query& q : v.views()) views.push_back(QueryToJson(q));
-  return StrCat("{\"views\":[", Join(views, ","), "]}");
 }
 
 }  // namespace cqac

@@ -1,40 +1,27 @@
 // JSON serialization of the IR (writer).
 //
-// Machine-readable output for tooling: rewritings, programs, and explain
-// results can be consumed by external optimizers and dashboards without
-// parsing the Datalog syntax. Hand-rolled writer, no external dependency;
-// strings are escaped per RFC 8259. Import is intentionally out of scope —
-// the textual Datalog syntax (src/ir/parser.h) is the interchange format
-// for inputs.
+// Machine-readable output for tooling: the serve `rewrite` op returns its
+// union of rewritings in this form next to the Datalog text, so external
+// optimizers and dashboards need not parse the Datalog syntax. Hand-rolled
+// writer, no external dependency; strings are escaped per RFC 8259. Import
+// is intentionally out of scope — the textual Datalog syntax
+// (src/ir/parser.h) is the interchange format for inputs.
 #ifndef CQAC_IR_JSON_H_
 #define CQAC_IR_JSON_H_
 
 #include <string>
 
-#include "src/ir/program.h"
 #include "src/ir/query.h"
-#include "src/ir/view.h"
 
 namespace cqac {
 
 /// Escapes and quotes a string for JSON.
 std::string JsonQuote(const std::string& s);
 
-/// {"kind":"var","name":"X"} | {"kind":"number","value":"7/2"} |
-/// {"kind":"symbol","value":"red"}
-std::string TermToJson(const Query& owner, const Term& t);
-
-/// {"head":{...},"body":[...],"comparisons":[...]}
-std::string QueryToJson(const Query& q);
-
-/// {"disjuncts":[...]}
+/// {"disjuncts":[{"head":{...},"body":[...],"comparisons":[...]},...]}.
+/// A term is {"kind":"var","name":"X"} | {"kind":"number","value":"7/2"} |
+/// {"kind":"symbol","value":"red"}.
 std::string UnionQueryToJson(const UnionQuery& u);
-
-/// {"query_predicate":"q","rules":[...]}
-std::string ProgramToJson(const Program& p);
-
-/// {"views":[...]}
-std::string ViewSetToJson(const ViewSet& v);
 
 }  // namespace cqac
 

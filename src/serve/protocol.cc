@@ -98,8 +98,12 @@ Result<Request> ParseRequestEnvelope(JsonValue root) {
     if (!timeout->is_number() || timeout->number_value() < 0 ||
         std::nearbyint(timeout->number_value()) != timeout->number_value())
       return fail("field \"timeout_ms\" must be a non-negative integer");
-    out.timeout = std::chrono::milliseconds(
-        static_cast<int64_t>(timeout->number_value()));
+    // Casting a value past int64_t is undefined; it saturates instead, and
+    // the service clamps it to max_timeout like any other large timeout.
+    out.timeout = timeout->number_value() >= 0x1p63
+                      ? std::chrono::milliseconds::max()
+                      : std::chrono::milliseconds(static_cast<int64_t>(
+                            timeout->number_value()));
   }
 
   return out;

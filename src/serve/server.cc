@@ -28,13 +28,6 @@ void CloseFd(int& fd) {
   }
 }
 
-void AtomicMax(std::atomic<uint64_t>& slot, uint64_t v) {
-  uint64_t cur = slot.load(std::memory_order_relaxed);
-  while (cur < v &&
-         !slot.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
-
 }  // namespace
 
 size_t ShardForSession(const std::string& session, size_t shards) {
@@ -173,7 +166,6 @@ Status Server::Start() {
   for (auto& shard : shards_) {
     Shard* s = shard.get();
     s->engine_thread = std::thread([this, s] { EngineLoop(*s); });
-    s->writer_thread = std::thread([this, s] { WriterLoop(*s); });
   }
   accept_thread_ = std::thread([this] { AcceptLoop(); });
   return Status::OK();
@@ -200,10 +192,8 @@ void Server::Stop() {
     stopped_ = true;
   }
   RequestDrain();
-  for (auto& shard : shards_) {
+  for (auto& shard : shards_)
     if (shard->engine_thread.joinable()) shard->engine_thread.join();
-    if (shard->writer_thread.joinable()) shard->writer_thread.join();
-  }
   if (accept_thread_.joinable()) accept_thread_.join();
   CloseFd(listen_fd_);
   // Shut down every connection so its reader sees EOF, then join readers.
@@ -215,12 +205,12 @@ void Server::Stop() {
   }
   for (auto& conn : conns) {
     {
-      std::lock_guard<std::mutex> wl(conn->write_mu);
+      std::lock_guard<std::mutex> lk(conn->order_mu);
       conn->closed.store(true, std::memory_order_release);
       if (conn->fd >= 0) ::shutdown(conn->fd, SHUT_RDWR);
     }
     if (conn->reader.joinable()) conn->reader.join();
-    std::lock_guard<std::mutex> wl(conn->write_mu);
+    std::lock_guard<std::mutex> lk(conn->order_mu);
     CloseFd(conn->fd);
   }
 }
@@ -234,11 +224,7 @@ std::vector<ShardSummary> Server::ShardSummaries() const {
       std::lock_guard<std::mutex> lk(shard->queue_mu);
       s.queue_depth = shard->queue.size();
     }
-    s.queue_depth_peak =
-        shard->queue_depth_peak.load(std::memory_order_relaxed);
     s.enqueued = shard->enqueued.load(std::memory_order_relaxed);
-    s.rejected_overloaded =
-        shard->rejected_overloaded.load(std::memory_order_relaxed);
     out.push_back(std::move(s));
   }
   return out;
@@ -286,7 +272,7 @@ void Server::ReapFinishedConnections() {
   }
   for (auto& conn : done) {
     if (conn->reader.joinable()) conn->reader.join();
-    std::lock_guard<std::mutex> wl(conn->write_mu);
+    std::lock_guard<std::mutex> lk(conn->order_mu);
     CloseFd(conn->fd);
   }
 }
@@ -393,7 +379,6 @@ void Server::EnqueueRequest(const std::shared_ptr<Connection>& conn,
   if (overloaded) {
     // Per-shard backpressure: only this shard is full; the client can keep
     // talking to sessions on the other shards.
-    shard.rejected_overloaded.fetch_add(1, std::memory_order_relaxed);
     ++shard.ctx.stats().serve_overload_rejections;
     WriteSequenced(
         *conn, seq,
@@ -403,16 +388,15 @@ void Server::EnqueueRequest(const std::shared_ptr<Connection>& conn,
     return;
   }
   shard.enqueued.fetch_add(1, std::memory_order_relaxed);
-  AtomicMax(shard.queue_depth_peak, depth);
   shard.ctx.stats().serve_queue_peak.MaxWith(depth);
   shard.queue_cv.notify_one();
 }
 
 // Stage 2: one engine thread per shard executes that shard's requests
 // strictly in arrival order against the shard-private context and session
-// table, then hands the response to the shard's writer (stage 3) through
-// the bounded respond queue — a full queue blocks here, which is the
-// backpressure toward slow readers.
+// table, then writes each response itself through the connection's
+// sequencer. When it returns, the shard has answered and written every
+// request it admitted.
 void Server::EngineLoop(Shard& shard) {
   while (true) {
     QueueItem item;
@@ -431,41 +415,8 @@ void Server::EngineLoop(Shard& shard) {
     std::string response =
         shard.service->ExecuteParsed(item.request, &shutdown_requested);
     shard.executing_conn_id.store(0, std::memory_order_release);
-    {
-      std::unique_lock<std::mutex> lk(shard.respond_mu);
-      shard.respond_space_cv.wait(lk, [&] {
-        return shard.respond_queue.size() < options_.max_respond_queue;
-      });
-      shard.respond_queue.push_back(
-          ResponseItem{item.conn, item.seq, std::move(response)});
-    }
-    shard.respond_cv.notify_one();
+    WriteSequenced(*item.conn, item.seq, std::move(response));
     if (shutdown_requested) RequestDrain();
-  }
-  {
-    std::lock_guard<std::mutex> lk(shard.respond_mu);
-    shard.engine_done = true;
-  }
-  shard.respond_cv.notify_all();
-}
-
-// Stage 3: the shard's writer drains the respond queue and releases each
-// response through the owning connection's sequencer, so the engine thread
-// never blocks on a slow client socket.
-void Server::WriterLoop(Shard& shard) {
-  while (true) {
-    ResponseItem item;
-    {
-      std::unique_lock<std::mutex> lk(shard.respond_mu);
-      shard.respond_cv.wait(lk, [&] {
-        return !shard.respond_queue.empty() || shard.engine_done;
-      });
-      if (shard.respond_queue.empty()) break;  // engine done and flushed
-      item = std::move(shard.respond_queue.front());
-      shard.respond_queue.pop_front();
-    }
-    shard.respond_space_cv.notify_one();
-    WriteSequenced(*item.conn, item.seq, std::move(item.line));
   }
   std::lock_guard<std::mutex> lk(done_mu_);
   ++shards_done_;
@@ -497,7 +448,6 @@ void Server::WriteSequenced(Connection& conn, uint64_t seq,
 }
 
 void Server::WriteLine(Connection& conn, const std::string& line) {
-  std::lock_guard<std::mutex> lk(conn.write_mu);
   if (conn.closed.load(std::memory_order_acquire) || conn.fd < 0) return;
   size_t sent = 0;
   while (sent < line.size()) {

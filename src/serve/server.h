@@ -2,7 +2,7 @@
 // newline-delimited JSON protocol (protocol.h) on 127.0.0.1, sharded into
 // N independent engine workers.
 //
-// Architecture (one process; the request path is a pipeline):
+// Architecture (one process; the request path is a two-stage pipeline):
 //
 //   accept thread ──► one reader thread per connection
 //                          │  stage 1 — parse: splits bytes into request
@@ -17,18 +17,16 @@
 //      shard 0 queue  shard 1 queue  ...  (bounded; full ⇒ "overloaded"
 //            │             │              for THAT shard only)
 //            ▼             ▼
-//      shard engine   shard engine        stage 2 — execute: classify →
-//        thread         thread            plan → rewrite/eval against the
-//            │             │              shard-private EngineContext +
-//            │             │              session table; engine work fans
-//            │             │              out across the shard's TaskPool
-//            ▼             ▼
-//      respond queue  respond queue       (bounded; full ⇒ the shard
-//            │             │              engine blocks = backpressure)
-//            ▼             ▼
-//      writer thread  writer thread       stage 3 — respond: per-connection
-//                                         sequencer restores arrival order,
-//                                         then writes on the socket
+//      shard engine   shard engine        stage 2 — execute and respond:
+//        thread         thread            classify → plan → rewrite/eval
+//                                         against the shard-private
+//                                         EngineContext + session table
+//                                         (engine work fans out across the
+//                                         shard's TaskPool), then release
+//                                         the response through the
+//                                         connection's sequencer, which
+//                                         restores arrival order and writes
+//                                         on the socket
 //
 // Why this shape:
 //   * Sessions are PINNED to shards by a stable hash of the session name,
@@ -42,6 +40,9 @@
 //     see src/engine/context.h) and serve output reproducible: every
 //     session's response stream is byte-identical to a serial replay of
 //     that session's requests, at every shard count and thread count.
+//   * One thread handles a request from dequeue to write, so a response
+//     crosses no further queue. A client that stops reading stalls its
+//     shard once its socket buffer fills.
 //   * Responses to one connection are written in request order even when
 //     the connection talks to sessions on different shards: every request
 //     line gets a per-connection sequence number at parse time, and a
@@ -56,8 +57,8 @@
 //   * backpressure is per shard: a full shard queue answers "overloaded"
 //     without touching the other shards;
 //   * RequestDrain() — from SIGTERM or the `shutdown` op — stops accepting
-//     connections, lets every shard answer its queued requests, flushes
-//     the writers, then stops; Wait() returns when the last shard drains.
+//     connections, lets every shard answer and write its queued requests,
+//     then stops; Wait() returns when the last shard drains.
 #ifndef CQAC_SERVE_SERVER_H_
 #define CQAC_SERVE_SERVER_H_
 
@@ -95,12 +96,8 @@ struct ServerOptions {
   /// Bounded per-shard request queue depth; a full queue answers
   /// "overloaded" for that shard without affecting the others.
   size_t max_queue = 256;
-  /// Bounded per-shard respond queue depth; a full queue blocks the
-  /// shard's engine thread (backpressure toward slow readers).
-  size_t max_respond_queue = 256;
   /// Number of engine shards. Each shard owns an EngineContext, a session
-  /// table, an engine thread, and a writer thread; sessions are pinned by
-  /// ShardForSession.
+  /// table and an engine thread; sessions are pinned by ShardForSession.
   size_t shards = 1;
   /// TaskPool workers per shard for intra-request fan-out (0 = serial).
   /// Each shard owns its pool: a TaskPool has a single caller slot, so
@@ -141,8 +138,7 @@ class Server {
   /// it when the caller did not. No-op without a data_dir.
   Status OpenStore(RecoverySummary* summary = nullptr);
 
-  /// Binds, listens, and spawns the accept, shard engine, and shard
-  /// writer threads.
+  /// Binds, listens, and spawns the accept and shard engine threads.
   Status Start();
 
   /// The bound port (valid after a successful Start).
@@ -152,8 +148,8 @@ class Server {
   size_t shards() const { return shards_.size(); }
 
   /// Initiates graceful drain: stop accepting, reject new request lines
-  /// with "shutting_down", let every shard finish its queued requests,
-  /// flush the writers, stop. Idempotent, non-blocking, safe from any
+  /// with "shutting_down", let every shard answer and write its queued
+  /// requests, stop. Idempotent, non-blocking, safe from any
   /// thread (a shard engine thread calls it for the `shutdown` op; the
   /// signal watcher calls it for SIGTERM).
   void RequestDrain();
@@ -185,12 +181,12 @@ class Server {
     uint64_t id = 0;
     int fd = -1;
     std::thread reader;
-    std::mutex write_mu;
     std::atomic<bool> closed{false};
     std::atomic<bool> reader_done{false};
 
     // Request lines are stamped 0,1,2,… by the reader (stage 1); the
-    // sequencer releases responses in exactly that order (stage 3).
+    // sequencer releases responses in exactly that order. order_mu also
+    // serializes every send on fd and its close.
     uint64_t next_request_seq = 0;  // reader thread only
     std::mutex order_mu;
     uint64_t next_write_seq = 0;
@@ -203,13 +199,7 @@ class Server {
     Request request;
   };
 
-  struct ResponseItem {
-    std::shared_ptr<Connection> conn;
-    uint64_t seq = 0;
-    std::string line;
-  };
-
-  /// One engine shard: private context + session table + pipeline stages.
+  /// One engine shard: private context + session table + request queue.
   struct Shard {
     size_t index = 0;
     EngineContext ctx;
@@ -220,43 +210,33 @@ class Server {
     std::condition_variable queue_cv;
     std::deque<QueueItem> queue;
 
-    std::mutex respond_mu;
-    std::condition_variable respond_cv;       // writer waits for work
-    std::condition_variable respond_space_cv; // engine waits for space
-    std::deque<ResponseItem> respond_queue;
-    bool engine_done = false;
-
     std::thread engine_thread;
-    std::thread writer_thread;
 
     std::atomic<uint64_t> executing_conn_id{0};
 
-    // Backpressure accounting, surfaced via ShardSummaries / the `stats`
-    // op / bench_serve. (enqueued + rejected also mirror into the shard
-    // context's serve_* EngineStats counters.)
+    // Requests admitted to the queue, surfaced via ShardSummaries. The
+    // overload rejections and the queue-depth peak are the context's
+    // serve_overload_rejections and serve_queue_peak counters.
     std::atomic<uint64_t> enqueued{0};
-    std::atomic<uint64_t> rejected_overloaded{0};
-    std::atomic<uint64_t> queue_depth_peak{0};
   };
 
   void AcceptLoop();
   void ReaderLoop(std::shared_ptr<Connection> conn);
   void EngineLoop(Shard& shard);
-  void WriterLoop(Shard& shard);
 
   /// Routes one parsed request to its session's shard; answers
   /// "overloaded" via the sequencer when that shard's queue is full.
   void EnqueueRequest(const std::shared_ptr<Connection>& conn, uint64_t seq,
                       Request request);
 
-  /// Stage-3 entry: releases `line` as response `seq` of `conn`, writing
-  /// it (and any directly following held responses) once every earlier
-  /// response has been written. Always advances the sequence, even when
+  /// Releases `line` as response `seq` of `conn`, writing it (and any
+  /// directly following held responses) once every earlier response has
+  /// been written. Always advances the sequence, even when
   /// the connection is already closed, so later responses never stall.
   void WriteSequenced(Connection& conn, uint64_t seq, std::string line);
 
   /// Sends `line` on `conn` unless it is already closed; write errors mark
-  /// it closed (the reader notices via recv).
+  /// it closed (the reader notices via recv). Caller holds conn.order_mu.
   void WriteLine(Connection& conn, const std::string& line);
 
   /// Joins reader threads of connections whose readers have exited.

@@ -97,7 +97,12 @@ std::string Service::ExecuteParsed(const Request& req,
                options_.max_timeout);
   Budget saved = ctx_.budget();
   ctx_.ClearCancel();
-  ctx_.budget().deadline = std::chrono::steady_clock::now() + timeout;
+  // A timeout past the clock's range saturates instead of overflowing.
+  const auto now = std::chrono::steady_clock::now();
+  ctx_.budget().deadline =
+      now + std::min(timeout,
+                     std::chrono::duration_cast<std::chrono::milliseconds>(
+                         std::chrono::steady_clock::time_point::max() - now));
 
   StatsSnapshot before = ctx_.stats().Snapshot();
   std::string response = Dispatch(req, shutdown_requested);
@@ -142,8 +147,9 @@ std::string ShardSummary::ToJson() const {
       "{\"shard\":", shard, ",\"requests\":", requests,
       ",\"request_errors\":", request_errors, ",\"sessions\":", sessions,
       ",\"queue_depth\":", queue_depth,
-      ",\"queue_depth_peak\":", queue_depth_peak, ",\"enqueued\":", enqueued,
-      ",\"rejected_overloaded\":", rejected_overloaded,
+      ",\"queue_depth_peak\":", engine.serve_queue_peak,
+      ",\"enqueued\":", enqueued,
+      ",\"rejected_overloaded\":", engine.serve_overload_rejections,
       ",\"threads\":", threads, ",\"cache\":{\"bytes\":", cache_bytes,
       ",\"entries\":", cache_entries, "},\"engine\":", engine.ToJson(), "}");
 }

@@ -57,6 +57,8 @@ struct ServiceOptions {
 
 /// A point-in-time summary of one shard, safe to take from any thread.
 /// The transport adds the queue fields; Service::Summary fills the rest.
+/// The rendered `queue_depth_peak` and `rejected_overloaded` are the engine
+/// counters serve_queue_peak and serve_overload_rejections.
 /// Source of the `stats` op's global scope and of bench_serve's per-shard
 /// counters.
 struct ShardSummary {
@@ -70,11 +72,9 @@ struct ShardSummary {
   uint64_t cache_entries = 0;
   size_t threads = 0;
   StatsSnapshot engine;
-  // Transport-level backpressure counters (filled by Server).
+  // Transport-level queue counters (filled by Server).
   size_t queue_depth = 0;
-  uint64_t queue_depth_peak = 0;
   uint64_t enqueued = 0;
-  uint64_t rejected_overloaded = 0;
 
   /// Renders the summary as one JSON object (the element shape of the
   /// `stats` op's "shard_stats" array).

@@ -18,6 +18,9 @@ namespace store {
 
 namespace {
 
+// The kInterval policy's sync interval.
+constexpr std::chrono::milliseconds kFsyncInterval{50};
+
 Status Errno(const char* what, const std::string& path) {
   return Status::Internal(StrCat(what, " ", path, ": ", std::strerror(errno)));
 }
@@ -195,9 +198,7 @@ Result<size_t> LogWriter::Append(const LogRecord& record) {
       break;
     case FsyncPolicy::kInterval: {
       auto now = std::chrono::steady_clock::now();
-      if (now - last_sync_ >=
-          std::chrono::milliseconds(options_.fsync_interval_ms))
-        CQAC_RETURN_IF_ERROR(Sync());
+      if (now - last_sync_ >= kFsyncInterval) CQAC_RETURN_IF_ERROR(Sync());
       break;
     }
     case FsyncPolicy::kNever:

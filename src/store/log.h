@@ -22,7 +22,7 @@
 //   * LSNs must be strictly increasing; a violation is a hard error.
 //
 // Fsync policy: kAlways syncs after every append (acked = on disk, the
-// crash-test configuration), kInterval syncs at most once per interval (the
+// crash-test configuration), kInterval syncs at most once per 50 ms (the
 // production default: bounded data loss, bounded latency), kNever leaves
 // syncing to the OS (benchmarks, bulk loads).
 #ifndef CQAC_STORE_LOG_H_
@@ -68,7 +68,6 @@ class LogWriter {
  public:
   struct Options {
     FsyncPolicy fsync = FsyncPolicy::kInterval;
-    uint64_t fsync_interval_ms = 50;
   };
 
   /// Opens `path`, creating it (header + fsync) when absent, validating and

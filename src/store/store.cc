@@ -80,6 +80,9 @@ std::string ShardDirPath(const std::string& data_dir, uint32_t shard_index) {
 }
 
 Status InitDataDir(const std::string& data_dir, uint32_t shard_count) {
+  if (shard_count == 0 || shard_count > kMaxShards)
+    return Status::InvalidArgument(StrCat("shard count ", shard_count,
+                                          " is outside 1..", kMaxShards));
   CQAC_RETURN_IF_ERROR(EnsureDir(data_dir));
   std::string manifest = StrCat(data_dir, "/MANIFEST");
   if (FileExists(manifest)) {
@@ -116,7 +119,7 @@ Result<uint32_t> ManifestShards(const std::string& data_dir) {
   char* end = nullptr;
   unsigned long n = std::strtoul(shards.c_str() + 7, &end, 10);
   if (errno != 0 || end == shards.c_str() + 7 || *end != '\0' || n == 0 ||
-      n > 4096)
+      n > kMaxShards)
     return Status::Inconsistent(StrCat("malformed MANIFEST in ", data_dir));
   return static_cast<uint32_t>(n);
 }
@@ -224,7 +227,6 @@ Result<std::unique_ptr<ShardStore>> ShardStore::Open(
 
   LogWriter::Options wal_options;
   wal_options.fsync = options.fsync;
-  wal_options.fsync_interval_ms = options.fsync_interval_ms;
   LogContents recovered;
   Result<std::unique_ptr<LogWriter>> wal = LogWriter::Open(
       WalPath(dir), shard_index, shard_count, wal_options, &recovered);
@@ -320,7 +322,6 @@ Status ShardStore::WriteSnapshot(
   }
   LogWriter::Options wal_options;
   wal_options.fsync = options_.fsync;
-  wal_options.fsync_interval_ms = options_.fsync_interval_ms;
   Result<std::unique_ptr<LogWriter>> reopened = LogWriter::Open(
       WalPath(dir_), shard_index_, shard_count_, wal_options, nullptr);
   if (!reopened.ok()) {
@@ -335,9 +336,8 @@ Status ShardStore::WriteSnapshot(
   // Prune old snapshots (best-effort; stale files only waste space).
   Result<std::vector<std::pair<uint64_t, std::string>>> snaps =
       ListSnapshots(dir_);
-  if (snaps.ok() && snaps.value().size() > options_.keep_snapshots) {
-    size_t drop = snaps.value().size() - std::max<size_t>(
-        options_.keep_snapshots, 1);
+  if (snaps.ok() && snaps.value().size() > kKeepSnapshots) {
+    size_t drop = snaps.value().size() - kKeepSnapshots;
     for (size_t i = 0; i < drop; ++i)
       ::unlink(snaps.value()[i].second.c_str());
   }

@@ -14,8 +14,7 @@
 //                                  zero-padded so lexical order = LSN order.
 //
 // Durability contract: ShardStore::Append runs on the shard's engine thread
-// inside the request handler, BEFORE the response enters the respond queue —
-// so under `--fsync always` an acknowledged commit is on disk. Snapshot
+// inside the request handler, BEFORE the response is written — so under `--fsync always` an acknowledged commit is on disk. Snapshot
 // writes compact the WAL down to a single kSnapshotBarrier record, so
 // recovery replays only the tail since the last snapshot through the live
 // path's own SessionState::Apply (O(delta) IVM maintenance) — never a
@@ -44,22 +43,26 @@ namespace store {
 
 struct StoreOptions {
   FsyncPolicy fsync = FsyncPolicy::kInterval;
-  uint64_t fsync_interval_ms = 50;
 
   /// Write a snapshot (and compact the WAL) after this many state-changing
   /// records have accumulated since the last one. 0 disables automatic
   /// snapshots (the WAL grows until a manual compact).
   uint64_t snapshot_every = 4096;
-
-  /// Snapshots retained after a successful compaction (>= 1).
-  size_t keep_snapshots = 2;
 };
+
+/// Snapshots retained after a successful compaction.
+inline constexpr size_t kKeepSnapshots = 2;
+
+/// The largest shard count a data dir can pin; InitDataDir refuses more,
+/// so every MANIFEST it writes reads back.
+inline constexpr uint32_t kMaxShards = 4096;
 
 /// `<data_dir>/shard-<index>`.
 std::string ShardDirPath(const std::string& data_dir, uint32_t shard_index);
 
-/// Creates `data_dir` if needed and pins `shard_count` in its MANIFEST.
-/// When a MANIFEST already exists, the pinned count must match.
+/// Creates `data_dir` if needed and pins `shard_count` (1..kMaxShards) in
+/// its MANIFEST. When a MANIFEST already exists, the pinned count must
+/// match.
 Status InitDataDir(const std::string& data_dir, uint32_t shard_count);
 
 /// Reads the shard count pinned by an existing MANIFEST.

@@ -17,8 +17,10 @@ TEST(JsonTest, QuoteEscapes) {
 }
 
 TEST(JsonTest, QueryStructure) {
-  Query q = MustParseQuery("q(X) :- r(X, Y), color(X, red), X < 7/2");
-  std::string j = QueryToJson(q);
+  UnionQuery u;
+  u.disjuncts.push_back(
+      MustParseQuery("q(X) :- r(X, Y), color(X, red), X < 7/2"));
+  std::string j = UnionQueryToJson(u);
   EXPECT_NE(j.find("\"head\":{\"predicate\":\"q\""), std::string::npos) << j;
   EXPECT_NE(j.find("{\"kind\":\"var\",\"name\":\"X\"}"), std::string::npos);
   EXPECT_NE(j.find("{\"kind\":\"symbol\",\"value\":\"red\"}"),
@@ -48,34 +50,18 @@ TEST(JsonTest, BalancedBracesOnWorkloads) {
     }
     return depth == 0 && !in_string;
   };
-  EXPECT_TRUE(balanced(QueryToJson(workloads::Example51Q2())));
-  EXPECT_TRUE(balanced(ViewSetToJson(workloads::Example12Views())));
+  UnionQuery one;
+  one.disjuncts.push_back(workloads::Example51Q2());
+  EXPECT_TRUE(balanced(UnionQueryToJson(one)));
   UnionQuery u;
   u.disjuncts.push_back(workloads::Example12Pk(2));
   u.disjuncts.push_back(workloads::Example12Pk(3));
   EXPECT_TRUE(balanced(UnionQueryToJson(u)));
 }
 
-TEST(JsonTest, ProgramSerialization) {
-  Program p("t", MustParseRules(
-                     "t(X, Y) :- e(X, Y).\n"
-                     "t(X, Z) :- e(X, Y), t(Y, Z), X < 5."));
-  std::string j = ProgramToJson(p);
-  EXPECT_NE(j.find("\"query_predicate\":\"t\""), std::string::npos);
-  EXPECT_NE(j.find("\"rules\":["), std::string::npos);
-  // Two rules serialized.
-  size_t count = 0;
-  for (size_t pos = 0; (pos = j.find("\"head\":", pos)) != std::string::npos;
-       ++pos)
-    ++count;
-  EXPECT_EQ(count, 2u);
-}
-
 TEST(JsonTest, EmptyCollections) {
   UnionQuery empty;
   EXPECT_EQ(UnionQueryToJson(empty), "{\"disjuncts\":[]}");
-  ViewSet none;
-  EXPECT_EQ(ViewSetToJson(none), "{\"views\":[]}");
 }
 
 }  // namespace

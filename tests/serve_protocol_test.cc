@@ -115,6 +115,15 @@ TEST(ProtocolTest, EnvelopeDefaultsAndFields) {
   EXPECT_EQ(bare.session, "default");
   EXPECT_TRUE(bare.id_json.empty());
   EXPECT_FALSE(bare.timeout.has_value());
+
+  // Past int64_t a timeout saturates; the service clamps it to max_timeout.
+  for (const char* huge : {"1e19", "1e300"}) {
+    Result<Request> big = ParseRequestEnvelope(
+        ParseJson(StrCat("{\"op\":\"ping\",\"timeout_ms\":", huge, "}"))
+            .value());
+    ASSERT_TRUE(big.ok()) << huge;
+    EXPECT_EQ(big.value().timeout, std::chrono::milliseconds::max()) << huge;
+  }
 }
 
 TEST(ProtocolTest, EnvelopeRejectsBadShapes) {
@@ -359,6 +368,25 @@ TEST_F(ServiceTest, MaxSessionsIsEnforced) {
   std::string full = view("c");
   EXPECT_NE(full.find("\"code\":\"resource_exhausted\""), std::string::npos)
       << full;
+}
+
+// The largest timeouts cqac_serve accepts (--default-timeout-ms and
+// --max-timeout-ms up to INT64_MAX) saturate the deadline instead of
+// overflowing the clock.
+TEST_F(ServiceTest, LargestTimeoutsSaturateTheDeadline) {
+  ServiceOptions options;
+  options.default_timeout = std::chrono::milliseconds::max();
+  options.max_timeout = std::chrono::milliseconds::max();
+  Service unbounded(ctx_, options);
+  bool shutdown = false;
+  for (const char* timeout : {"", ",\"timeout_ms\":1e19",
+                              ",\"timeout_ms\":1e300"}) {
+    std::string response = unbounded.Execute(
+        StrCat("{\"op\":\"classify\",\"query\":\"q(X) :- r(X), X < 3.\"",
+               timeout, "}"),
+        &shutdown);
+    EXPECT_EQ(response.rfind("{\"ok\":true", 0), 0u) << response;
+  }
 }
 
 // ---- All-or-nothing state changes over a durable store --------------------

@@ -1,7 +1,8 @@
 // Socket-level tests for the cqac_serve server (src/serve/server.h): framing
-// and error codes over a real loopback connection, graceful drain, in-flight
-// cancellation on client disconnect, and the determinism guarantees — serve
-// responses byte-identical to direct library calls, and concurrent clients
+// and error codes over a real loopback connection, pipelined requests with
+// per-shard overload, graceful drain, in-flight cancellation on client
+// disconnect, and the determinism guarantees — serve responses
+// byte-identical to direct library calls, and concurrent clients
 // byte-identical to a serial replay at every shard count (the shard sweep).
 // Also proves the pinning contract: sessions on different shards cannot
 // observe each other's views or facts; and that `stats` carries every
@@ -497,29 +498,39 @@ TEST(ServeTest, StatsCarriesEveryCounterPerfbenchReads) {
   }
 }
 
+/// Loads the complete digraph on 8 nodes into `session`.
+std::string DigraphFacts(const std::string& session) {
+  std::string facts;
+  for (int i = 0; i < 8; ++i)
+    for (int j = 0; j < 8; ++j) facts += StrCat("e(", i, ", ", j, "). ");
+  return StrCat("{\"op\":\"fact\",\"session\":", JsonQuote(session),
+                ",\"facts\":", JsonQuote(facts), "}");
+}
+
+/// An eval over DigraphFacts that only its deadline or a cancel ends: the
+/// 10-step walks number 8^11, and the join checks the deadline as it goes.
+std::string SlowEval(const std::string& session, int timeout_ms) {
+  std::string query = "q(X0) :- ";
+  for (int i = 0; i < 10; ++i)
+    query += StrCat("e(X", i, ", X", i + 1, "), ");
+  query += "X10 < X0";
+  return StrCat("{\"op\":\"eval\",\"session\":", JsonQuote(session),
+                ",\"timeout_ms\":", timeout_ms, ",\"query\":",
+                JsonQuote(query), "}");
+}
+
 TEST(ServeTest, ClientDisconnectCancelsInFlightRequest) {
   Server server(ServerOptions{});
   ASSERT_TRUE(server.Start().ok());
 
-  // Park an adversarial containment on the engine thread with a generous
-  // deadline, then vanish. The reader thread must flag cancellation, the
-  // engine must abandon the request at the next checkpoint, and a new
-  // client's ping must answer long before the 20s deadline would expire.
-  std::string candidate =
-      "q(A) :- r(A,B), r(B,C), r(C,D), r(D,A), r(A,C), r(B,D), r(C,A), "
-      "r(D,B), r(B,A), r(D,C)";
-  std::string query = "q(X0) :- ";
-  for (int i = 0; i < 14; ++i)
-    query += StrCat(i ? ", " : "", "r(X", i, ", X", i + 1, ")");
-  query += ", X0 < X14";
-
+  // Park a long eval on the engine thread with a generous deadline, then
+  // vanish. The reader thread must flag cancellation, the engine must
+  // abandon the request at the next checkpoint, and a new client's ping
+  // must answer long before the 20s deadline would expire.
   TestClient doomed(server.port());
-  EXPECT_EQ(doomed.RoundTrip("{\"op\":\"ping\"}"),
-            "{\"ok\":true,\"op\":\"ping\"}");
-  EXPECT_TRUE(doomed.SendLine(
-      StrCat("{\"op\":\"contain\",\"timeout_ms\":20000,\"query\":",
-             JsonQuote(query), ",\"candidate\":", JsonQuote(candidate),
-             "}")));
+  EXPECT_EQ(doomed.RoundTrip(DigraphFacts("default")).rfind("{\"ok\":true", 0),
+            0u);
+  EXPECT_TRUE(doomed.SendLine(SlowEval("default", 20000)));
   // Give the engine thread time to dequeue the request (it is idle, so this
   // is ample), then disconnect without reading the answer.
   std::this_thread::sleep_for(milliseconds(300));
@@ -531,6 +542,80 @@ TEST(ServeTest, ClientDisconnectCancelsInFlightRequest) {
             "{\"ok\":true,\"op\":\"ping\"}");
   EXPECT_LT(steady_clock::now() - start, milliseconds(10000))
       << "disconnect did not cancel the in-flight request";
+}
+
+// One connection sends to two shards without reading: responses arrive in
+// request order, a full shard queue answers "overloaded" for that shard
+// only, `stats` reports what the engine counted, and a shutdown pipelined
+// behind an in-flight request answers both before Wait() returns.
+TEST(ServeTest, PipelinedRequestsKeepOrderThroughOverloadAndDrain) {
+  const size_t kShards = 2;
+  std::string on0, on1;
+  for (int i = 0; on0.empty() || on1.empty(); ++i) {
+    std::string name = StrCat("tenant", i);
+    (ShardForSession(name, kShards) == 0 ? on0 : on1) = name;
+    ASSERT_LT(i, 64) << "hash should hit both shards quickly";
+  }
+  ServerOptions options;
+  options.shards = kShards;
+  options.max_queue = 1;
+  Server server(std::move(options));
+  ASSERT_TRUE(server.Start().ok());
+  TestClient client(server.port());
+  auto ping = [](const std::string& session, int id) {
+    return StrCat("{\"op\":\"ping\",\"session\":", JsonQuote(session),
+                  ",\"id\":", id, "}");
+  };
+
+  // Shard 0's engine dequeues the slow request; the first later request
+  // fills its one-slot queue and the second is turned away.
+  ASSERT_EQ(client.RoundTrip(DigraphFacts(on0)).rfind("{\"ok\":true", 0), 0u);
+  ASSERT_TRUE(client.SendLine(SlowEval(on0, 1500)));
+  std::this_thread::sleep_for(milliseconds(300));
+  ASSERT_TRUE(client.SendLine(ping(on1, 1)));
+  ASSERT_TRUE(client.SendLine(ping(on0, 2)));
+  ASSERT_TRUE(client.SendLine(ping(on0, 3)));
+  std::string slow = client.RecvLine();
+  EXPECT_NE(slow.find("\"code\":\"resource_exhausted\""), std::string::npos)
+      << slow;
+  EXPECT_EQ(client.RecvLine(), "{\"ok\":true,\"op\":\"ping\",\"id\":1}");
+  EXPECT_EQ(client.RecvLine(), "{\"ok\":true,\"op\":\"ping\",\"id\":2}");
+  EXPECT_EQ(client.RecvLine(),
+            "{\"ok\":false,\"op\":\"ping\",\"id\":3,\"error\":{\"code\":"
+            "\"overloaded\",\"message\":\"shard 0 request queue is full; "
+            "retry later\"}}");
+
+  const std::string reply = client.RoundTrip(
+      StrCat("{\"op\":\"stats\",\"session\":", JsonQuote(on1), "}"));
+  Result<JsonValue> stats = ParseJson(reply);
+  ASSERT_TRUE(stats.ok()) << reply;
+  const JsonValue* shards = stats.value().Find("shard_stats");
+  ASSERT_NE(shards, nullptr) << reply;
+  ASSERT_EQ(shards->array_items().size(), kShards) << reply;
+  const JsonValue& shard0 = shards->array_items()[0];
+  const JsonValue* engine = shard0.Find("engine");
+  ASSERT_NE(engine, nullptr) << reply;
+  auto count = [&](const JsonValue& object, const char* key) {
+    const JsonValue* v = object.Find(key);
+    EXPECT_NE(v, nullptr) << key << " missing: " << reply;
+    return v != nullptr ? v->number_value() : -1;
+  };
+  EXPECT_EQ(count(shard0, "rejected_overloaded"), 1);
+  EXPECT_EQ(count(shard0, "queue_depth_peak"), 1);
+  EXPECT_EQ(count(*engine, "serve_overload_rejections"), 1);
+  EXPECT_EQ(count(*engine, "serve_queue_peak"), 1);
+
+  // Shard 1 runs the shutdown while shard 0 still works; the drain waits
+  // for shard 0 to answer, and the sequencer keeps the two in order.
+  ASSERT_TRUE(client.SendLine(SlowEval(on0, 300)));
+  ASSERT_TRUE(client.SendLine(
+      StrCat("{\"op\":\"shutdown\",\"session\":", JsonQuote(on1), "}")));
+  slow = client.RecvLine();
+  EXPECT_NE(slow.find("\"code\":\"resource_exhausted\""), std::string::npos)
+      << slow;
+  EXPECT_EQ(client.RecvLine(),
+            "{\"ok\":true,\"op\":\"shutdown\",\"draining\":true}");
+  server.Wait();
 }
 
 TEST(ServeTest, ShutdownOpDrainsGracefully) {

@@ -444,6 +444,21 @@ TEST(StoreTest, ManifestPinsTheShardCount) {
   EXPECT_NE(changed.message().find("--shards"), std::string::npos);
 }
 
+// InitDataDir and ManifestShards check one bound, so a data dir that was
+// created can always be reopened.
+TEST(StoreTest, ManifestShardBoundHoldsOnWriteAndRead) {
+  TempDir dir;
+  std::string over = dir / "over";
+  EXPECT_FALSE(store::InitDataDir(over, 4097).ok());
+  EXPECT_FALSE(fs::exists(over + "/MANIFEST"));
+  std::string max = dir / "max";
+  ASSERT_TRUE(store::InitDataDir(max, 4096).ok());
+  auto shards = store::ManifestShards(max);
+  ASSERT_TRUE(shards.ok()) << shards.status();
+  EXPECT_EQ(shards.value(), 4096u);
+  EXPECT_TRUE(store::InitDataDir(max, 4096).ok());
+}
+
 // ---- ShardStore + RecoverShard ---------------------------------------------
 
 /// Drives a ShardStore the way a serve shard does: log the commit, then
@@ -573,7 +588,7 @@ TEST(StoreTest, KeepsOnlyTheConfiguredNumberOfSnapshots) {
   live.Snapshot();
   auto snaps = store::ListSnapshots(store::ShardDirPath(dir.path(), 0));
   ASSERT_TRUE(snaps.ok());
-  EXPECT_EQ(snaps.value().size(), 2u);  // StoreOptions.keep_snapshots
+  EXPECT_EQ(snaps.value().size(), store::kKeepSnapshots);
   EXPECT_EQ(snaps.value().back().first, live.store->last_lsn());
 }
 

@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Guard against benchmark regressions in CI.
 
-Compares fresh google-benchmark JSON result files against checked-in
-baselines (bench/baselines/) and fails when, for any CURRENT/BASELINE
-pair, the geometric mean of the per-benchmark time ratios
-(current / baseline) exceeds --max-ratio.
+Compares google-benchmark JSON result files of a change (CURRENT) with
+those of its base commit built and run on the same host (BASELINE; CI's
+bench-smoke job builds the base in a second tree and runs both trees
+alternately) and fails when, for any CURRENT/BASELINE pair, the geometric
+mean of the per-benchmark time ratios (current / baseline) exceeds
+--max-ratio.
 
 Only benchmarks present in *both* files of a pair are compared (aggregate
 rows like `_mean`/`_stddev` are skipped), so adding or removing a benchmark

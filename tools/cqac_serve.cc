@@ -28,6 +28,9 @@
 // Shutdown: SIGTERM / SIGINT or a `{"op":"shutdown"}` request drains
 // gracefully — the listener closes, queued requests are answered, then the
 // process exits 0.
+#include <cctype>
+#include <cerrno>
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <unistd.h>
@@ -51,8 +54,8 @@ int Usage() {
       "                  [--default-timeout-ms N] [--max-timeout-ms N]\n"
       "                  [--max-queue N] [--max-request-bytes N]\n"
       "                  [--max-sessions N]\n"
-      "  --shards N         engine shards (default 1); sessions pin to "
-      "shards\n"
+      "  --shards N         engine shards, at most 4096 (default 1);\n"
+      "                     sessions pin to shards\n"
       "  --threads N        TaskPool workers per shard (default 0 = "
       "serial)\n"
       "  --data-dir DIR     durable sessions: per-shard log + snapshots;\n"
@@ -63,15 +66,19 @@ int Usage() {
   return 3;
 }
 
+// Parses a plain decimal count: no sign, no blanks, no overflow.
 bool ParseSize(const char* text, size_t* out) {
+  if (!std::isdigit(static_cast<unsigned char>(*text))) return false;
+  errno = 0;
   char* end = nullptr;
   unsigned long long n = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0') return false;
+  if (errno != 0 || *end != '\0') return false;
   *out = static_cast<size_t>(n);
   return true;
 }
 
 int Run(int argc, char** argv) {
+  constexpr size_t kMaxTimeoutMs = std::chrono::milliseconds::max().count();
   serve::ServerOptions options;
   size_t threads = 0;
   for (int i = 1; i < argc; ++i) {
@@ -89,7 +96,8 @@ int Run(int argc, char** argv) {
       options.port = static_cast<uint16_t>(n);
     } else if (arg == "--shards") {
       const char* v = next();
-      if (!v || !ParseSize(v, &n) || n == 0) return Usage();
+      if (!v || !ParseSize(v, &n) || n == 0 || n > store::kMaxShards)
+        return Usage();
       options.shards = n;
     } else if (arg == "--threads") {
       const char* v = next();
@@ -115,11 +123,11 @@ int Run(int argc, char** argv) {
       options.store.snapshot_every = n;
     } else if (arg == "--default-timeout-ms") {
       const char* v = next();
-      if (!v || !ParseSize(v, &n)) return Usage();
+      if (!v || !ParseSize(v, &n) || n > kMaxTimeoutMs) return Usage();
       options.service.default_timeout = std::chrono::milliseconds(n);
     } else if (arg == "--max-timeout-ms") {
       const char* v = next();
-      if (!v || !ParseSize(v, &n)) return Usage();
+      if (!v || !ParseSize(v, &n) || n > kMaxTimeoutMs) return Usage();
       options.service.max_timeout = std::chrono::milliseconds(n);
     } else if (arg == "--max-queue") {
       const char* v = next();
