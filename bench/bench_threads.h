@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "src/base/strings.h"
 #include "src/base/task_pool.h"
 #include "src/engine/context.h"
 
@@ -51,13 +52,12 @@ inline void StripThreadsFlag(int* argc, char** argv) {
       argv[out++] = argv[i];
       continue;
     }
-    char* end = nullptr;
-    unsigned long n = std::strtoul(value, &end, 10);
-    if (end == value || *end != '\0') {
-      std::fprintf(stderr, "%s: invalid thread count '%s'\n", argv[0], value);
+    if (!ParseSize(value, &ThreadsFlag()) ||
+        ThreadsFlag() > TaskPool::kMaxThreads) {
+      std::fprintf(stderr, "%s: invalid thread count '%s' (at most %zu)\n",
+                   argv[0], value, TaskPool::kMaxThreads);
       std::exit(1);
     }
-    ThreadsFlag() = static_cast<size_t>(n);
   }
   *argc = out;
 }

@@ -2,13 +2,10 @@
 
 #include <cstddef>
 #include <set>
-#include <sstream>
 #include <utility>
 
 #include "src/analysis/lint.h"
 #include "src/base/strings.h"
-#include "src/constraints/implication.h"
-#include "src/ir/parser.h"
 
 namespace cqac {
 
@@ -19,19 +16,6 @@ std::string FixEdit::ToString() const {
 namespace {
 
 // ---- rule-level rewrites ---------------------------------------------------
-
-// Same gate as the linter: the implication engine only speaks the numeric
-// dense order, so ordered comparisons over symbols take L006/L010 off the
-// table.
-bool HasSymbolComparison(const Query& q) {
-  for (const Comparison& c : q.comparisons()) {
-    if (c.op == CompOp::kEq) continue;
-    if ((c.lhs.is_const() && c.lhs.value().is_symbol()) ||
-        (c.rhs.is_const() && c.rhs.value().is_symbol()))
-      return true;
-  }
-  return false;
-}
 
 bool TriviallyTrue(const Comparison& c) {
   if (c.lhs == c.rhs) return c.op != CompOp::kLt;  // t <= t, t = t
@@ -81,214 +65,122 @@ void CleanComparisons(Query* q) {
   q->comparisons() = std::move(kept);
 }
 
-// L010: the first pair of terms the comparisons force equal (and that is not
-// an explicit `=`, which preprocessing handles silently) is merged. Mirrors
-// RuleLinter::CheckForcedEqualities' search order so the fix lands on the
-// diagnosed pair.
-bool FixOneForcedEquality(Query* q, int rule_index,
+// L010: a forced pair of variables keeps the earlier one; a variable forced
+// to a constant becomes the constant.
+void MergeForcedEquality(const ForcedEquality& f, Query* q, int rule_index,
+                         std::vector<FixEdit>* edits) {
+  const Term var = Term::Var(f.var);
+  if (f.other.is_var()) {
+    edits->push_back({"L010", rule_index,
+                      StrCat("substituted ", q->VarName(f.other.var()), " := ",
+                             q->VarName(f.var),
+                             " (the comparisons force them equal)")});
+    Substitute(q, f.other, var);
+  } else {
+    edits->push_back({"L010", rule_index,
+                      StrCat("substituted ", q->VarName(f.var), " := ",
+                             f.other.value().number().ToString(),
+                             " (the comparisons force the variable to the "
+                             "constant)")});
+    Substitute(q, var, f.other);
+  }
+  CleanComparisons(q);
+}
+
+// L008: drops the later copy.
+void DropDuplicateSubgoal(const DuplicateSubgoal& d, Query* q, int rule_index,
                           std::vector<FixEdit>* edits) {
-  const std::vector<Comparison>& cs = q->comparisons();
-  auto explicit_eq = [&](const Term& a, const Term& b) {
-    for (const Comparison& c : cs)
-      if (c.op == CompOp::kEq &&
-          ((c.lhs == a && c.rhs == b) || (c.lhs == b && c.rhs == a)))
-        return true;
-    return false;
-  };
-  auto forced = [&](const Term& a, const Term& b) {
-    Result<bool> r = ImpliesConjunction(
-        cs, {Comparison(a, CompOp::kLe, b), Comparison(b, CompOp::kLe, a)});
-    return r.ok() && r.value();
-  };
-  std::set<int> vars = q->ComparisonVars();
-  std::vector<int> vv(vars.begin(), vars.end());
-  for (size_t i = 0; i < vv.size(); ++i) {
-    Term a = Term::Var(vv[i]);
-    for (size_t j = i + 1; j < vv.size(); ++j) {
-      Term b = Term::Var(vv[j]);
-      if (explicit_eq(a, b) || !forced(a, b)) continue;
-      edits->push_back({"L010", rule_index,
-                        StrCat("substituted ", q->VarName(vv[j]), " := ",
-                               q->VarName(vv[i]),
-                               " (the comparisons force them equal)")});
-      Substitute(q, b, a);
-      CleanComparisons(q);
-      return true;
-    }
-    for (const Rational& c : q->ComparisonConstants()) {
-      Term b = Term::Const(Value(c));
-      if (explicit_eq(a, b) || !forced(a, b)) continue;
-      edits->push_back({"L010", rule_index,
-                        StrCat("substituted ", q->VarName(vv[i]), " := ",
-                               c.ToString(),
-                               " (the comparisons force the variable to the "
-                               "constant)")});
-      Substitute(q, a, b);
-      CleanComparisons(q);
-      return true;
-    }
-  }
-  return false;
-}
-
-// L008: drops the first subgoal that duplicates an earlier one exactly.
-bool FixOneDuplicateSubgoal(Query* q, int rule_index,
-                            std::vector<FixEdit>* edits) {
   std::vector<Atom>& body = q->body();
-  for (size_t i = 0; i < body.size(); ++i)
-    for (size_t j = 0; j < i; ++j) {
-      if (!(body[i] == body[j])) continue;
-      edits->push_back({"L008", rule_index,
-                        StrCat("dropped subgoal #", i + 1, " '",
-                               body[i].predicate, "(...)' (duplicates subgoal #",
-                               j + 1, ")")});
-      body.erase(body.begin() + static_cast<std::ptrdiff_t>(i));
-      return true;
-    }
-  return false;
+  edits->push_back({"L008", rule_index,
+                    StrCat("dropped subgoal #", d.index + 1, " '",
+                           body[d.index].predicate,
+                           "(...)' (duplicates subgoal #", d.original + 1,
+                           ")")});
+  body.erase(body.begin() + static_cast<std::ptrdiff_t>(d.index));
 }
 
-// L006: drops the first non-ground comparison implied by the remaining ones
-// (ground comparisons are L007's; folding those changes what the linter
-// reports, so --fix leaves them alone).
-bool FixOneRedundantComparison(Query* q, int rule_index,
-                               std::vector<FixEdit>* edits) {
-  const std::vector<Comparison>& cs = q->comparisons();
-  for (size_t i = 0; i < cs.size(); ++i) {
-    if (cs[i].lhs.is_const() && cs[i].rhs.is_const()) continue;
-    std::vector<Comparison> rest;
-    for (size_t j = 0; j < cs.size(); ++j)
-      if (j != i) rest.push_back(cs[j]);
-    Result<bool> implied = ImpliesConjunction(rest, {cs[i]});
-    if (!implied.ok() || !implied.value()) continue;
-    edits->push_back(
-        {"L006", rule_index,
-         StrCat("dropped comparison '", q->TermToString(cs[i].lhs), " ",
-                CompOpName(cs[i].op), " ", q->TermToString(cs[i].rhs),
-                "' (implied by the remaining comparisons)")});
-    q->comparisons() = std::move(rest);
-    return true;
-  }
-  return false;
+// L006: drops the implied comparison (ground comparisons are L007's;
+// folding those changes what the linter reports, so --fix leaves them
+// alone).
+void DropRedundantComparison(size_t i, Query* q, int rule_index,
+                             std::vector<FixEdit>* edits) {
+  std::vector<Comparison>& cs = q->comparisons();
+  edits->push_back(
+      {"L006", rule_index,
+       StrCat("dropped comparison '", q->TermToString(cs[i].lhs), " ",
+              CompOpName(cs[i].op), " ", q->TermToString(cs[i].rhs),
+              "' (implied by the remaining comparisons)")});
+  cs.erase(cs.begin() + static_cast<std::ptrdiff_t>(i));
 }
 
 }  // namespace
 
 bool FixQuery(Query* q, int rule_index, std::vector<FixEdit>* edits) {
   size_t before = edits->size();
-  // The gates hold under every rewrite below (all are equivalence-preserving
-  // and none can introduce a symbol comparison), so compute them once.
-  bool implication_ok =
-      !HasSymbolComparison(*q) && AcsConsistent(q->comparisons());
-  // One rewrite per round, L010 first: substitutions create the duplicates
-  // and redundancies the later passes clean up. Each round removes a
-  // variable, a subgoal, or a comparison, so the loop terminates; the guard
-  // is a belt-and-braces bound.
+  // The gate holds under every rewrite below (all are equivalence-preserving
+  // and none can introduce a symbol comparison), so compute it once.
+  const bool implication_ok =
+      GateComparisons(*q) == ComparisonGate::kDense;
+  // One rewrite per round, the first finding of L010, else L008, else L006:
+  // substitutions create the duplicates and redundancies the later checks
+  // clean up. Each round removes a variable, a subgoal, or a comparison, so
+  // the loop terminates; the guard is a belt-and-braces bound.
   for (int guard = 0; guard < 10000; ++guard) {
-    if (implication_ok && FixOneForcedEquality(q, rule_index, edits)) continue;
-    if (FixOneDuplicateSubgoal(q, rule_index, edits)) continue;
-    if (implication_ok && FixOneRedundantComparison(q, rule_index, edits))
+    if (implication_ok) {
+      std::vector<ForcedEquality> forced = FindForcedEqualities(*q);
+      if (!forced.empty()) {
+        MergeForcedEquality(forced.front(), q, rule_index, edits);
+        continue;
+      }
+    }
+    std::vector<DuplicateSubgoal> duplicates = FindDuplicateSubgoals(*q);
+    if (!duplicates.empty()) {
+      DropDuplicateSubgoal(duplicates.front(), q, rule_index, edits);
       continue;
+    }
+    if (implication_ok) {
+      std::vector<size_t> redundant = FindRedundantComparisons(*q);
+      if (!redundant.empty()) {
+        DropRedundantComparison(redundant.front(), q, rule_index, edits);
+        continue;
+      }
+    }
     break;
   }
   return edits->size() > before;
 }
 
-namespace {
-
-struct Replacement {
-  size_t begin;
-  size_t end;
-  std::string text;
-};
-
-// Replaces back to front so earlier offsets stay valid. Spans come from the
-// parser in source order and never overlap.
-void ApplyReplacements(std::vector<Replacement>* repls, std::string* text) {
-  for (auto it = repls->rbegin(); it != repls->rend(); ++it)
-    text->replace(it->begin, it->end - it->begin, it->text);
-}
-
-FixResult FixPlainText(const std::string& text) {
+FixResult FixFileText(const std::string& text) {
   FixResult out{text, {}};
-  ParsedProgram program = ParseProgramWithDiagnostics(text);
-  if (!program.errors.empty()) return out;  // unsafe to edit around errors
-  std::vector<Replacement> repls;
-  for (size_t r = 0; r < program.rules.size(); ++r) {
-    Query q = program.rules[r].query;
+  const CqacText file = ReadCqacText(text);
+  // Fixing around unparsed text is not safe: a plain program with a parse
+  // error stays verbatim, and so does every script line with one.
+  if (!file.script && !file.errors.empty()) return out;
+  std::set<int> broken_lines;
+  for (const ParseDiagnostic& e : file.errors)
+    broken_lines.insert(e.span.begin.line);
+  struct Replacement {
+    size_t begin;
+    size_t end;
+    std::string text;
+  };
+  std::vector<Replacement> repls;  // in source order, never overlapping
+  for (size_t r = 0; r < file.rules.size(); ++r) {
+    const SourceSpan& span = file.rules[r].info.rule;
+    if (broken_lines.count(span.begin.line)) continue;
+    Query q = file.rules[r].query;
     std::vector<FixEdit> edits;
     if (!FixQuery(&q, static_cast<int>(r), &edits)) continue;
-    const SourceSpan& span = program.rules[r].info.rule;
     if (!span.valid() || span.end.offset <= span.begin.offset ||
         span.end.offset > text.size())
       continue;  // no reliable span: report nothing rather than mis-edit
     repls.push_back({span.begin.offset, span.end.offset, q.ToString()});
     for (FixEdit& e : edits) out.edits.push_back(std::move(e));
   }
-  ApplyReplacements(&repls, &out.text);
+  // Back to front, so earlier offsets stay valid.
+  for (auto it = repls.rbegin(); it != repls.rend(); ++it)
+    out.text.replace(it->begin, it->end - it->begin, it->text);
   return out;
-}
-
-// Fixes the rule text of one shell line (`view`, `query`, `fact`, `retract`,
-// `contained`, `explain`); everything else passes through verbatim.
-// `rule_index` runs over the whole script, matching LintShellText's rule
-// numbering.
-std::string FixShellLine(const std::string& line, int* rule_index,
-                         std::vector<FixEdit>* edits) {
-  size_t start = line.find_first_not_of(" \t\r");
-  if (start == std::string::npos || line[start] == '%') return line;
-  size_t end = line.find_first_of(" \t\r", start);
-  if (end == std::string::npos) return line;
-  std::string word = line.substr(start, end - start);
-  if (word != "view" && word != "query" && word != "fact" &&
-      word != "retract" && word != "contained" && word != "explain")
-    return line;
-  size_t rule_start = line.find_first_not_of(" \t\r", end);
-  if (rule_start == std::string::npos) return line;
-  std::string fragment = line.substr(rule_start);
-  ParsedProgram parsed = ParseProgramWithDiagnostics(fragment);
-  if (!parsed.errors.empty()) {
-    *rule_index += static_cast<int>(parsed.rules.size());
-    return line;
-  }
-  std::vector<Replacement> repls;
-  for (ParsedQuery& pq : parsed.rules) {
-    int idx = (*rule_index)++;
-    Query q = pq.query;
-    std::vector<FixEdit> rule_edits;
-    if (!FixQuery(&q, idx, &rule_edits)) continue;
-    const SourceSpan& span = pq.info.rule;
-    if (!span.valid() || span.end.offset <= span.begin.offset ||
-        span.end.offset > fragment.size())
-      continue;
-    repls.push_back({span.begin.offset, span.end.offset, q.ToString()});
-    for (FixEdit& e : rule_edits) edits->push_back(std::move(e));
-  }
-  ApplyReplacements(&repls, &fragment);
-  return line.substr(0, rule_start) + fragment;
-}
-
-FixResult FixShellText(const std::string& text) {
-  FixResult out{text, {}};
-  std::string fixed;
-  std::istringstream in(text);
-  std::string line;
-  int rule_index = 0;
-  bool first = true;
-  while (std::getline(in, line)) {
-    if (!first) fixed += '\n';
-    first = false;
-    fixed += FixShellLine(line, &rule_index, &out.edits);
-  }
-  if (!text.empty() && text.back() == '\n') fixed += '\n';
-  if (out.changed()) out.text = std::move(fixed);
-  return out;
-}
-
-}  // namespace
-
-FixResult FixFileText(const std::string& text) {
-  return LooksLikeShellScript(text) ? FixShellText(text) : FixPlainText(text);
 }
 
 }  // namespace cqac

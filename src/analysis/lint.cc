@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
-#include <sstream>
+#include <span>
 
 #include "src/analysis/classify.h"
 #include "src/base/strings.h"
@@ -87,6 +87,12 @@ SourceSpan SpanOrInvalid(const std::vector<SourceSpan>& spans, size_t i) {
   return i < spans.size() ? spans[i] : SourceSpan{};
 }
 
+bool IsOrderedOverSymbol(const Comparison& c) {
+  return c.op != CompOp::kEq &&
+         ((c.lhs.is_const() && c.lhs.value().is_symbol()) ||
+          (c.rhs.is_const() && c.rhs.value().is_symbol()));
+}
+
 /// Per-rule linting state.
 class RuleLinter {
  public:
@@ -102,13 +108,16 @@ class RuleLinter {
     body_vars_ = q_.BodyVars();
     CheckUnsafeHead();          // L001
     CheckComparisonOnlyVars();  // L002
-    CheckSymbolComparisons();   // L004
-    // The implication-based checks assume comparisons over the numeric dense
-    // order; symbol comparisons (L004) take them off the table.
-    if (!has_symbol_comparison_) {
-      CheckUnsatisfiable();          // L003
-      CheckFoldableComparisons();    // L007
-      if (consistent_) {
+    const ComparisonGate gate = GateComparisons(q_);
+    if (gate == ComparisonGate::kSymbolic) {
+      CheckSymbolComparisons();  // L004
+    } else {
+      if (gate == ComparisonGate::kUnsatisfiable)
+        Emit("L003", LintSeverity::kError, SpanOrInvalid(info_.comparisons, 0),
+             "comparisons are unsatisfiable: the query denotes the empty "
+             "relation on every database");
+      CheckFoldableComparisons();  // L007
+      if (gate == ComparisonGate::kDense) {
         CheckRedundantComparisons();  // L006
         CheckForcedEqualities();      // L010
       }
@@ -154,11 +163,7 @@ class RuleLinter {
   void CheckSymbolComparisons() {
     for (size_t i = 0; i < q_.comparisons().size(); ++i) {
       const Comparison& c = q_.comparisons()[i];
-      if (c.op == CompOp::kEq) continue;
-      bool symbolic = (c.lhs.is_const() && c.lhs.value().is_symbol()) ||
-                      (c.rhs.is_const() && c.rhs.value().is_symbol());
-      if (!symbolic) continue;
-      has_symbol_comparison_ = true;
+      if (!IsOrderedOverSymbol(c)) continue;
       Emit("L004", LintSeverity::kError, SpanOrInvalid(info_.comparisons, i),
            StrCat("ordered comparison '", CompToString(q_, c),
                   "' over a symbolic constant (only numbers live on the "
@@ -166,30 +171,16 @@ class RuleLinter {
     }
   }
 
-  void CheckUnsatisfiable() {
-    consistent_ = AcsConsistent(q_.comparisons());
-    if (consistent_) return;
-    Emit("L003", LintSeverity::kError, SpanOrInvalid(info_.comparisons, 0),
-         "comparisons are unsatisfiable: the query denotes the empty "
-         "relation on every database");
-  }
-
   void CheckRedundantComparisons() {
     const std::vector<Comparison>& cs = q_.comparisons();
-    for (size_t i = 0; i < cs.size(); ++i) {
-      if (cs[i].lhs.is_const() && cs[i].rhs.is_const())
-        continue;  // ground comparisons are L007's
-      std::vector<Comparison> rest;
-      for (size_t j = 0; j < cs.size(); ++j)
-        if (j != i) rest.push_back(cs[j]);
-      Result<bool> implied = ImpliesConjunction(rest, {cs[i]});
-      if (!implied.ok() || !implied.value()) continue;
+    for (size_t i : FindRedundantComparisons(q_)) {
       std::string msg = StrCat("comparison '", CompToString(q_, cs[i]),
                                "' is implied by the remaining comparisons");
       if (cs[i].IsSemiInterval()) {
         int v = cs[i].lhs.is_var() ? cs[i].lhs.var() : cs[i].rhs.var();
         Query rest_q = q_;
-        rest_q.comparisons() = rest;
+        rest_q.comparisons().erase(rest_q.comparisons().begin() +
+                                   static_cast<std::ptrdiff_t>(i));
         Result<std::map<int, VarInterval>> ivs = DeriveIntervals(rest_q);
         if (ivs.ok()) {
           auto it = ivs.value().find(v);
@@ -220,15 +211,11 @@ class RuleLinter {
   }
 
   void CheckDuplicateSubgoals() {
-    for (size_t i = 0; i < q_.body().size(); ++i) {
-      for (size_t j = 0; j < i; ++j) {
-        if (!(q_.body()[i] == q_.body()[j])) continue;
-        Emit("L008", LintSeverity::kWarning, SpanOrInvalid(info_.body, i),
-             StrCat("subgoal #", i + 1,
-                    " duplicates subgoal #", j + 1, " exactly"));
-        duplicate_.insert(i);
-        break;
-      }
+    for (const DuplicateSubgoal& d : FindDuplicateSubgoals(q_)) {
+      Emit("L008", LintSeverity::kWarning, SpanOrInvalid(info_.body, d.index),
+           StrCat("subgoal #", d.index + 1, " duplicates subgoal #",
+                  d.original + 1, " exactly"));
+      duplicate_.insert(d.index);
     }
   }
 
@@ -257,43 +244,15 @@ class RuleLinter {
   }
 
   void CheckForcedEqualities() {
-    const std::vector<Comparison>& cs = q_.comparisons();
-    auto explicit_eq = [&](const Term& a, const Term& b) {
-      for (const Comparison& c : cs)
-        if (c.op == CompOp::kEq &&
-            ((c.lhs == a && c.rhs == b) || (c.lhs == b && c.rhs == a)))
-          return true;
-      return false;
-    };
-    auto forced = [&](const Term& a, const Term& b) {
-      Result<bool> r = ImpliesConjunction(
-          cs, {Comparison(a, CompOp::kLe, b), Comparison(b, CompOp::kLe, a)});
-      return r.ok() && r.value();
-    };
-    std::set<int> vars = q_.ComparisonVars();
-    std::vector<int> vv(vars.begin(), vars.end());
-    for (size_t i = 0; i < vv.size(); ++i) {
-      Term a = Term::Var(vv[i]);
-      bool merged = false;
-      for (size_t j = i + 1; j < vv.size() && !merged; ++j) {
-        Term b = Term::Var(vv[j]);
-        if (explicit_eq(a, b) || !forced(a, b)) continue;
-        Emit("L010", LintSeverity::kWarning, SpanOrInvalid(info_.comparisons, 0),
-             StrCat("comparisons force ", q_.VarName(vv[i]), " = ",
-                    q_.VarName(vv[j]),
-                    "; preprocessing will merge the variables"));
-        merged = true;
-      }
-      if (merged) continue;
-      for (const Rational& c : q_.ComparisonConstants()) {
-        Term b = Term::Const(Value(c));
-        if (explicit_eq(a, b) || !forced(a, b)) continue;
-        Emit("L010", LintSeverity::kWarning, SpanOrInvalid(info_.comparisons, 0),
-             StrCat("comparisons force ", q_.VarName(vv[i]), " = ",
-                    c.ToString(), "; preprocessing will substitute the "
-                    "constant"));
-        break;
-      }
+    for (const ForcedEquality& f : FindForcedEqualities(q_)) {
+      std::string msg =
+          f.other.is_var()
+              ? StrCat(q_.VarName(f.other.var()),
+                       "; preprocessing will merge the variables")
+              : StrCat(f.other.value().number().ToString(),
+                       "; preprocessing will substitute the constant");
+      Emit("L010", LintSeverity::kWarning, SpanOrInvalid(info_.comparisons, 0),
+           StrCat("comparisons force ", q_.VarName(f.var), " = ", msg));
     }
   }
 
@@ -331,8 +290,6 @@ class RuleLinter {
   std::set<int> body_vars_;
   std::set<size_t> duplicate_;
   bool has_error_ = false;
-  bool has_symbol_comparison_ = false;
-  bool consistent_ = true;
 };
 
 /// L005: every use of a predicate (head or body) must agree on arity.
@@ -377,6 +334,72 @@ void SortDiagnostics(std::vector<LintDiagnostic>* diags) {
 
 }  // namespace
 
+ComparisonGate GateComparisons(const Query& q) {
+  for (const Comparison& c : q.comparisons())
+    if (IsOrderedOverSymbol(c)) return ComparisonGate::kSymbolic;
+  return AcsConsistent(q.comparisons()) ? ComparisonGate::kDense
+                                        : ComparisonGate::kUnsatisfiable;
+}
+
+std::vector<ForcedEquality> FindForcedEqualities(const Query& q) {
+  const std::vector<Comparison>& cs = q.comparisons();
+  auto explicit_eq = [&](const Term& a, const Term& b) {
+    for (const Comparison& c : cs)
+      if (c.op == CompOp::kEq &&
+          ((c.lhs == a && c.rhs == b) || (c.lhs == b && c.rhs == a)))
+        return true;
+    return false;
+  };
+  auto forced = [&](const Term& a, const Term& b) {
+    Result<bool> r = ImpliesConjunction(
+        cs, {Comparison(a, CompOp::kLe, b), Comparison(b, CompOp::kLe, a)});
+    return r.ok() && r.value();
+  };
+  const std::set<int> var_set = q.ComparisonVars();
+  const std::vector<int> vars(var_set.begin(), var_set.end());
+  const std::vector<Rational> constants = q.ComparisonConstants();
+  std::vector<ForcedEquality> out;
+  for (size_t i = 0; i < vars.size(); ++i) {
+    const Term a = Term::Var(vars[i]);
+    std::vector<Term> partners;  // later variables first, then constants
+    for (size_t j = i + 1; j < vars.size(); ++j)
+      partners.push_back(Term::Var(vars[j]));
+    for (const Rational& c : constants)
+      partners.push_back(Term::Const(Value(c)));
+    for (const Term& b : partners) {
+      if (explicit_eq(a, b) || !forced(a, b)) continue;
+      out.push_back({vars[i], b});
+      break;
+    }
+  }
+  return out;
+}
+
+std::vector<DuplicateSubgoal> FindDuplicateSubgoals(const Query& q) {
+  const std::vector<Atom>& body = q.body();
+  std::vector<DuplicateSubgoal> out;
+  for (size_t i = 0; i < body.size(); ++i)
+    for (size_t j = 0; j < i; ++j)
+      if (body[i] == body[j]) {
+        out.push_back({i, j});
+        break;
+      }
+  return out;
+}
+
+std::vector<size_t> FindRedundantComparisons(const Query& q) {
+  const std::vector<Comparison>& cs = q.comparisons();
+  std::vector<size_t> out;
+  for (size_t i = 0; i < cs.size(); ++i) {
+    if (cs[i].lhs.is_const() && cs[i].rhs.is_const()) continue;
+    std::vector<Comparison> rest = cs;
+    rest.erase(rest.begin() + static_cast<std::ptrdiff_t>(i));
+    Result<bool> implied = ImpliesConjunction(rest, {cs[i]});
+    if (implied.ok() && implied.value()) out.push_back(i);
+  }
+  return out;
+}
+
 std::vector<LintDiagnostic> LintProgram(const std::vector<ParsedQuery>& rules,
                                         const LintOptions& options) {
   std::vector<LintDiagnostic> out;
@@ -395,108 +418,106 @@ std::vector<LintDiagnostic> LintQuery(const ParsedQuery& rule,
   return out;
 }
 
-// ---- whole-file linting (shared by cqac_lint and the serve `lint` op) ------
+// ---- reading .cqac text (the linter, the fixer and the serve `lint` op) ----
 
 const char kLintParseCode[] = "P001";
 
 namespace {
 
-bool IsShellCommandWord(const std::string& word) {
-  for (std::string_view cmd : kShellCommands)
-    if (word == cmd) return true;
-  return false;
+bool IsBlank(char c) { return c == ' ' || c == '\t'; }
+
+bool IsOneOf(std::string_view word, std::span<const std::string_view> words) {
+  return std::find(words.begin(), words.end(), word) != words.end();
 }
 
-// Shifts a single-line span parsed from a line fragment back to its position
-// in the whole file: the fragment starts at 1-based column `col0` of line
-// `line_no`.
-SourceSpan RemapSpan(SourceSpan span, int line_no, int col0) {
-  if (!span.valid()) return span;
-  span.begin.line = line_no;
-  span.begin.col += col0 - 1;
-  if (span.end.valid()) {
-    span.end.line = line_no;
-    span.end.col += col0 - 1;
+// Shifts a span parsed from one line's rule text to its position in the
+// whole file; the rule text starts at `origin`.
+SourceSpan ShiftSpan(SourceSpan span, const SourcePos& origin) {
+  for (SourcePos* pos : {&span.begin, &span.end}) {
+    if (!pos->valid()) continue;
+    pos->line = origin.line;
+    pos->col += origin.col - 1;
+    pos->offset += origin.offset;
   }
   return span;
 }
 
-std::vector<LintDiagnostic> LintPlainText(const std::string& text,
-                                          const LintOptions& options) {
-  ParsedProgram program = ParseProgramWithDiagnostics(text);
-  std::vector<LintDiagnostic> out;
-  for (const ParseDiagnostic& e : program.errors)
-    out.push_back(
-        {kLintParseCode, LintSeverity::kError, e.span, 0, e.message});
-  for (LintDiagnostic& d : LintProgram(program.rules, options))
-    out.push_back(std::move(d));
-  return out;
-}
-
-std::vector<LintDiagnostic> LintShellText(const std::string& text,
-                                          const LintOptions& options) {
-  std::vector<LintDiagnostic> out;
-  std::vector<ParsedQuery> rules;
-  std::istringstream in(text);
-  std::string line;
-  int line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    size_t start = line.find_first_not_of(" \t\r");
-    if (start == std::string::npos || line[start] == '%') continue;
-    size_t end = line.find_first_of(" \t\r", start);
-    if (end == std::string::npos) continue;  // no-argument command
-    std::string word = line.substr(start, end - start);
-    if (word != "view" && word != "query" && word != "fact" &&
-        word != "retract" && word != "contained" && word != "explain")
-      continue;  // not a rule-carrying command
-    size_t rule_start = line.find_first_not_of(" \t\r", end);
-    if (rule_start == std::string::npos) continue;
-    std::string rule_text = line.substr(rule_start);
-    int col0 = static_cast<int>(rule_start) + 1;
-    ParsedProgram parsed = ParseProgramWithDiagnostics(rule_text);
-    for (const ParseDiagnostic& e : parsed.errors)
-      out.push_back({kLintParseCode, LintSeverity::kError,
-                     RemapSpan(e.span, line_no, col0), 0, e.message});
-    for (ParsedQuery& pq : parsed.rules) {
-      QuerySourceInfo& info = pq.info;
-      info.rule = RemapSpan(info.rule, line_no, col0);
-      info.head = RemapSpan(info.head, line_no, col0);
-      for (SourceSpan& s : info.body) s = RemapSpan(s, line_no, col0);
-      for (SourceSpan& s : info.comparisons)
-        s = RemapSpan(s, line_no, col0);
-      for (SourceSpan& s : info.var_first_use)
-        s = RemapSpan(s, line_no, col0);
-      rules.push_back(std::move(pq));
-    }
-  }
-  // Spans were remapped before linting, so diagnostics come out already
-  // pointing at the right file positions.
-  for (LintDiagnostic& d : LintProgram(rules, options))
-    out.push_back(std::move(d));
-  return out;
-}
-
 }  // namespace
 
-bool LooksLikeShellScript(const std::string& text) {
-  std::istringstream in(text);
-  std::string line;
-  while (std::getline(in, line)) {
-    size_t start = line.find_first_not_of(" \t\r");
-    if (start == std::string::npos || line[start] == '%') continue;
-    size_t end = line.find_first_of(" \t\r", start);
-    std::string word = line.substr(
-        start, end == std::string::npos ? std::string::npos : end - start);
-    return IsShellCommandWord(word);
+ScriptLine SplitScriptLine(std::string_view line) {
+  if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+  size_t b = 0, e = line.size();
+  while (b < e && IsBlank(line[b])) ++b;
+  while (e > b && IsBlank(line[e - 1])) --e;
+  line = line.substr(b, e - b);
+  if (line.empty() || line[0] == '%') return {};
+  size_t word_end = 0;
+  while (word_end < line.size() && !IsBlank(line[word_end])) ++word_end;
+  size_t arg = word_end;
+  while (arg < line.size() && IsBlank(line[arg])) ++arg;
+  return {line.substr(0, word_end), line.substr(arg)};
+}
+
+CqacText ReadCqacText(const std::string& text) {
+  std::vector<std::string_view> lines;  // without their '\n'
+  const std::string_view all(text);
+  for (size_t b = 0; b <= all.size();) {
+    size_t e = std::min(all.find('\n', b), all.size());
+    lines.push_back(all.substr(b, e - b));
+    b = e + 1;
   }
-  return false;
+  CqacText out;
+  for (std::string_view line : lines) {
+    const ScriptLine split = SplitScriptLine(line);
+    if (split.command.empty()) continue;
+    out.script = IsOneOf(split.command, kShellCommands);
+    break;
+  }
+  if (!out.script) {
+    ParsedProgram program = ParseProgramWithDiagnostics(text);
+    out.rules = std::move(program.rules);
+    out.errors = std::move(program.errors);
+    return out;
+  }
+  for (size_t i = 0; i < lines.size(); ++i) {
+    const ScriptLine split = SplitScriptLine(lines[i]);
+    if (!IsOneOf(split.command, kRuleCommands) || split.argument.empty())
+      continue;
+    // The rule text runs to the end of the line, so an end-of-input error
+    // points past the line's last byte, as it would in a plain file.
+    const size_t line_begin = lines[i].data() - all.data();
+    const size_t begin = split.argument.data() - all.data();
+    const SourcePos origin{static_cast<int>(i) + 1,
+                           static_cast<int>(begin - line_begin) + 1, begin};
+    ParsedProgram parsed = ParseProgramWithDiagnostics(
+        text.substr(begin, line_begin + lines[i].size() - begin));
+    for (ParseDiagnostic& e : parsed.errors) {
+      e.span = ShiftSpan(e.span, origin);
+      out.errors.push_back(std::move(e));
+    }
+    for (ParsedQuery& pq : parsed.rules) {
+      QuerySourceInfo& info = pq.info;
+      info.rule = ShiftSpan(info.rule, origin);
+      info.head = ShiftSpan(info.head, origin);
+      for (std::vector<SourceSpan>* spans :
+           {&info.body, &info.comparisons, &info.var_first_use})
+        for (SourceSpan& span : *spans) span = ShiftSpan(span, origin);
+      out.rules.push_back(std::move(pq));
+    }
+  }
+  return out;
 }
 
 std::vector<LintDiagnostic> LintFileText(const std::string& text,
                                          const LintOptions& options) {
-  return LooksLikeShellScript(text) ? LintShellText(text, options)
-                                    : LintPlainText(text, options);
+  CqacText file = ReadCqacText(text);
+  std::vector<LintDiagnostic> out;
+  for (ParseDiagnostic& e : file.errors)
+    out.push_back({kLintParseCode, LintSeverity::kError, e.span, 0,
+                   std::move(e.message)});
+  for (LintDiagnostic& d : LintProgram(file.rules, options))
+    out.push_back(std::move(d));
+  return out;
 }
 
 }  // namespace cqac

@@ -1,6 +1,8 @@
 #include "src/base/strings.h"
 
 #include <cctype>
+#include <cerrno>
+#include <cstdlib>
 
 namespace cqac {
 
@@ -29,12 +31,14 @@ std::vector<std::string> Split(const std::string& text, char sep) {
   return out;
 }
 
-std::string Strip(const std::string& text) {
-  size_t b = 0;
-  size_t e = text.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(text[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(text[e - 1]))) --e;
-  return text.substr(b, e - b);
+bool ParseSize(const char* text, size_t* out) {
+  if (!std::isdigit(static_cast<unsigned char>(*text))) return false;
+  errno = 0;
+  char* end = nullptr;
+  unsigned long long n = std::strtoull(text, &end, 10);
+  if (errno != 0 || *end != '\0') return false;
+  *out = static_cast<size_t>(n);
+  return true;
 }
 
 }  // namespace cqac

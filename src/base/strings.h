@@ -15,8 +15,9 @@ std::string Join(const std::vector<std::string>& parts,
 /// Splits `text` on the single character `sep`; keeps empty fields.
 std::vector<std::string> Split(const std::string& text, char sep);
 
-/// Strips ASCII whitespace from both ends.
-std::string Strip(const std::string& text);
+/// Parses a plain decimal count: digits only (no sign, no blanks), and no
+/// overflow. The one parser of the command-line tools' numeric flags.
+bool ParseSize(const char* text, size_t* out);
 
 /// printf-lite: concatenates the string forms of all arguments.
 template <typename... Args>

@@ -34,6 +34,10 @@ namespace cqac {
 
 class TaskPool {
  public:
+  /// The most worker threads a tool's --threads flag may ask for; the
+  /// command-line tools refuse a larger count before they build a pool.
+  static constexpr size_t kMaxThreads = 256;
+
   /// Spawns `threads` worker threads (0 = serial pool, no threads).
   explicit TaskPool(size_t threads);
   ~TaskPool();

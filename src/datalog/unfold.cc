@@ -95,8 +95,11 @@ Result<UnionQuery> UnfoldProgram(const Program& p,
       }
     }
     if (pos == cur.body().size()) {
+      if (out.disjuncts.size() >= options.max_disjuncts)
+        return Status::ResourceExhausted(
+            StrCat("unfolding '", p.query_predicate(), "' exceeds ",
+                   options.max_disjuncts, " disjuncts"));
       out.disjuncts.push_back(std::move(cur));
-      if (out.disjuncts.size() >= options.max_disjuncts) break;
       continue;
     }
     if (depth >= options.max_depth) continue;  // incomplete branch dropped

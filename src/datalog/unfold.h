@@ -23,7 +23,8 @@ namespace datalog {
 struct UnfoldOptions {
   /// Maximum number of rule applications along one expansion.
   int max_depth = 6;
-  /// Hard cap on emitted disjuncts; enumeration stops (truncates) beyond it.
+  /// Cap on emitted disjuncts; an unfolding with more fails with
+  /// ResourceExhausted rather than return a truncated union.
   size_t max_disjuncts = 100000;
 };
 

@@ -3,12 +3,15 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -449,16 +452,32 @@ void Server::WriteSequenced(Connection& conn, uint64_t seq,
 
 void Server::WriteLine(Connection& conn, const std::string& line) {
   if (conn.closed.load(std::memory_order_acquire) || conn.fd < 0) return;
+  // Set when the socket first has no room: the write may wait until then.
+  std::optional<std::chrono::steady_clock::time_point> deadline;
   size_t sent = 0;
   while (sent < line.size()) {
     ssize_t n = ::send(conn.fd, line.data() + sent, line.size() - sent,
-                       MSG_NOSIGNAL);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      conn.closed.store(true, std::memory_order_release);
-      return;
+                       MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (n > 0) {
+      sent += static_cast<size_t>(n);
+      continue;
     }
-    sent += static_cast<size_t>(n);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      const auto now = std::chrono::steady_clock::now();
+      if (!deadline) deadline = now + kSendTimeout;
+      pollfd writable{conn.fd, POLLOUT, 0};
+      const auto wait =
+          std::chrono::ceil<std::chrono::milliseconds>(*deadline - now);
+      // Room, a socket error for send to report, or a signal: try again.
+      if (now < *deadline &&
+          ::poll(&writable, 1, static_cast<int>(wait.count())) != 0)
+        continue;
+    }
+    // Gone, or no room for kSendTimeout: closed either way.
+    conn.closed.store(true, std::memory_order_release);
+    ::shutdown(conn.fd, SHUT_RDWR);
+    return;
   }
 }
 

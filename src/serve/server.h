@@ -42,7 +42,9 @@
 //     that session's requests, at every shard count and thread count.
 //   * One thread handles a request from dequeue to write, so a response
 //     crosses no further queue. A client that stops reading stalls its
-//     shard once its socket buffer fills.
+//     shard once its socket buffer fills, but only for kSendTimeout per
+//     response: a write that cannot finish in that time closes the
+//     connection.
 //   * Responses to one connection are written in request order even when
 //     the connection talks to sessions on different shards: every request
 //     line gets a per-connection sequence number at parse time, and a
@@ -63,6 +65,7 @@
 #define CQAC_SERVE_SERVER_H_
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -85,6 +88,13 @@ namespace serve {
 /// can predict placement; changing it invalidates every pinning claim in
 /// docs/serve.md.
 size_t ShardForSession(const std::string& session, size_t shards);
+
+/// How long one response write may wait on a client that has stopped
+/// reading. A write still unfinished this long after the socket first had
+/// no room closes the connection like a disconnect: its in-flight request
+/// is cancelled, its later responses are dropped and its sequence keeps
+/// advancing, so the shard, and a drain, move on.
+inline constexpr std::chrono::seconds kSendTimeout{2};
 
 struct ServerOptions {
   /// TCP port to bind on 127.0.0.1; 0 picks an ephemeral port (read it
@@ -235,8 +245,9 @@ class Server {
   /// the connection is already closed, so later responses never stall.
   void WriteSequenced(Connection& conn, uint64_t seq, std::string line);
 
-  /// Sends `line` on `conn` unless it is already closed; write errors mark
-  /// it closed (the reader notices via recv). Caller holds conn.order_mu.
+  /// Sends `line` on `conn` unless it is already closed. A write error, or
+  /// a write that waited kSendTimeout for room, marks it closed and shuts
+  /// the socket down, so the reader sees EOF. Caller holds conn.order_mu.
   void WriteLine(Connection& conn, const std::string& line);
 
   /// Joins reader threads of connections whose readers have exited.

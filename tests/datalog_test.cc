@@ -155,6 +155,23 @@ TEST(UnfoldTest, RecursiveProgramDepthBounded) {
   }
 }
 
+// An exhausted disjunct cap is an error, never a silently truncated union.
+TEST(UnfoldTest, DisjunctCapIsResourceExhausted) {
+  Program p("t", MustParseRules(
+                     "t(X, Y) :- e(X, Y).\n"
+                     "t(X, Z) :- e(X, Y), t(Y, Z)."));
+  datalog::UnfoldOptions opts;
+  opts.max_depth = 4;  // four disjuncts: chains of length 1..4
+  opts.max_disjuncts = 3;
+  auto u = datalog::UnfoldProgram(p, opts);
+  ASSERT_FALSE(u.ok());
+  EXPECT_EQ(u.status().code(), StatusCode::kResourceExhausted);
+  opts.max_disjuncts = 4;
+  u = datalog::UnfoldProgram(p, opts);
+  ASSERT_TRUE(u.ok()) << u.status();
+  EXPECT_EQ(u.value().disjuncts.size(), 4u);
+}
+
 TEST(UnfoldTest, CqInDatalogContainment) {
   Program p("t", MustParseRules(
                      "t(X, Y) :- e(X, Y).\n"

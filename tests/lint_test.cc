@@ -230,6 +230,21 @@ TEST(FixTest, FixesShellScriptLines) {
   EXPECT_EQ(r.edits[0].code, "L008");
 }
 
+// A script line with a parse error stays verbatim, the rules on it keep
+// their numbers, and the other lines are fixed.
+TEST(FixTest, ScriptLineWithParseErrorStaysVerbatim) {
+  FixResult r = FixFileText(
+      "view v(X) :- r(X, Y), r(X, Y). w(Y :- s(Y).\n"
+      "query q(X) :- r(X), r(X).\n");
+  EXPECT_EQ(r.text,
+            "view v(X) :- r(X, Y), r(X, Y). w(Y :- s(Y).\n"
+            "query q(X) :- r(X).\n");
+  ASSERT_EQ(r.edits.size(), 1u);
+  EXPECT_EQ(r.edits[0].ToString(),
+            "rule #2: dropped subgoal #2 'r(...)' (duplicates subgoal #1) "
+            "[L008]");
+}
+
 TEST(FixTest, FixedOutputIsIdempotent) {
   const char* inputs[] = {
       "q(X) :- r(X), X < 4, X < 5.\n",
@@ -255,6 +270,67 @@ TEST(FixTest, FixedRuleStillLintsWithoutTheFixedCodes) {
       EXPECT_TRUE(d.code != "L006" && d.code != "L008" && d.code != "L010")
           << text << " -> " << d.ToString();
   }
+}
+
+// ---- the .cqac reader -------------------------------------------------------
+
+TEST(ReaderTest, SplitsScriptLinesAtSpacesAndTabs) {
+  ScriptLine line = SplitScriptLine(" \tview\t v(X) :- r(X).  \r");
+  EXPECT_EQ(line.command, "view");
+  EXPECT_EQ(line.argument, "v(X) :- r(X).");
+  line = SplitScriptLine("eval\r");
+  EXPECT_EQ(line.command, "eval");
+  EXPECT_EQ(line.argument, "");
+  EXPECT_TRUE(SplitScriptLine("  % a comment").command.empty());
+  EXPECT_TRUE(SplitScriptLine(" \t\r").command.empty());
+}
+
+// A tab after a command word reads like a space and CRLF like LF: the
+// linter and the fixer find the same rules at the same lines and columns.
+TEST(ReaderTest, TabsAndCrlfReadLikeSpacesAndLf) {
+  const std::string plain =
+      "% a script\n"
+      "view v(X, Y) :- r(X, Y), r(X, Y).\n"
+      "  fact r(1, 2).\n"
+      "query q(X) :- v(X, Y), X <= Y, Y <= X.\n";
+  const std::string twin =
+      "% a script\r\n"
+      "view\tv(X, Y) :- r(X, Y), r(X, Y).\r\n"
+      " \tfact\tr(1, 2).\r\n"
+      "query\tq(X) :- v(X, Y), X <= Y, Y <= X.\r\n";
+  const CqacText a = ReadCqacText(plain), b = ReadCqacText(twin);
+  EXPECT_TRUE(a.script);
+  EXPECT_TRUE(b.script);
+  EXPECT_TRUE(b.errors.empty());
+  ASSERT_EQ(a.rules.size(), 3u);
+  ASSERT_EQ(b.rules.size(), 3u);
+  for (size_t i = 0; i < 3; ++i) {
+    const SourceSpan& sa = a.rules[i].info.rule;
+    const SourceSpan& sb = b.rules[i].info.rule;
+    EXPECT_EQ(a.rules[i].query.ToString(), b.rules[i].query.ToString());
+    EXPECT_EQ(sa.ToString(), sb.ToString());
+    // Byte offsets are the file's own.
+    EXPECT_EQ(plain.substr(sa.begin.offset, sa.end.offset - sa.begin.offset),
+              twin.substr(sb.begin.offset, sb.end.offset - sb.begin.offset));
+  }
+
+  std::vector<std::string> lint_a, lint_b;
+  for (const LintDiagnostic& d : LintFileText(plain))
+    lint_a.push_back(d.ToString());
+  for (const LintDiagnostic& d : LintFileText(twin))
+    lint_b.push_back(d.ToString());
+  EXPECT_EQ(lint_a, lint_b);
+
+  FixResult fa = FixFileText(plain), fb = FixFileText(twin);
+  ASSERT_EQ(fa.edits.size(), 2u);  // L008 in the view, L010 in the query
+  ASSERT_EQ(fb.edits.size(), fa.edits.size());
+  for (size_t i = 0; i < fa.edits.size(); ++i)
+    EXPECT_EQ(fa.edits[i].ToString(), fb.edits[i].ToString());
+  EXPECT_EQ(fb.text,
+            "% a script\r\n"
+            "view\tv(X, Y) :- r(X, Y).\r\n"
+            " \tfact\tr(1, 2).\r\n"
+            "query\tq(X) :- v(X, X).\r\n");
 }
 
 // ---- class inference --------------------------------------------------------

@@ -17,6 +17,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <map>
 #include <regex>
 #include <sstream>
@@ -39,12 +40,16 @@ namespace {
 using std::chrono::milliseconds;
 using std::chrono::steady_clock;
 
-/// A blocking line-oriented loopback client.
+/// A blocking line-oriented loopback client. A `receive_buffer` above 0
+/// pins the socket's receive buffer to about that many bytes.
 class TestClient {
  public:
-  explicit TestClient(uint16_t port) {
+  explicit TestClient(uint16_t port, int receive_buffer = 0) {
     fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
     EXPECT_GE(fd_, 0);
+    if (receive_buffer > 0)
+      ::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &receive_buffer,
+                   sizeof(receive_buffer));
     sockaddr_in addr;
     std::memset(&addr, 0, sizeof(addr));
     addr.sin_family = AF_INET;
@@ -616,6 +621,42 @@ TEST(ServeTest, PipelinedRequestsKeepOrderThroughOverloadAndDrain) {
   EXPECT_EQ(client.RecvLine(),
             "{\"ok\":true,\"op\":\"shutdown\",\"draining\":true}");
   server.Wait();
+}
+
+// A client that pipelines requests and never reads fills its socket, so
+// the shard's engine thread blocks in send. After kSendTimeout the server
+// counts the connection closed and drops its remaining responses, so a
+// drain requested meanwhile still ends.
+TEST(ServeTest, DrainEndsWhileAClientStopsReading) {
+  ServerOptions options;
+  options.max_queue = 8192;  // admit every request below
+  Server server(std::move(options));
+  ASSERT_TRUE(server.Start().ok());
+  TestClient client(server.port(), /*receive_buffer=*/4096);
+  // About 2.6 KB per `stats` response, 10 MB in all: far more than the two
+  // socket buffers hold, so the engine thread blocks in send.
+  const size_t kRequests = 4000;
+  std::string requests;
+  for (size_t i = 0; i < kRequests; ++i) requests += "{\"op\":\"stats\"}\n";
+  requests.pop_back();
+  ASSERT_TRUE(client.SendLine(requests));
+  const steady_clock::time_point give_up =
+      steady_clock::now() + std::chrono::seconds(10);
+  while (server.ShardSummaries()[0].enqueued < kRequests) {
+    ASSERT_LT(steady_clock::now(), give_up) << "the requests never arrived";
+    std::this_thread::sleep_for(milliseconds(10));
+  }
+
+  server.RequestDrain();
+  std::future<void> waited =
+      std::async(std::launch::async, [&server] { server.Wait(); });
+  const bool drained =
+      waited.wait_for(kSendTimeout + std::chrono::seconds(5)) ==
+      std::future_status::ready;
+  // Without the send timeout only the client's close would end the drain.
+  client.Close();
+  waited.wait();
+  EXPECT_TRUE(drained) << "the drain waited on a client that stopped reading";
 }
 
 TEST(ServeTest, ShutdownOpDrainsGracefully) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 namespace cqac {
 namespace {
 
@@ -17,11 +19,18 @@ TEST(StringsTest, Split) {
   EXPECT_EQ(Split("a,,b", ',')[1], "");
 }
 
-TEST(StringsTest, Strip) {
-  EXPECT_EQ(Strip("  hi  "), "hi");
-  EXPECT_EQ(Strip("hi"), "hi");
-  EXPECT_EQ(Strip("   "), "");
-  EXPECT_EQ(Strip("\t x \n"), "x");
+TEST(StringsTest, ParseSize) {
+  size_t n = 7;
+  EXPECT_TRUE(ParseSize("0", &n));
+  EXPECT_EQ(n, 0u);
+  EXPECT_TRUE(ParseSize("18446744073709551615", &n));
+  EXPECT_EQ(n, SIZE_MAX);
+  // No sign, no blanks, no trailing text, no overflow; `n` stays put.
+  n = 7;
+  for (const char* bad : {"-1", "+1", " 1", "1 ", "1x", "", "0x10",
+                          "18446744073709551616"})
+    EXPECT_FALSE(ParseSize(bad, &n)) << bad;
+  EXPECT_EQ(n, 7u);
 }
 
 TEST(StringsTest, StrCat) {

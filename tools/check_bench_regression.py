@@ -8,6 +8,13 @@ alternately) and fails when, for any CURRENT/BASELINE pair, the geometric
 mean of the per-benchmark time ratios (current / baseline) exceeds
 --max-ratio.
 
+Either side of a pair may name several runs of one benchmark binary, as
+files joined by commas; each benchmark's time on that side is then its
+minimum over those runs. One process per side is too noisy to gate on:
+the same binary's time can spread 1.6x from one process to the next,
+while the minimum of three alternating processes per side separated a
+doubled evaluation (1.76-1.89x) from unchanged code (0.86-0.99x).
+
 Only benchmarks present in *both* files of a pair are compared (aggregate
 rows like `_mean`/`_stddev` are skipped), so adding or removing a benchmark
 never breaks the guard by itself. Times are normalized to nanoseconds using
@@ -19,8 +26,8 @@ runners: the guard is meant to catch structural regressions (an index
 dropped, a fast path lost — typically 2x or worse), not scheduling noise.
 
 Usage:
-  check_bench_regression.py CURRENT.json BASELINE.json \
-      [CURRENT2.json BASELINE2.json ...] [--max-ratio 1.5]
+  check_bench_regression.py CURRENT.json[,RUN2.json...] \
+      BASELINE.json[,RUN2.json...] [CURRENT2 BASELINE2 ...] [--max-ratio 1.5]
 
 Exit status: 0 when every pair's geomean ratio is within bounds, 1 on a
 regression or when a pair shares no benchmarks, 2 on usage errors. No
@@ -60,10 +67,20 @@ def load_times_ns(path):
     return times
 
 
+def load_min_times_ns(paths):
+    """Maps benchmark name -> its least real_time in nanoseconds over the
+    comma-separated run files `paths`."""
+    best = {}
+    for path in paths.split(","):
+        for name, t in load_times_ns(path).items():
+            best[name] = min(t, best.get(name, t))
+    return best
+
+
 def check_pair(current, baseline, max_ratio):
     """Prints the per-benchmark ratios of one pair; returns True when ok."""
-    cur = load_times_ns(current)
-    base = load_times_ns(baseline)
+    cur = load_min_times_ns(current)
+    base = load_min_times_ns(baseline)
     shared = sorted(set(cur) & set(base))
     if not shared:
         print("check_bench_regression: no shared benchmarks between "
@@ -88,7 +105,8 @@ def check_pair(current, baseline, max_ratio):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("pairs", nargs="+", metavar="JSON",
-                    help="alternating CURRENT.json BASELINE.json files")
+                    help="alternating CURRENT BASELINE sides, each one "
+                         "JSON file or several runs joined by commas")
     ap.add_argument("--max-ratio", type=float, default=1.5,
                     help="fail when any pair's geomean(current/baseline) "
                          "exceeds this (default: %(default)s)")

@@ -3,9 +3,11 @@
 // Two modes:
 //
 //   cqac_audit [flags] script.cqac [more.cqac ...]
-//     Reads shell-format scripts (`view`, `query`, `fact`, `retract`
-//     declarations; every other command line is ignored) and audits each
-//     declared query against the declared views and facts.
+//     Reads shell-format scripts with the shell's line splitter: `view`,
+//     `fact` and `retract` change a session's state as they do in the shell
+//     (store::SessionState::Apply), every `query` is a subject, and every
+//     other command line is ignored. Each query is audited against the
+//     script's views and final facts.
 //
 //   cqac_audit [flags] --sweep
 //     Generates a seeded random corpus across the comparison-class lattice
@@ -13,7 +15,7 @@
 //
 // Flags:
 //   --json        emit one JSON report object instead of text
-//   --threads N   task-pool workers (0 = single-threaded)
+//   --threads N   task-pool workers (0 = single-threaded, at most 256)
 //   --depth K     SI-MCR chain rounds per unfolding branch (default 2)
 //   --seed S      sweep RNG seed (default 42)
 //   --per-class N sweep subjects per class (default 4)
@@ -22,14 +24,12 @@
 // ObligationKind of the first failed obligation (stable across releases);
 // 2 signals a usage or setup error.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/analysis/audit/audit.h"
+#include "src/analysis/lint.h"
 #include "src/base/rng.h"
 #include "src/base/strings.h"
 #include "src/base/task_pool.h"
@@ -37,6 +37,7 @@
 #include "src/eval/database.h"
 #include "src/gen/generators.h"
 #include "src/ir/parser.h"
+#include "src/store/snapshot.h"
 
 namespace cqac {
 namespace {
@@ -45,18 +46,11 @@ struct Options {
   bool json = false;
   size_t threads = 0;
   size_t depth = 2;
-  uint64_t seed = 42;
-  int per_class = 4;
+  size_t seed = 42;
+  size_t per_class = 4;
   bool sweep = false;
   std::vector<std::string> scripts;
 };
-
-std::string StripLine(const std::string& s) {
-  size_t b = s.find_first_not_of(" \t\r\n");
-  if (b == std::string::npos) return "";
-  size_t e = s.find_last_not_of(" \t\r\n");
-  return s.substr(b, e - b + 1);
-}
 
 /// Collects the audit subjects of one shell-format script: every `query`
 /// line becomes one subject sharing the script's views and final fact set.
@@ -65,30 +59,28 @@ Result<std::vector<audit::AuditInputs>> SubjectsOfScript(
   std::ifstream file(path);
   if (!file)
     return Status::InvalidArgument(StrCat("cannot open ", path));
-  ViewSet views;
-  Database facts;
+  // The declarations get a context of their own, so the audit counters
+  // count only the audit's work.
+  EngineContext ctx;
+  store::SessionState state;
   std::vector<Query> queries;
   std::string line;
   while (std::getline(file, line)) {
-    line = StripLine(line);
-    if (line.empty() || line[0] == '%') continue;
-    const std::string cmd = line.substr(0, line.find(' '));
-    const std::string rest =
-        StripLine(line.size() > cmd.size() ? line.substr(cmd.size()) : "");
-    if (cmd == "view") {
-      CQAC_ASSIGN_OR_RETURN(Query v, ParseQuery(rest));
-      CQAC_RETURN_IF_ERROR(views.Add(std::move(v)));
-    } else if (cmd == "query") {
+    const ScriptLine split = SplitScriptLine(line);
+    const std::string rest(split.argument);
+    if (split.command == "query") {
       CQAC_ASSIGN_OR_RETURN(Query q, ParseQuery(rest));
       CQAC_RETURN_IF_ERROR(q.Validate());
       queries.push_back(std::move(q));
-    } else if (cmd == "fact") {
-      CQAC_ASSIGN_OR_RETURN(Database one, Database::FromFacts(rest));
-      CQAC_RETURN_IF_ERROR(facts.Merge(one));
-    } else if (cmd == "retract") {
-      CQAC_ASSIGN_OR_RETURN(Database one, Database::FromFacts(rest));
-      for (const auto& [pred, rel] : one.relations())
-        for (const Tuple& t : rel) facts.Remove(pred, t);
+    } else if (split.command == "view") {
+      CQAC_RETURN_IF_ERROR(
+          state.Apply(ctx, store::RecordType::kView, rest).status());
+    } else if (split.command == "fact") {
+      CQAC_RETURN_IF_ERROR(
+          state.Apply(ctx, store::RecordType::kFact, rest).status());
+    } else if (split.command == "retract") {
+      CQAC_RETURN_IF_ERROR(
+          state.Apply(ctx, store::RecordType::kRetract, rest).status());
     }
     // Action commands (rewrite, eval, ...) are the shell's business; the
     // auditor re-derives and certifies all of them from the declarations.
@@ -97,8 +89,8 @@ Result<std::vector<audit::AuditInputs>> SubjectsOfScript(
   for (Query& q : queries) {
     audit::AuditInputs in;
     in.query = std::move(q);
-    in.views = views;
-    in.facts = facts;
+    in.views = state.views;
+    in.facts = state.store.base();
     subjects.push_back(std::move(in));
   }
   return subjects;
@@ -122,11 +114,12 @@ std::vector<audit::AuditInputs> SweepSubjects(const Options& opt) {
   std::vector<audit::AuditInputs> subjects;
   Rng rng(opt.seed);
   for (const ClassSpec& cs : classes) {
-    for (int i = 0; i < opt.per_class; ++i) {
+    for (size_t i = 0; i < opt.per_class; ++i) {
+      const int odd = static_cast<int>(i % 2);
       gen::QuerySpec qs;
-      qs.num_subgoals = 2 + (i % 2);
+      qs.num_subgoals = 2 + odd;
       qs.num_predicates = 2;
-      qs.num_vars = 3 + (i % 2);
+      qs.num_vars = 3 + odd;
       qs.ac_mode = cs.query_mode;
       qs.ac_density = cs.query_mode == gen::AcMode::kNone ? 0.0 : 0.7;
       audit::AuditInputs in;
@@ -206,42 +199,39 @@ int Main(const Options& opt) {
 
 int main(int argc, char** argv) {
   cqac::Options opt;
+  const char* usage =
+      "usage: %s [--json] [--threads N] [--depth K] "
+      "(--sweep [--seed S] [--per-class N] | script.cqac ...)\n";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", flag);
-        std::exit(2);
+    // Every numeric flag takes a plain decimal count.
+    size_t* count = arg == "--threads"     ? &opt.threads
+                    : arg == "--depth"     ? &opt.depth
+                    : arg == "--seed"      ? &opt.seed
+                    : arg == "--per-class" ? &opt.per_class
+                                           : nullptr;
+    if (count != nullptr) {
+      if (i + 1 >= argc || !cqac::ParseSize(argv[++i], count) ||
+          opt.threads > cqac::TaskPool::kMaxThreads) {
+        std::fprintf(stderr, "%s needs a count (threads: at most %zu)\n",
+                     arg.c_str(), cqac::TaskPool::kMaxThreads);
+        std::fprintf(stderr, usage, argv[0]);
+        return 2;
       }
-      return argv[++i];
-    };
-    if (arg == "--json")
+    } else if (arg == "--json") {
       opt.json = true;
-    else if (arg == "--sweep")
+    } else if (arg == "--sweep") {
       opt.sweep = true;
-    else if (arg == "--threads")
-      opt.threads = static_cast<size_t>(std::atoi(next("--threads")));
-    else if (arg == "--depth")
-      opt.depth = static_cast<size_t>(std::atoi(next("--depth")));
-    else if (arg == "--seed")
-      opt.seed = static_cast<uint64_t>(std::atoll(next("--seed")));
-    else if (arg == "--per-class")
-      opt.per_class = std::atoi(next("--per-class"));
-    else if (arg.rfind("--", 0) == 0) {
-      std::fprintf(stderr,
-                   "unknown flag %s\nusage: %s [--json] [--threads N] "
-                   "[--depth K] (--sweep [--seed S] [--per-class N] | "
-                   "script.cqac ...)\n",
-                   arg.c_str(), argv[0]);
+    } else if (arg.rfind("--", 0) == 0) {
+      std::fprintf(stderr, "unknown flag %s\n", arg.c_str());
+      std::fprintf(stderr, usage, argv[0]);
       return 2;
     } else {
       opt.scripts.push_back(arg);
     }
   }
   if (!opt.sweep && opt.scripts.empty()) {
-    std::fprintf(stderr, "usage: %s [--json] [--threads N] [--depth K] "
-                 "(--sweep [--seed S] [--per-class N] | script.cqac ...)\n",
-                 argv[0]);
+    std::fprintf(stderr, usage, argv[0]);
     return 2;
   }
   return cqac::Main(opt);

@@ -34,6 +34,8 @@
 #include <string>
 #include <thread>
 
+#include "src/base/strings.h"
+
 namespace cqac {
 namespace {
 
@@ -118,10 +120,8 @@ int Run(int argc, char** argv) {
       Usage();
       return 0;
     } else if (arg == "--port") {
-      if (i + 1 >= argc) return Usage();
-      char* end = nullptr;
-      unsigned long n = std::strtoul(argv[++i], &end, 10);
-      if (end == argv[i] || *end != '\0' || n == 0 || n > 65535)
+      size_t n = 0;
+      if (i + 1 >= argc || !ParseSize(argv[++i], &n) || n == 0 || n > 65535)
         return Usage();
       port = static_cast<uint16_t>(n);
     } else if (arg == "--host") {
@@ -130,10 +130,9 @@ int Run(int argc, char** argv) {
     } else if (arg == "--check") {
       check = true;
     } else if (arg == "--retries") {
-      if (i + 1 >= argc) return Usage();
-      char* end = nullptr;
-      unsigned long n = std::strtoul(argv[++i], &end, 10);
-      if (end == argv[i] || *end != '\0' || n > 1000) return Usage();
+      size_t n = 0;
+      if (i + 1 >= argc || !ParseSize(argv[++i], &n) || n > 1000)
+        return Usage();
       retries = static_cast<int>(n);
     } else if (arg == "-" || arg[0] != '-') {
       input = arg;

@@ -5,10 +5,10 @@
 //             [file ... | -]
 //
 // Each input is either a plain '.'-terminated rule program or a cqac_shell
-// script (auto-detected by its first command word); shell scripts are linted
-// by extracting the rule text of every view/query/fact/retract/contained/
-// explain line and remapping diagnostics back to the original line and
-// column.
+// script (auto-detected by its first command word); the rules of a script
+// are the rule text of its view/query/fact/retract/contained/explain lines,
+// reported at their lines and columns in the script (ReadCqacText,
+// src/analysis/lint.h).
 //
 // Diagnostics go to stdout as `file:line:col: severity: message [code]`, or
 // as a JSON array with --json. Exit status: 0 clean (or notes only),
@@ -21,7 +21,6 @@
 // summary of each applied rewrite goes to stderr. Linting then runs on the
 // fixed text, so the exit status reflects what remains.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -33,7 +32,7 @@
 #include "src/analysis/lint.h"
 #include "src/base/strings.h"
 #include "src/base/task_pool.h"
-#include "src/ir/parser.h"
+#include "src/ir/json.h"
 
 namespace cqac {
 namespace {
@@ -45,25 +44,6 @@ struct FileDiagnostic {
 
 // ---- output ---------------------------------------------------------------
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20)
-          out += StrCat("\\u00", "0123456789abcdef"[(c >> 4) & 0xf],
-                        "0123456789abcdef"[c & 0xf]);
-        else
-          out += c;
-    }
-  }
-  return out;
-}
-
 void PrintText(const std::vector<FileDiagnostic>& diags) {
   for (const FileDiagnostic& fd : diags)
     std::printf("%s:%s\n", fd.file.c_str(), fd.diag.ToString().c_str());
@@ -74,13 +54,13 @@ void PrintJson(const std::vector<FileDiagnostic>& diags) {
   for (size_t i = 0; i < diags.size(); ++i) {
     const FileDiagnostic& fd = diags[i];
     std::printf(
-        "%s\n  {\"file\": \"%s\", \"line\": %d, \"col\": %d, "
+        "%s\n  {\"file\": %s, \"line\": %d, \"col\": %d, "
         "\"severity\": \"%s\", \"code\": \"%s\", \"rule\": %d, "
-        "\"message\": \"%s\"}",
-        i ? "," : "", JsonEscape(fd.file).c_str(), fd.diag.span.begin.line,
+        "\"message\": %s}",
+        i ? "," : "", JsonQuote(fd.file).c_str(), fd.diag.span.begin.line,
         fd.diag.span.begin.col, LintSeverityName(fd.diag.severity),
         fd.diag.code.c_str(), fd.diag.rule_index,
-        JsonEscape(fd.diag.message).c_str());
+        JsonQuote(fd.diag.message).c_str());
   }
   std::printf("%s]\n", diags.empty() ? "" : "\n");
 }
@@ -123,14 +103,13 @@ int Run(int argc, char** argv) {
       } else {
         value = arg.substr(strlen("--threads="));
       }
-      char* end = nullptr;
-      unsigned long n = std::strtoul(value.c_str(), &end, 10);
-      if (end == value.c_str() || *end != '\0') {
-        std::fprintf(stderr, "cqac_lint: invalid thread count '%s'\n",
-                     value.c_str());
+      if (!ParseSize(value.c_str(), &threads) ||
+          threads > TaskPool::kMaxThreads) {
+        std::fprintf(stderr,
+                     "cqac_lint: invalid thread count '%s' (at most %zu)\n",
+                     value.c_str(), TaskPool::kMaxThreads);
         return 3;
       }
-      threads = static_cast<size_t>(n);
     } else if (arg == "--help" || arg == "-h") {
       std::printf(
           "usage: cqac_lint [--fix] [--json] [--no-notes] [--list-checks] "

@@ -28,17 +28,16 @@
 // Shutdown: SIGTERM / SIGINT or a `{"op":"shutdown"}` request drains
 // gracefully — the listener closes, queued requests are answered, then the
 // process exits 0.
-#include <cctype>
-#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <unistd.h>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
 
+#include "src/base/strings.h"
+#include "src/base/task_pool.h"
 #include "src/serve/server.h"
 
 namespace cqac {
@@ -56,25 +55,14 @@ int Usage() {
       "                  [--max-sessions N]\n"
       "  --shards N         engine shards, at most 4096 (default 1);\n"
       "                     sessions pin to shards\n"
-      "  --threads N        TaskPool workers per shard (default 0 = "
-      "serial)\n"
+      "  --threads N        TaskPool workers per shard, at most 256\n"
+      "                     (default 0 = serial)\n"
       "  --data-dir DIR     durable sessions: per-shard log + snapshots;\n"
       "                     restart recovers every session (O(delta))\n"
       "  --fsync POLICY     always | interval (default) | never\n"
       "  --snapshot-every N compact after N logged records (default 4096,\n"
       "                     0 disables)\n");
   return 3;
-}
-
-// Parses a plain decimal count: no sign, no blanks, no overflow.
-bool ParseSize(const char* text, size_t* out) {
-  if (!std::isdigit(static_cast<unsigned char>(*text))) return false;
-  errno = 0;
-  char* end = nullptr;
-  unsigned long long n = std::strtoull(text, &end, 10);
-  if (errno != 0 || *end != '\0') return false;
-  *out = static_cast<size_t>(n);
-  return true;
 }
 
 int Run(int argc, char** argv) {
@@ -101,7 +89,8 @@ int Run(int argc, char** argv) {
       options.shards = n;
     } else if (arg == "--threads") {
       const char* v = next();
-      if (!v || !ParseSize(v, &n)) return Usage();
+      if (!v || !ParseSize(v, &n) || n > TaskPool::kMaxThreads)
+        return Usage();
       threads = n;
     } else if (arg == "--data-dir") {
       const char* v = next();

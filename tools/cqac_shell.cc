@@ -1,7 +1,9 @@
 // cqac_shell — a scriptable command shell over the cqac library.
 //
 // Reads commands from a script file (argv[1]) or stdin. One command per
-// line; `%` starts a comment. Rules/facts use the library's Datalog syntax.
+// line, its word and argument split at the first run of spaces or tabs
+// (SplitScriptLine, src/analysis/lint.h); `%` starts a comment. Rules and
+// facts use the library's Datalog syntax.
 //
 //   view <rule>            declare a view
 //   query <rule>           set the current query
@@ -48,12 +50,10 @@
 
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -89,9 +89,9 @@ class Shell {
     std::string line;
     bool ok = true;
     while (std::getline(in, line)) {
-      line = Strip(line);
-      if (line.empty() || line[0] == '%') continue;
-      if (!Dispatch(line)) ok = false;
+      const ScriptLine split = SplitScriptLine(line);
+      if (split.command.empty()) continue;
+      if (!Dispatch(split.command, std::string(split.argument))) ok = false;
     }
     return ok;
   }
@@ -102,10 +102,7 @@ class Shell {
     return false;
   }
 
-  bool Dispatch(const std::string& line) {
-    std::string cmd = line.substr(0, line.find(' '));
-    std::string rest =
-        Strip(line.size() > cmd.size() ? line.substr(cmd.size()) : "");
+  bool Dispatch(std::string_view cmd, const std::string& rest) {
     if (cmd == "help") return Help();
     if (cmd == "reset") {
       *this = Shell(pool_);
@@ -132,7 +129,7 @@ class Shell {
     if (cmd == "stats") return Stats();
     if (cmd == "save") return Save(rest);
     if (cmd == "load") return Load(rest);
-    return Fail("unknown command '" + cmd + "' (try: help)");
+    return Fail(StrCat("unknown command '", cmd, "' (try: help)"));
   }
 
   // The command words are lint's kShellCommands, the list script
@@ -444,10 +441,18 @@ int main(int argc, char** argv) {
   const char* script = nullptr;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    if (arg == "--threads" && i + 1 < argc) {
-      threads = static_cast<size_t>(std::atoi(argv[++i]));
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      threads = static_cast<size_t>(std::atoi(arg.c_str() + 10));
+    const char* count = arg == "--threads" && i + 1 < argc ? argv[++i]
+                        : arg.rfind("--threads=", 0) == 0  ? argv[i] + 10
+                                                           : nullptr;
+    if (count != nullptr) {
+      if (!cqac::ParseSize(count, &threads) ||
+          threads > cqac::TaskPool::kMaxThreads) {
+        std::fprintf(stderr,
+                     "invalid thread count '%s' (at most %zu; usage: %s "
+                     "[--threads N] [script])\n",
+                     count, cqac::TaskPool::kMaxThreads, argv[0]);
+        return 2;
+      }
     } else if (arg.rfind("--", 0) == 0) {
       std::fprintf(stderr, "unknown flag %s (usage: %s [--threads N] [script])\n",
                    arg.c_str(), argv[0]);
