@@ -157,15 +157,16 @@ BENCHMARK(BM_RewriteWithVerification);
 BENCHMARK(BM_RewriteWithoutVerification);
 
 // Decision-cache ablation: the same rewrite workload against one shared
-// context, with memoization enabled vs disabled. The cached run pays the
-// containment cost once and answers repeats from the memo; the uncached
-// run re-decides every time (results are identical either way — the cache
-// only changes cost, never answers).
+// context, with memoization enabled vs disabled (a zero cache budget). The
+// cached run pays the containment cost once and answers repeats from the
+// memo; the uncached run re-decides every time (results are identical
+// either way — the cache only changes cost, never answers).
 void RunRewriteCacheAblation(benchmark::State& state, bool cached) {
   Query q = workloads::Sec44FullQuery();
   ViewSet views = workloads::Sec44FullViews();
-  EngineContext ctx;
-  ctx.set_caching_enabled(cached);
+  Budget budget;
+  if (!cached) budget.max_cache_bytes = 0;
+  EngineContext ctx(budget);
   size_t rewritings = 0;
   for (auto _ : state) {
     auto mcr = RewriteLsiQuery(ctx, q, views);

@@ -145,7 +145,7 @@ void BM_SnapshotWriteAndLoad(benchmark::State& state) {
   int64_t rounds = 0;
   for (auto _ : state) {
     write_total += bench::TimeOnceMs([&] {
-      if (!store::WriteSnapshotFile(path, 1, ctx.adaptive(), {ref}).ok())
+      if (!store::WriteSnapshotFile(path, 1, {ref}).ok())
         std::abort();
     });
     load_total += bench::TimeOnceMs([&] {
@@ -237,7 +237,7 @@ void BuildRecoveryFixtures(const std::string& data_dir, size_t tuples,
   std::string name = "bench";
   std::vector<std::string> texts = ViewTexts();
   store::SessionSnapshotRef ref{&name, &texts, &session};
-  if (!with_snapshot.value()->WriteSnapshot(ctx.adaptive(), {ref}).ok())
+  if (!with_snapshot.value()->WriteSnapshot({}, {ref}).ok())
     std::abort();
 
   for (size_t i = 0; i < tail; ++i) {

@@ -98,8 +98,6 @@ inline void RecordParallelCounters(benchmark::State& state,
       static_cast<double>(uint64_t{ctx.stats().plan_decisions});
   state.counters["plan_join_reorders"] =
       static_cast<double>(uint64_t{ctx.stats().plan_join_reorders});
-  state.counters["plan_retunes"] =
-      static_cast<double>(uint64_t{ctx.stats().plan_retunes});
 }
 
 // Runs `workload(ctx)` once against a fresh serial context and once against

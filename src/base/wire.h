@@ -1,12 +1,9 @@
 // Little-endian byte encoding primitives for the on-disk formats
-// (src/store logs and snapshots, src/engine adaptive-state blobs).
+// (src/store logs and snapshots).
 //
 // All multi-byte integers are little-endian regardless of host order, so a
 // data directory written on one machine reads back on any other. Strings
-// are u32-length-prefixed byte runs. Doubles round-trip bit-exactly
-// (IEEE-754 bits through memcpy) — calibration factors restored from a
-// snapshot must compare equal to the ones that were saved, or recovered
-// plans could diverge from the pre-crash process.
+// are u32-length-prefixed byte runs.
 //
 // Decoding goes through a Cursor with a sticky ok() latch: every Read*
 // bounds-checks, and the first underflow pins ok() false and makes all
@@ -16,7 +13,6 @@
 #define CQAC_BASE_WIRE_H_
 
 #include <cstdint>
-#include <cstring>
 #include <string>
 
 namespace cqac {
@@ -38,13 +34,6 @@ inline void AppendU64(std::string* out, uint64_t v) {
 
 inline void AppendI64(std::string* out, int64_t v) {
   AppendU64(out, static_cast<uint64_t>(v));
-}
-
-inline void AppendDouble(std::string* out, double v) {
-  uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v), "double must be 64-bit");
-  std::memcpy(&bits, &v, sizeof(bits));
-  AppendU64(out, bits);
 }
 
 inline void AppendString(std::string* out, const std::string& s) {
@@ -83,13 +72,6 @@ class Cursor {
   }
 
   int64_t ReadI64() { return static_cast<int64_t>(ReadU64()); }
-
-  double ReadDouble() {
-    uint64_t bits = ReadU64();
-    double v = 0;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
 
   std::string ReadString() {
     uint32_t len = ReadU32();

@@ -37,7 +37,6 @@
 #include <vector>
 
 #include "src/base/task_pool.h"
-#include "src/engine/adaptive.h"
 #include "src/engine/budget.h"
 #include "src/engine/cache.h"
 #include "src/engine/stats.h"
@@ -45,6 +44,13 @@
 #include "src/ir/query.h"
 
 namespace cqac {
+
+/// Empty: the planner keeps no learned state, so a snapshot carries none.
+/// It stays only because perfbench/replay.cc:305, frozen with the
+/// benchmark, passes `ctx_.adaptive()` to ShardStore::WriteSnapshot; the
+/// benchmark change of ROADMAP item 1 removes it with that parameter and
+/// EngineContext::adaptive().
+struct AdaptiveState {};
 
 /// The result of interning a query: a dense id unique per canonical form
 /// (collision-verified) plus the renaming-invariant fingerprint.
@@ -65,12 +71,10 @@ class EngineContext {
   EngineStats& stats() { return stats_; }
   const EngineStats& stats() const { return stats_; }
 
-  /// Self-tuning planner constants (src/plan). NOT internally synchronized:
-  /// mutated only by the coordinating thread at deterministic points (never
-  /// from inside a parallel section), which is what keeps plans
-  /// byte-identical at every thread count — see src/engine/adaptive.h.
-  AdaptiveState& adaptive() { return adaptive_; }
-  const AdaptiveState& adaptive() const { return adaptive_; }
+  /// Always empty (see AdaptiveState): kept only because perfbench, frozen
+  /// with the benchmark, calls `store_->WriteSnapshot(ctx_.adaptive(),
+  /// refs)` at perfbench/replay.cc:305.
+  AdaptiveState adaptive() const { return {}; }
 
   /// Attaches a task pool (not owned; must outlive the context's use of
   /// it). Null or a 0-thread pool means every engine loop runs serially.
@@ -95,12 +99,10 @@ class EngineContext {
     return cancel_requested() || budget_.DeadlineExceeded();
   }
 
-  /// Disables/enables memoization (stats and budget still apply). Used by
-  /// ablation benches and the cache-equivalence tests.
-  void set_caching_enabled(bool enabled) { caching_enabled_ = enabled; }
-  bool caching_enabled() const {
-    return caching_enabled_ && budget_.max_cache_bytes > 0;
-  }
+  /// False when the budget allows no cache bytes: containment and
+  /// implication then skip the interner and the memo (stats and the other
+  /// budget limits still apply).
+  bool caching_enabled() const { return budget_.max_cache_bytes > 0; }
 
   /// Canonicalizes and interns `q`. Queries equal up to variable renaming
   /// and subgoal order receive the same id; 64-bit fingerprint collisions
@@ -137,8 +139,6 @@ class EngineContext {
 
   Budget budget_;
   EngineStats stats_;
-  AdaptiveState adaptive_;
-  bool caching_enabled_ = true;
 
   TaskPool* pool_ = nullptr;  // not owned
   std::atomic<bool> cancel_{false};

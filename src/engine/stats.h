@@ -86,14 +86,14 @@ class StatCounter {
   X(eval_batches)                                                            \
   X(eval_smallint_fallbacks)                                                 \
   X(eval_index_builds)                                                       \
-  /* Cost-based planner (src/plan): cost comparisons, evaluations that */    \
-  /* left syntactic order, adaptive-threshold re-estimations. */             \
-  /* plan_unions_pruned is always 0: nothing prunes a union before */        \
-  /* evaluating it. It stays, like ivm_overdeletions and */                  \
-  /* ivm_rederivations below, because perfbench's frozen */                  \
-  /* DeterministicCounters list (perfbench/replay.cc) reads it by name */    \
-  /* from every `stats` reply, and a missing name makes every benchmark */   \
-  /* run report "correct": false. */                                         \
+  /* Cost-based planner (src/plan): cost comparisons and evaluations */      \
+  /* that left syntactic order. plan_unions_pruned and plan_retunes are */   \
+  /* always 0: nothing prunes a union before evaluating it, and the */       \
+  /* planner keeps no self-tuning calibration to retune. They stay, like */  \
+  /* ivm_overdeletions and ivm_rederivations below, because perfbench's */   \
+  /* frozen DeterministicCounters list (perfbench/replay.cc) reads them */   \
+  /* by name from every `stats` reply, and a missing name makes every */     \
+  /* benchmark run report "correct": false. */                               \
   X(plan_decisions)                                                          \
   X(plan_join_reorders)                                                      \
   X(plan_unions_pruned)                                                      \

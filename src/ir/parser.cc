@@ -22,6 +22,7 @@ enum class TokKind {
   kGt,
   kGe,
   kEq,
+  kError,    // a character outside the grammar; text is the lexer's message
   kEnd,
 };
 
@@ -37,7 +38,11 @@ class Lexer {
   Lexer(const std::string& text, const LineMap& lines)
       : text_(text), lines_(lines) {}
 
+  /// Tokenizes the whole text. A character outside the grammar becomes a
+  /// kError token and lexing resumes after it; the returned Status is the
+  /// first such error, with its position.
   Status Tokenize(std::vector<Token>* out) {
+    Status first_error;
     size_t i = 0;
     const size_t n = text_.size();
     while (i < n) {
@@ -81,6 +86,7 @@ class Lexer {
             {TokKind::kNumber, text_.substr(start, i - start), start, i});
         continue;
       }
+      std::string error;  // set by the cases that do not lex
       switch (c) {
         case '(':
           out->push_back({TokKind::kLParen, "(", start, start + 1});
@@ -104,7 +110,8 @@ class Lexer {
             i += 2;
             continue;
           }
-          return Err(start, "expected ':-'");
+          error = "expected ':-'";
+          break;
         case '<':
           if (i + 1 < n && text_[i + 1] == '=') {
             out->push_back({TokKind::kLe, "<=", start, start + 2});
@@ -128,22 +135,24 @@ class Lexer {
           ++i;
           continue;
         case '!':
-          return Err(start,
-                     "'!=' comparisons are outside the CQAC fragment "
-                     "(the paper's theta is in {<, <=, >, >=})");
+          error =
+              "'!=' comparisons are outside the CQAC fragment "
+              "(the paper's theta is in {<, <=, >, >=})";
+          break;
         default:
-          return Err(start, StrCat("unexpected character '", c, "'"));
+          error = StrCat("unexpected character '", c, "'");
       }
+      if (first_error.ok())
+        first_error = Status::InvalidArgument(
+            StrCat("at ", lines_.At(start).ToString(), ": ", error));
+      out->push_back({TokKind::kError, std::move(error), start, start + 1});
+      ++i;
     }
     out->push_back({TokKind::kEnd, "", n, n});
-    return Status::OK();
+    return first_error;
   }
 
  private:
-  Status Err(size_t pos, const std::string& msg) {
-    return Status::InvalidArgument(
-        StrCat("at ", lines_.At(pos).ToString(), ": ", msg));
-  }
   const std::string& text_;
   const LineMap& lines_;
 };
@@ -175,16 +184,20 @@ class Parser {
     while (!At(TokKind::kEnd)) {
       ParsedQuery pq;
       Status st = ParseRuleInto(&pq);
-      if (st.ok()) {
+      if (st.ok() && !At(TokKind::kError)) {
         out.rules.push_back(std::move(pq));
         if (At(TokKind::kDot)) ++i_;
         continue;
       }
-      // The Status message carries an "at line:col: " prefix for callers
-      // that only see the string; the diagnostic's span already encodes the
-      // position, so strip the prefix rather than print it twice.
+      // A lexer error token fails the rule it sits in with the lexer's own
+      // message. Any other Status message carries an "at line:col: " prefix
+      // for callers that only see the string; the diagnostic's span already
+      // encodes the position, so strip the prefix rather than print it
+      // twice.
       std::string msg = st.message();
-      if (msg.rfind("at ", 0) == 0) {
+      if (At(TokKind::kError)) {
+        msg = Cur().text;
+      } else if (msg.rfind("at ", 0) == 0) {
         size_t colon = msg.find(": ", 3);
         if (colon != std::string::npos) msg = msg.substr(colon + 2);
       }
@@ -398,14 +411,9 @@ Result<std::vector<Query>> ParseRules(const std::string& text) {
 ParsedProgram ParseProgramWithDiagnostics(const std::string& text) {
   LineMap lines(text);
   std::vector<Token> toks;
-  Status st = Lexer(text, lines).Tokenize(&toks);
-  if (!st.ok()) {
-    // Lexing stops at the first bad character; report it as one error with
-    // whatever position the lexer encoded in the message.
-    ParsedProgram out;
-    out.errors.push_back({SourceSpan{}, st.message()});
-    return out;
-  }
+  // The lexer's errors stay in the stream as kError tokens, which the
+  // recovering parser reports with their spans.
+  (void)Lexer(text, lines).Tokenize(&toks);
   return Parser(std::move(toks), lines).ParseProgramRecovering();
 }
 

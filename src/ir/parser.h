@@ -76,7 +76,8 @@ Result<std::vector<Query>> ParseRules(const std::string& text);
 
 /// Parses a whole program, recovering at the next '.' after each error so
 /// every parse error in the input is reported (with line:col), not just the
-/// first. Rules that parse cleanly are returned alongside the errors.
+/// first. A character outside the grammar is such an error, spanning that
+/// character. Rules that parse cleanly are returned alongside the errors.
 ParsedProgram ParseProgramWithDiagnostics(const std::string& text);
 
 /// Convenience for tests: parses or aborts with the parse error message.

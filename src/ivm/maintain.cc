@@ -278,9 +278,9 @@ Result<ApplySummary> MaterializedViewSet::Apply(EngineContext& ctx,
   summary.inserted = delta.plus().TotalTuples();
   summary.retracted = delta.minus().TotalTuples();
 
-  // Route the incremental-vs-rebuild choice through the planner: raw work
+  // Route the incremental-vs-rebuild choice through the planner: work
   // estimates from the cost model, the touched positions the subset cap
-  // reads, the caller's pin, calibration factors from ctx.adaptive().
+  // reads, and the caller's pin.
   auto size_of = [this](const std::string& p) { return base_.Get(p).size(); };
   auto plus_size = [&delta](const std::string& p) {
     return delta.plus().Get(p).size();
@@ -338,12 +338,6 @@ Result<ApplySummary> MaterializedViewSet::Apply(EngineContext& ctx,
         summary.view_tuples_added + summary.view_tuples_removed;
     maintained_ = false;
     summary.incremental = false;
-    // Calibration feedback: a rebuild's work is linear in the scanned base
-    // plus the rewritten view tuples (thread-invariant counts).
-    plan::ObserveIvmOutcome(
-        ctx, choice,
-        static_cast<double>(base_.TotalTuples() + summary.view_tuples_added +
-                            summary.view_tuples_removed));
     fill_cert(summary);
     return summary;
   }
@@ -488,12 +482,6 @@ Result<ApplySummary> MaterializedViewSet::Apply(EngineContext& ctx,
       summary.view_tuples_added + summary.view_tuples_removed;
   maintained_ = true;
   summary.incremental = true;
-  // Calibration feedback: incremental work is linear in the delta plus the
-  // view tuples it touched (thread-invariant counts).
-  plan::ObserveIvmOutcome(
-      ctx, choice,
-      static_cast<double>(delta.delta_tuples() + summary.view_tuples_added +
-                          summary.view_tuples_removed));
   fill_cert(summary);
   return summary;
 }

@@ -97,11 +97,12 @@ class MaterializedViewSet {
 
   /// Applies one staged batch. The delta must have been staged against
   /// base(). `path` pins the incremental or the rebuild path; kPlanned lets
-  /// plan::ChooseIvmPath weigh the work estimates and the context's
-  /// self-tuning calibration factors. On kResourceExhausted a rebuild, and any batch with one side
-  /// only (ApplyInsert, ApplyRetract), is rolled back completely; a mixed
-  /// batch may keep its retract half when the insert half aborts (the
-  /// aborted half is rolled back). Base and views always agree.
+  /// plan::ChooseIvmPath weigh the work estimates, so the path is a pure
+  /// function of the base sizes and the delta. On kResourceExhausted a
+  /// rebuild, and any batch with one side only (ApplyInsert,
+  /// ApplyRetract), is rolled back completely; a mixed batch may keep its
+  /// retract half when the insert half aborts (the aborted half is rolled
+  /// back). Base and views always agree.
   /// When `cert` is non-null, a successful Apply fills it with the exact
   /// per-tuple count transitions of this batch (O(state) snapshotting).
   Result<ApplySummary> Apply(EngineContext& ctx, const DeltaDatabase& delta,

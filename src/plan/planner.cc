@@ -1,6 +1,5 @@
 #include "src/plan/planner.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <numeric>
 
@@ -72,11 +71,6 @@ std::string OrderToString(const std::vector<size_t>& order) {
   parts.reserve(order.size());
   for (size_t i : order) parts.push_back(StrCat(i));
   return StrCat("[", Join(parts, ", "), "]");
-}
-
-ArmCalibration& IvmArm(EngineContext& ctx, bool rebuild) {
-  AdaptiveState& a = ctx.adaptive();
-  return rebuild ? a.ivm_rebuild : a.ivm_incremental;
 }
 
 }  // namespace
@@ -192,8 +186,6 @@ IvmPathChoice ChooseIvmPath(EngineContext& ctx, double est_incremental,
                             IvmPath pin) {
   ++ctx.stats().plan_decisions;
   IvmPathChoice c;
-  c.est_incremental = est_incremental;
-  c.est_rebuild = est_rebuild;
   if (pin != IvmPath::kPlanned) {
     c.rebuild = pin == IvmPath::kRebuild;
     c.forced = true;
@@ -206,18 +198,8 @@ IvmPathChoice ChooseIvmPath(EngineContext& ctx, double est_incremental,
     c.forced = true;
     return c;
   }
-  c.rebuild = est_incremental * IvmArm(ctx, /*rebuild=*/false).factor >
-              est_rebuild * IvmArm(ctx, /*rebuild=*/true).factor;
+  c.rebuild = est_incremental > est_rebuild;
   return c;
-}
-
-void ObserveIvmOutcome(EngineContext& ctx, const IvmPathChoice& choice,
-                       double observed_work) {
-  const double est = choice.rebuild ? choice.est_rebuild
-                                    : choice.est_incremental;
-  const double ratio = observed_work / std::max(1.0, est);
-  if (IvmArm(ctx, choice.rebuild).Observe(ratio))
-    ++ctx.stats().plan_retunes;
 }
 
 }  // namespace plan

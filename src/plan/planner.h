@@ -4,9 +4,9 @@
 // (src/rewriting/answer.cc), the batch join evaluator's atom order
 // (src/eval/evaluate.cc), the IVM incremental-vs-rebuild heuristics
 // (src/ivm/maintain.cc) — now ask the planner, which consumes cardinality
-// statistics (src/plan/stats.h) plus the self-tuning calibration factors in
-// EngineContext::adaptive(). The algorithm and join-order choices are
-// recorded as explicit Decisions. Decisions are *advisory about cost only*:
+// statistics (src/plan/stats.h) and keeps no state of its own: every choice
+// is a pure function of its inputs. The algorithm and join-order choices
+// are recorded as explicit Decisions. Decisions are *advisory about cost only*:
 // each offered choice is result-invariant, so forcing any arm yields
 // byte-identical answers (tests/plan_equivalence_test.cc proves it at
 // several thread counts).
@@ -37,7 +37,7 @@ struct Decision {
   double est_chosen = 0;
   double est_alternative = 0;
   bool forced = false;
-  std::string detail;  // free-form: class name, order, calibration factors
+  std::string detail;  // free-form: class name, order
 
   std::string ToString() const;
   std::string ToJson() const;
@@ -103,29 +103,20 @@ enum class IvmPath { kPlanned, kIncremental, kRebuild };
 /// whatever the estimates say.
 constexpr size_t kMaxSubsetPositions = 10;
 
-/// The incremental-vs-rebuild decision with the raw estimates the outcome
-/// feedback divides by.
+/// The incremental-vs-rebuild decision.
 struct IvmPathChoice {
   bool rebuild = false;
-  bool forced = false;
-  double est_incremental = 0;  // raw model estimates
-  double est_rebuild = 0;
+  bool forced = false;  // a pin or the subset cap, not the estimates
 };
 
 /// Chooses the maintenance path: a pin wins, then the subset-expansion cap
 /// (`max_touched` > kMaxSubsetPositions: the expansion alone outweighs a
-/// rebuild), then the calibrated cost comparison: the rebuild wins iff
-///   est_incremental x incr_factor  >  est_rebuild x rebuild_factor.
-/// Reads ctx.adaptive() and bumps plan_decisions; coordinator-only.
+/// rebuild), then the cost comparison: the rebuild wins iff
+/// est_incremental > est_rebuild. A pure function of its arguments; bumps
+/// plan_decisions.
 IvmPathChoice ChooseIvmPath(EngineContext& ctx, double est_incremental,
                             double est_rebuild, size_t max_touched,
                             IvmPath pin);
-
-/// Feeds the executed path's observed work (thread-invariant tuple counts)
-/// back into the matching calibration histogram; bumps plan_retunes when
-/// the observation triggered a re-estimation. Coordinator-only.
-void ObserveIvmOutcome(EngineContext& ctx, const IvmPathChoice& choice,
-                       double observed_work);
 
 }  // namespace plan
 }  // namespace cqac

@@ -203,7 +203,7 @@ void Service::MaybeSnapshot() {
     ref.store = &s->store;
     refs.push_back(ref);
   }
-  Status st = store_->WriteSnapshot(ctx_.adaptive(), refs);
+  Status st = store_->WriteSnapshot({}, refs);
   if (!st.ok())
     std::fprintf(stderr, "cqac_serve: shard %zu snapshot failed: %s\n",
                  shard_index_, st.ToString().c_str());

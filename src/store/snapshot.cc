@@ -20,7 +20,9 @@ namespace store {
 
 namespace {
 
-constexpr uint8_t kSectionAdaptive = 1;
+// Older builds wrote a planner calibration as the first section; its body
+// is skipped.
+constexpr uint8_t kSectionCalibration = 1;
 constexpr uint8_t kSectionSession = 2;
 constexpr uint8_t kSectionEnd = 3;
 
@@ -199,16 +201,12 @@ Result<ivm::ApplySummary> SessionState::Apply(
 }
 
 Status WriteSnapshotFile(const std::string& path, uint64_t lsn,
-                         const AdaptiveState& adaptive,
                          const std::vector<SessionSnapshotRef>& sessions) {
   std::string bytes(kSnapshotMagic, 8);
   wire::AppendU32(&bytes, kSnapshotVersion);
   wire::AppendU64(&bytes, lsn);
 
-  std::string payload(1, static_cast<char>(kSectionAdaptive));
-  adaptive.SerializeTo(&payload);
-  AppendFrame(payload, &bytes);
-
+  std::string payload;
   for (const SessionSnapshotRef& s : sessions) {
     payload.assign(1, static_cast<char>(kSectionSession));
     SerializeSession(&payload, s);
@@ -284,10 +282,7 @@ Result<SnapshotData> ReadSnapshotFile(const std::string& path) {
     if (len == 0) return Corrupt(path, "empty section");
     wire::Cursor body(payload + 1, len - 1);
     switch (static_cast<uint8_t>(payload[0])) {
-      case kSectionAdaptive:
-        if (!out.adaptive.RestoreFrom(&body) || !body.AtEnd())
-          return Corrupt(path, "undecodable adaptive section");
-        out.has_adaptive = true;
+      case kSectionCalibration:
         break;
       case kSectionSession: {
         Result<std::unique_ptr<SessionState>> s =

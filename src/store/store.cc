@@ -173,13 +173,6 @@ Result<RecoveredShard> RecoverShard(EngineContext& ctx,
                                          " but is named for lsn ", lsn));
     out.snapshot_lsn = lsn;
     out.last_lsn = lsn;
-    out.has_adaptive = snap.value().has_adaptive;
-    if (out.has_adaptive) {
-      out.adaptive = snap.value().adaptive;
-      // Restore calibration BEFORE replay: every replayed apply then makes
-      // the same incremental-vs-rebuild decision the crashed process made.
-      ctx.adaptive() = out.adaptive;
-    }
     for (auto& s : std::move(snap).value().sessions) by_name.emplace(s->name, std::move(s));
   }
 
@@ -281,7 +274,7 @@ bool ShardStore::ShouldSnapshot() const {
 }
 
 Status ShardStore::WriteSnapshot(
-    const AdaptiveState& adaptive,
+    const AdaptiveState& /*unused*/,
     const std::vector<SessionSnapshotRef>& sessions) {
   if (!failure_.ok())
     return Status::Internal(
@@ -292,7 +285,7 @@ Status ShardStore::WriteSnapshot(
   if (last_lsn_ == 0) return Status::OK();
   uint64_t lsn = last_lsn_;
   std::string snap_path = SnapshotPath(dir_, lsn);
-  CQAC_RETURN_IF_ERROR(WriteSnapshotFile(snap_path, lsn, adaptive, sessions));
+  CQAC_RETURN_IF_ERROR(WriteSnapshotFile(snap_path, lsn, sessions));
 
   // Compact the WAL down to a single barrier record, atomically: build the
   // replacement under a tmp name, fsync it, close our current appender,

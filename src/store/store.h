@@ -76,20 +76,16 @@ Result<std::vector<std::pair<uint64_t, std::string>>> ListSnapshots(
 struct RecoveredShard {
   /// Name-ordered, fully rebuilt sessions (snapshot state + replayed tail).
   std::vector<std::unique_ptr<SessionState>> sessions;
-  bool has_adaptive = false;
-  AdaptiveState adaptive;
   uint64_t snapshot_lsn = 0;       ///< 0 when no snapshot existed
   uint64_t last_lsn = 0;           ///< highest LSN seen (snapshot or log)
   uint64_t replayed_records = 0;   ///< non-barrier tail records applied
   bool wal_tail_truncated = false; ///< a torn frame was dropped (crash sign)
 };
 
-/// Recovers one shard: loads the newest valid snapshot (if any), restores
-/// the adaptive calibration into `ctx` BEFORE replay (so every replayed
-/// apply makes the same incremental-vs-rebuild decision the crashed process
-/// made), then replays the WAL tail (records with lsn > snapshot lsn)
-/// through SessionState::Apply, the transition the live server ran before
-/// it logged each record. A missing shard directory or an empty one
+/// Recovers one shard: loads the newest valid snapshot (if any), then
+/// replays the WAL tail (records with lsn > snapshot lsn) through
+/// SessionState::Apply, the transition the live server ran before it
+/// logged each record. A missing shard directory or an empty one
 /// recovers to the empty state. Bumps
 /// store_recovery_replayed_records per applied record and
 /// store_recovery_sessions once per rebuilt session.
@@ -128,8 +124,10 @@ class ShardStore {
   /// Writes the snapshot covering every record appended so far, compacts
   /// the WAL down to a single barrier record, and prunes old snapshots.
   /// On failure the WAL is untouched — the store stays usable and the next
-  /// cadence check will retry.
-  Status WriteSnapshot(const AdaptiveState& adaptive,
+  /// cadence check will retry. The first parameter is ignored: it stays
+  /// only because perfbench/replay.cc:305, frozen with the benchmark,
+  /// passes `ctx_.adaptive()` (see AdaptiveState); other callers pass {}.
+  Status WriteSnapshot(const AdaptiveState& /*unused*/,
                        const std::vector<SessionSnapshotRef>& sessions);
 
   uint64_t last_lsn() const { return last_lsn_; }

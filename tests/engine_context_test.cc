@@ -53,8 +53,9 @@ TEST(EngineContextTest, ContainmentCacheHitsOnRenamedRepeat) {
 }
 
 TEST(EngineContextTest, CachingDisabledStillCorrect) {
-  EngineContext ctx;
-  ctx.set_caching_enabled(false);
+  Budget budget;
+  budget.max_cache_bytes = 0;
+  EngineContext ctx(budget);
   Query q2 = MustParseQuery("p(X) :- r(X, Y), X < 3");
   Query q1 = MustParseQuery("q(X) :- r(X, Y), X < 5");
   for (int i = 0; i < 3; ++i) {
@@ -73,8 +74,9 @@ TEST(EngineContextTest, CachedAndUncachedAgreeOnRandomWorkloads) {
   // require identical outcomes.
   Rng rng(9090);
   EngineContext cached;
-  EngineContext uncached;
-  uncached.set_caching_enabled(false);
+  Budget no_cache;
+  no_cache.max_cache_bytes = 0;
+  EngineContext uncached(no_cache);
 
   std::vector<std::pair<Query, Query>> pairs;
   for (int iter = 0; iter < 60; ++iter) {

@@ -333,6 +333,44 @@ TEST(ReaderTest, TabsAndCrlfReadLikeSpacesAndLf) {
             "query\tq(X) :- v(X, X).\r\n");
 }
 
+// A character outside the grammar is a P001 at its own file position, like
+// any other parse error, and the rules around it still lint.
+std::vector<std::string> LintLines(const std::string& text) {
+  std::vector<std::string> lines;
+  for (const LintDiagnostic& d : LintFileText(text))
+    lines.push_back(d.ToString());
+  return lines;
+}
+
+TEST(ReaderTest, LexerErrorInAScriptHasItsFilePosition) {
+  const std::vector<std::string> lines = LintLines(
+      "view v(X) :- r(X).\n"
+      "query q(Y) :- r(Y) & s(Y).\n");
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_EQ(lines[0], "2:20: error: unexpected character '&' [P001]");
+  EXPECT_EQ(lines[1].rfind("1:6: note: ", 0), 0u) << lines[1];
+  EXPECT_NE(lines[1].find("[L012]"), std::string::npos) << lines[1];
+}
+
+TEST(ReaderTest, LexerErrorInAPlainFileSkipsOnlyItsRule) {
+  const std::vector<std::string> lines = LintLines(
+      "q(X) :- r(X).\n"
+      "p(Y) :- r(Y) & s(Y).\n"
+      "w(Z) :- t(Z), Z != 3, u(Z).\n"
+      "v(Z) :- t(Z).\n");
+  ASSERT_EQ(lines.size(), 4u);
+  EXPECT_EQ(lines[0], "2:14: error: unexpected character '&' [P001]");
+  EXPECT_EQ(lines[1].rfind("3:17: error: '!=' comparisons are outside", 0),
+            0u)
+      << lines[1];
+  EXPECT_EQ(lines[2].rfind("1:1: note: ", 0), 0u) << lines[2];
+  EXPECT_EQ(lines[3].rfind("4:1: note: ", 0), 0u) << lines[3];
+  // A strict parse still stops at the first bad character.
+  Result<Query> q = ParseQuery("p(Y) :- r(Y) & s(Y) & t(Y).");
+  ASSERT_FALSE(q.ok());
+  EXPECT_EQ(q.status().message(), "at 1:14: unexpected character '&'");
+}
+
 // ---- class inference --------------------------------------------------------
 
 ClassInfo ClassOf(const std::string& text) {

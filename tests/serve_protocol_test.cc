@@ -444,12 +444,11 @@ class DurableServiceTest : public ::testing::Test {
   }
 
   // The session's bytes as WriteSnapshotFile writes them (one session,
-  // lsn 0, with the given calibration state).
-  std::string SessionBytes(const store::SessionState& s,
-                           const AdaptiveState& adaptive) {
+  // lsn 0).
+  std::string SessionBytes(const store::SessionState& s) {
     const std::string path = dir_ + "/session.cqs";
     store::SessionSnapshotRef ref{&s.name, &s.view_texts, &s.store};
-    Status st = store::WriteSnapshotFile(path, 0, adaptive, {ref});
+    Status st = store::WriteSnapshotFile(path, 0, {ref});
     EXPECT_TRUE(st.ok()) << st;
     std::ifstream in(path, std::ios::binary);
     return std::string(std::istreambuf_iterator<char>(in), {});
@@ -457,12 +456,11 @@ class DurableServiceTest : public ::testing::Test {
   std::string LiveBytes() {
     Session* s = service_.sessions().Find("s");
     EXPECT_NE(s, nullptr);
-    return s == nullptr ? "" : SessionBytes(*s, ctx_.adaptive());
+    return s == nullptr ? "" : SessionBytes(*s);
   }
 
   // Replays the shard's log into a fresh context and expects session "s"
-  // back with exactly the live session's bytes — calibration included,
-  // since only applied records feed it.
+  // back with exactly the live session's bytes.
   void ExpectRecoveredEqualsLive() {
     EngineContext ctx;
     Result<store::RecoveredShard> rec =
@@ -474,8 +472,7 @@ class DurableServiceTest : public ::testing::Test {
     ASSERT_NE(live, nullptr);
     EXPECT_EQ(recovered.views.size(), live->views.size());
     // EXPECT_TRUE, not EXPECT_EQ: the snapshots are megabytes.
-    EXPECT_TRUE(SessionBytes(recovered, ctx.adaptive()) ==
-                SessionBytes(*live, ctx_.adaptive()))
+    EXPECT_TRUE(SessionBytes(recovered) == SessionBytes(*live))
         << "the recovered session's snapshot differs from the live one";
   }
 

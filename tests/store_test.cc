@@ -1,7 +1,7 @@
 // Unit tests for src/store: CRC32C, record framing, WAL read/write with
 // torn-tail truncation and corruption detection, snapshot round-trips
-// (including derivation counts, planner sketches, and adaptive state),
-// ShardStore compaction, and O(delta) recovery via RecoverShard.
+// (including derivation counts and planner sketches), ShardStore
+// compaction, and O(delta) recovery via RecoverShard.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "src/base/strings.h"
+#include "src/base/wire.h"
 #include "src/engine/context.h"
 #include "src/eval/database.h"
 #include "src/ir/parser.h"
@@ -327,8 +328,6 @@ TEST(SnapshotTest, RoundTripsFullSessionState) {
   EngineContext ctx;
   ivm::MaterializedViewSet session;
   BuildSession(ctx, &session);
-  ctx.adaptive().ivm_incremental.factor = 2.5;
-  ctx.adaptive().ivm_incremental.observations = 17;
 
   std::string name = "alpha";
   std::vector<std::string> texts = {"v(X, Y) :- r(X, Y), X <= 5",
@@ -338,15 +337,11 @@ TEST(SnapshotTest, RoundTripsFullSessionState) {
   ref.view_texts = &texts;
   ref.store = &session;
   std::string path = dir / "snap.cqs";
-  ASSERT_TRUE(
-      store::WriteSnapshotFile(path, 123, ctx.adaptive(), {ref}).ok());
+  ASSERT_TRUE(store::WriteSnapshotFile(path, 123, {ref}).ok());
 
   auto snap = store::ReadSnapshotFile(path);
   ASSERT_TRUE(snap.ok()) << snap.status();
   EXPECT_EQ(snap.value().lsn, 123u);
-  ASSERT_TRUE(snap.value().has_adaptive);
-  EXPECT_DOUBLE_EQ(snap.value().adaptive.ivm_incremental.factor, 2.5);
-  EXPECT_EQ(snap.value().adaptive.ivm_incremental.observations, 17u);
   ASSERT_EQ(snap.value().sessions.size(), 1u);
 
   const store::SessionState& s = *snap.value().sessions[0];
@@ -373,7 +368,7 @@ TEST(SnapshotTest, RestoredSessionKeepsMaintainingIncrementally) {
                                     "w(X) :- r(X, Y), r(Y, Z)"};
   store::SessionSnapshotRef ref{&name, &texts, &session};
   std::string path = dir / "snap.cqs";
-  ASSERT_TRUE(store::WriteSnapshotFile(path, 1, ctx.adaptive(), {ref}).ok());
+  ASSERT_TRUE(store::WriteSnapshotFile(path, 1, {ref}).ok());
   auto snap = store::ReadSnapshotFile(path);
   ASSERT_TRUE(snap.ok()) << snap.status();
   store::SessionState& restored = *snap.value().sessions[0];
@@ -399,7 +394,7 @@ TEST(SnapshotTest, TruncationAndBitFlipsAreErrors) {
                                     "w(X) :- r(X, Y), r(Y, Z)"};
   store::SessionSnapshotRef ref{&name, &texts, &session};
   std::string path = dir / "snap.cqs";
-  ASSERT_TRUE(store::WriteSnapshotFile(path, 9, ctx.adaptive(), {ref}).ok());
+  ASSERT_TRUE(store::WriteSnapshotFile(path, 9, {ref}).ok());
   std::string full = ReadFile(path);
 
   // Any truncation fails (the kEnd marker guards even clean-frame cuts).
@@ -421,9 +416,8 @@ TEST(SnapshotTest, TruncationAndBitFlipsAreErrors) {
 
 TEST(SnapshotTest, EmptySnapshotRoundTrips) {
   TempDir dir;
-  AdaptiveState adaptive;
   std::string path = dir / "snap.cqs";
-  ASSERT_TRUE(store::WriteSnapshotFile(path, 0, adaptive, {}).ok());
+  ASSERT_TRUE(store::WriteSnapshotFile(path, 0, {}).ok());
   auto snap = store::ReadSnapshotFile(path);
   ASSERT_TRUE(snap.ok()) << snap.status();
   EXPECT_TRUE(snap.value().sessions.empty());
@@ -491,7 +485,7 @@ struct DrivenShard {
   }
   void Snapshot() {
     store::SessionSnapshotRef ref{&session_name, &view_texts, &session};
-    ASSERT_TRUE(store->WriteSnapshot(ctx.adaptive(), {ref}).ok());
+    ASSERT_TRUE(store->WriteSnapshot({}, {ref}).ok());
   }
 };
 
@@ -670,6 +664,74 @@ TEST(StoreTest, SnapshotOfAnotherVersionIsRefused) {
       << rec.status();
 }
 
+// Version-2 files written before the planner lost its calibration carry it
+// as a kind-1 section right after the header: two arms, each a factor's
+// IEEE-754 bits, observation and retune counts, and a 256-bucket histogram
+// (2,112 bytes of body). The reader skips the section, so such a data dir
+// recovers to the same sessions as one without it.
+TEST(StoreTest, SnapshotWithAnOlderCalibrationSectionStillRecovers) {
+  TempDir dir;
+  DrivenShard live;
+  live.Open(dir.path());
+  live.View("v(X, Y) :- r(X, Y), X <= 5");
+  live.Fact("r(1, 2). r(2, 3). r(7, 1).");
+  live.Retract("r(2, 3).");
+  live.Snapshot();
+  live.Fact("r(4, 4).");  // a tail record to replay after the snapshot
+  const std::string shard_dir = store::ShardDirPath(dir.path(), 0);
+  auto snaps = store::ListSnapshots(shard_dir);
+  ASSERT_TRUE(snaps.ok());
+  ASSERT_EQ(snaps.value().size(), 1u);
+  const std::string path = snaps.value().back().second;
+
+  auto render = [](const std::vector<std::unique_ptr<store::SessionState>>&
+                       sessions) {
+    std::string out;
+    for (const auto& s : sessions)
+      out += StrCat(s->name, "|", Join(s->view_texts, ";"), "|",
+                    s->store.base().ToString(), "|",
+                    s->store.views().ToString(), "\n");
+    return out;
+  };
+  auto plain = store::ReadSnapshotFile(path);
+  ASSERT_TRUE(plain.ok()) << plain.status();
+  EngineContext plain_ctx;
+  auto plain_rec = store::RecoverShard(plain_ctx, shard_dir);
+  ASSERT_TRUE(plain_rec.ok()) << plain_rec.status();
+
+  std::string body(1, '\x01');  // the section kind
+  for (uint64_t observations : {5, 2}) {
+    wire::AppendU64(&body, 0x3ff0000000000000ULL);  // factor 1.0
+    wire::AppendU64(&body, observations);
+    wire::AppendU64(&body, 0);  // retunes
+    wire::AppendU64(&body, observations);  // histogram count
+    for (int b = 0; b < 256; ++b)  // every observation in bucket 128
+      wire::AppendU32(&body, b == 128 ? static_cast<uint32_t>(observations)
+                                      : 0);
+  }
+  ASSERT_EQ(body.size(), 1u + 2112u);
+  std::string frame;
+  store::AppendFrame(body, &frame);
+  std::string bytes = ReadFile(path);
+  bytes.insert(20, frame);  // after the 20-byte header, where it was written
+  WriteFile(path, bytes);
+
+  auto spliced = store::ReadSnapshotFile(path);
+  ASSERT_TRUE(spliced.ok()) << spliced.status();
+  EXPECT_EQ(spliced.value().lsn, plain.value().lsn);
+  EXPECT_EQ(render(spliced.value().sessions), render(plain.value().sessions));
+  EngineContext ctx;
+  auto rec = store::RecoverShard(ctx, shard_dir);
+  ASSERT_TRUE(rec.ok()) << rec.status();
+  EXPECT_EQ(rec.value().replayed_records, 1u);
+  ASSERT_EQ(rec.value().sessions.size(), 1u);
+  EXPECT_EQ(render(rec.value().sessions), render(plain_rec.value().sessions));
+  EXPECT_EQ(rec.value().sessions[0]->store.counts(),
+            live.session.counts());
+  EXPECT_EQ(ctx.stats().ivm_incremental_applies,
+            plain_ctx.stats().ivm_incremental_applies);
+}
+
 TEST(StoreTest, AppendFailureLatchesFailStop) {
   TempDir dir;
   DrivenShard live;
@@ -705,7 +767,7 @@ TEST(StoreTest, SnapshottingANeverWrittenShardIsANoOp) {
   EngineContext ctx;
   auto s = store::ShardStore::Open(dir.path(), 0, 1, options, &ctx);
   ASSERT_TRUE(s.ok());
-  ASSERT_TRUE(s.value()->WriteSnapshot(ctx.adaptive(), {}).ok());
+  ASSERT_TRUE(s.value()->WriteSnapshot({}, {}).ok());
   std::string shard_dir = store::ShardDirPath(dir.path(), 0);
   auto snaps = store::ListSnapshots(shard_dir);
   ASSERT_TRUE(snaps.ok());

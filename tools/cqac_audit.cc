@@ -5,9 +5,11 @@
 //   cqac_audit [flags] script.cqac [more.cqac ...]
 //     Reads shell-format scripts with the shell's line splitter: `view`,
 //     `fact` and `retract` change a session's state as they do in the shell
-//     (store::SessionState::Apply), every `query` is a subject, and every
-//     other command line is ignored. Each query is audited against the
-//     script's views and final facts.
+//     (store::SessionState::Apply), every `query` is a subject, `reset` ends
+//     a segment, `load` is refused, and every other command line is
+//     ignored. Each query is audited against the views and final facts of
+//     its segment; the next segment starts from an empty state, as the
+//     shell's does after `reset`.
 //
 //   cqac_audit [flags] --sweep
 //     Generates a seeded random corpus across the comparison-class lattice
@@ -53,7 +55,7 @@ struct Options {
 };
 
 /// Collects the audit subjects of one shell-format script: every `query`
-/// line becomes one subject sharing the script's views and final fact set.
+/// line becomes one subject sharing its segment's views and final fact set.
 Result<std::vector<audit::AuditInputs>> SubjectsOfScript(
     const std::string& path) {
   std::ifstream file(path);
@@ -63,12 +65,30 @@ Result<std::vector<audit::AuditInputs>> SubjectsOfScript(
   // count only the audit's work.
   EngineContext ctx;
   store::SessionState state;
-  std::vector<Query> queries;
+  std::vector<Query> queries;  // of the current segment
+  std::vector<audit::AuditInputs> subjects;
+  auto end_segment = [&] {
+    for (Query& q : queries) {
+      audit::AuditInputs in;
+      in.query = std::move(q);
+      in.views = state.views;
+      in.facts = state.store.base();
+      subjects.push_back(std::move(in));
+    }
+    queries.clear();
+    state = store::SessionState();
+  };
   std::string line;
-  while (std::getline(file, line)) {
+  for (size_t line_no = 1; std::getline(file, line); ++line_no) {
     const ScriptLine split = SplitScriptLine(line);
     const std::string rest(split.argument);
-    if (split.command == "query") {
+    if (split.command == "reset") {
+      end_segment();
+    } else if (split.command == "load") {
+      return Status::InvalidArgument(
+          StrCat("line ", line_no,
+                 ": `load` restores a state the script does not declare"));
+    } else if (split.command == "query") {
       CQAC_ASSIGN_OR_RETURN(Query q, ParseQuery(rest));
       CQAC_RETURN_IF_ERROR(q.Validate());
       queries.push_back(std::move(q));
@@ -85,14 +105,7 @@ Result<std::vector<audit::AuditInputs>> SubjectsOfScript(
     // Action commands (rewrite, eval, ...) are the shell's business; the
     // auditor re-derives and certifies all of them from the declarations.
   }
-  std::vector<audit::AuditInputs> subjects;
-  for (Query& q : queries) {
-    audit::AuditInputs in;
-    in.query = std::move(q);
-    in.views = state.views;
-    in.facts = state.store.base();
-    subjects.push_back(std::move(in));
-  }
+  end_segment();
   return subjects;
 }
 

@@ -32,12 +32,11 @@
 //                          result re-proved by independent reference
 //                          procedures (src/analysis/audit)
 //   plan                   print the planner's decisions for the current
-//                          query: class-dictated algorithm, join atom
-//                          order over the base facts, and the IVM
-//                          calibration state
+//                          query: class-dictated algorithm and join atom
+//                          order over the base facts
 //   stats                  print engine counters (cache hits, budgets, ...)
 //   save <dir>             write the session (views, facts, materialized
-//                          views, calibration) as a durable snapshot file
+//                          views) as a durable snapshot file
 //   load <dir>             restore a session saved with `save` — no
 //                          rematerialization, the snapshot carries the
 //                          maintained state (src/store)
@@ -337,11 +336,9 @@ class Shell {
 
   // Surfaces the planner's view of the current query without running
   // anything: the class-dictated rewriting engine `rewrite` and `answers`
-  // run, the join order `eval` would use over the base facts, and the IVM
-  // calibration state `fact`/`retract` decide with. The output is a pure
-  // function of the declared state plus the context's deterministic
-  // adaptation, so it is identical at every thread count
-  // (tools/determinism.cqac exercises that).
+  // run, and the join order `eval` would use over the base facts. The
+  // output is a pure function of the declared state, so it is identical at
+  // every thread count (tools/determinism.cqac exercises that).
   bool PlanCmd() {
     if (!NeedQuery()) return false;
     Result<ViewPlan> vp = PlanForQuery(*ctx_, query_, state_.views);
@@ -353,7 +350,6 @@ class Shell {
             .ToDecision();
     jd.detail = "direct eval over base facts";
     std::printf("  %s\n", jd.ToString().c_str());
-    std::printf("adaptive:\n%s\n", ctx_->adaptive().ToString().c_str());
     return true;
   }
 
@@ -386,8 +382,7 @@ class Shell {
     ref.name = &state_.name;
     ref.view_texts = &state_.view_texts;
     ref.store = &state_.store;
-    Status st = store::WriteSnapshotFile(dir + "/shell.cqs", 0,
-                                         ctx_->adaptive(), {ref});
+    Status st = store::WriteSnapshotFile(dir + "/shell.cqs", 0, {ref});
     if (!st.ok()) return Fail(st.ToString());
     std::printf("ok: saved %zu views, %zu base tuples to %s/shell.cqs\n",
                 state_.views.size(), state_.store.base().TotalTuples(),
@@ -405,8 +400,6 @@ class Shell {
                          "/shell.cqs, found ",
                          snap.value().sessions.size()));
     state_ = std::move(*snap.value().sessions[0]);
-    if (snap.value().has_adaptive)
-      ctx_->adaptive() = snap.value().adaptive;
     std::printf("ok: loaded %zu views, %zu base tuples from %s/shell.cqs\n",
                 state_.views.size(), state_.store.base().TotalTuples(),
                 dir.c_str());

@@ -183,7 +183,7 @@ int Compact(const std::string& dir, const std::vector<ShardRef>& shards,
       ref.store = &s->store;
       refs.push_back(ref);
     }
-    Status wrote = st.value()->WriteSnapshot(ctx.adaptive(), refs);
+    Status wrote = st.value()->WriteSnapshot({}, refs);
     if (!wrote.ok()) {
       std::printf("shard %u: FAIL %s\n", shard.index,
                   wrote.ToString().c_str());
